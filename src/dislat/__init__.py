@@ -9,6 +9,8 @@ verification at desk scale.
 """
 
 from .errors import (
+    BadGraph,
+    BadOption,
     BadPartition,
     BudgetExceeded,
     ClassHasAdjunct,
@@ -80,13 +82,11 @@ from .treeiso import (
     tree_of_lattice,
 )
 from .oracle import (
-    EnumerationFilter,
     brute_graph_iso,
     brute_graph_iso_all,
     brute_lattice_iso,
     enumerate_lower_dismantlable,
     enumerate_rooted_trees,
-    rooted_trees_of_size,
 )
 
 __version__ = "0.1.0"

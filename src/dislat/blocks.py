@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import ClassHasAdjunct, HypothesisViolated, InternalInconsistency, NotLowerDismantlable
-from .lattice import Lattice, adjunct, chain_lattice, classify, induced_sublattice, is_lower_dismantlable
+from .lattice import Lattice, _peel, adjunct, chain_lattice, classify, induced_sublattice, is_lower_dismantlable
 from .zdg import LabeledGraph, neighborhood_partition, zero_divisor_graph
 
 if TYPE_CHECKING:
@@ -145,19 +145,22 @@ def is_ssc(lat: Lattice) -> bool:
     return True
 
 
-def ssc_equivalence_report(lat: Lattice) -> dict:
+def ssc_equivalence_report(lat: Lattice, block: Lattice | None = None) -> dict:
     """Three independent computations whose agreement is the three-way
     equivalence theorem; agreement is asserted by tests, not here.
 
     Requires a lower dismantlable lattice whose top is join-reducible.
+    `block` is the basic block of `lat` when the caller already has it.
     """
     if not is_lower_dismantlable(lat):
         raise HypothesisViolated("not lower dismantlable")
     if len(lat.lower_covers(lat.top_label)) < 2:
         raise HypothesisViolated("top is join-irreducible")
+    if block is None:
+        block = basic_block(lat)
     graph = zero_divisor_graph(lat)
     return {
-        "basic_block_is_self": basic_block(lat) == lat,
+        "basic_block_is_self": block == lat,
         "ssc": is_ssc(lat),
         "all_classes_singleton": all(len(b) == 1 for b in neighborhood_partition(graph)),
     }
@@ -208,83 +211,23 @@ def peel_order(tree: "RootedTree") -> ClassPartition:
     Round by round: every branching node none of whose proper descendants
     branches sheds each of its pendant-path branches as one class; when no
     branching node remains, each residual leg below the root is one class.
+    A class holds an adjunct element exactly when its lowest node branches.
     """
-    parent = dict(tree.parent_map())
-    original_degree = {v: tree.degree(v) for v in tree.node_labels()}
-
-    def children_map() -> dict[str, list[str]]:
-        kids: dict[str, list[str]] = {v: [] for v in parent}
-        for v, p in parent.items():
-            if p is not None:
-                kids[p].append(v)
-        return kids
-
-    classes: list[VertexClass] = []
-    rounds: list[int] = []
-    round_no = 0
-    while True:
-        kids = children_map()
-        nodes = {v for v, ks in kids.items() if len(ks) + (0 if parent[v] is None else 1) > 2}
-
-        def has_node_below(v: str) -> bool:
-            stack = list(kids[v])
-            while stack:
-                u = stack.pop()
-                if u in nodes:
-                    return True
-                stack.extend(kids[u])
-            return False
-
-        eligible = sorted(v for v in nodes if not has_node_below(v))
-        if not eligible:
-            break
-        round_no += 1
-        for v in eligible:
-            for c in sorted(kids[v]):
-                branch = []
-                cur: str | None = c
-                while cur is not None:
-                    branch.append(cur)
-                    nxt = kids[cur]
-                    cur = nxt[0] if nxt else None
-                classes.append(_flagged_class(branch, original_degree))
-                rounds.append(round_no)
-                for node in branch:
-                    del parent[node]
-
-    # Residual tree: the root plus at most two pendant legs; each leg is a class.
-    kids = children_map()
-    root = next(v for v, p in parent.items() if p is None)
-    if kids[root]:
-        round_no += 1
-    for c in sorted(kids[root]):
-        leg = []
-        cur: str | None = c
-        while cur is not None:
-            leg.append(cur)
-            nxt = kids[cur]
-            cur = nxt[0] if nxt else None
-        classes.append(_flagged_class(leg, original_degree))
-        rounds.append(round_no)
-
-    order = sorted(range(len(classes)), key=lambda i: (rounds[i], classes[i].members[0]))
-    classes = [classes[i] for i in order]
-    rounds = [rounds[i] for i in order]
-    return ClassPartition(
-        classes=tuple(classes),
-        peel_order=tuple(range(len(classes))),
-        peel_rounds=tuple(rounds),
+    parent = tree.parent_map()
+    has_children = set(parent.values())
+    peeled = _peel(parent)
+    classes = tuple(
+        VertexClass(
+            members=tuple(sorted(path)),
+            has_adjunct=path[-1] in has_children,
+            adjunct_member=path[-1] if path[-1] in has_children else None,
+        )
+        for _, path in peeled
     )
-
-
-def _flagged_class(branch: list[str], original_degree: dict[str, int]) -> VertexClass:
-    nodes_inside = sorted(v for v in branch if original_degree[v] > 2)
-    if len(nodes_inside) > 1:
-        raise InternalInconsistency(f"class {branch} holds several branching nodes")
-    return VertexClass(
-        members=tuple(sorted(branch)),
-        has_adjunct=bool(nodes_inside),
-        adjunct_member=nodes_inside[0] if nodes_inside else None,
+    return ClassPartition(
+        classes=classes,
+        peel_order=tuple(range(len(classes))),
+        peel_rounds=tuple(round_no for round_no, _ in peeled),
     )
 
 

@@ -18,13 +18,21 @@ from pathlib import Path
 
 from . import blocks, dsl, oracle, treeiso, zdg
 from .errors import (
+    BadOption,
     DislatError,
     DslError,
     HypothesisViolated,
     InternalInconsistency,
     NotInClass,
 )
-from .lattice import Lattice, adjunct_representation, classify, is_lower_dismantlable, relabel
+from .lattice import (
+    Lattice,
+    adjunct_representation,
+    classify,
+    induced_sublattice,
+    is_lower_dismantlable,
+    relabel,
+)
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -98,7 +106,7 @@ def cmd_analyze(args) -> int:
         "lower_dismantlable": is_lower_dismantlable(lat),
     }
     try:
-        payload["ssc"] = blocks.ssc_equivalence_report(lat)
+        payload["ssc"] = blocks.ssc_equivalence_report(lat, block)
     except HypothesisViolated as exc:
         payload["ssc"] = None
         payload["ssc_hypothesis_violated"] = str(exc)
@@ -163,9 +171,12 @@ def cmd_recognize(args) -> int:
 
 
 # -- verification suites --------------------------------------------------------
+#
+# Every suite takes (max_nodes, seed, root_ge2, dump_dir) and returns a dict
+# with at least "checked", "violations" and "first_counterexample".
 
 
-def _suite_diam(max_nodes: int, _seed: int, root_ge2: bool = False) -> dict:
+def _suite_diam(max_nodes: int, _seed: int, root_ge2: bool, _dump_dir: str) -> dict:
     checked = violations = 0
     first = None
     for lat in oracle.enumerate_lower_dismantlable(max_nodes, join_reducible_top=root_ge2):
@@ -180,7 +191,7 @@ def _suite_diam(max_nodes: int, _seed: int, root_ge2: bool = False) -> dict:
     return {"checked": checked, "violations": violations, "first_counterexample": first}
 
 
-def _suite_lemma400(max_nodes: int, _seed: int, root_ge2: bool = False) -> dict:
+def _suite_lemma400(max_nodes: int, _seed: int, root_ge2: bool, _dump_dir: str) -> dict:
     checked = violations = 0
     first = None
     for lat in oracle.enumerate_lower_dismantlable(max_nodes, join_reducible_top=root_ge2):
@@ -203,7 +214,7 @@ def _suite_lemma400(max_nodes: int, _seed: int, root_ge2: bool = False) -> dict:
     return {"checked": checked, "violations": violations, "first_counterexample": first}
 
 
-def _suite_thm704(max_nodes: int, _seed: int) -> dict:
+def _suite_thm704(max_nodes: int, _seed: int, _root_ge2: bool, _dump_dir: str) -> dict:
     checked = violations = 0
     first = None
     sizes_pool = []
@@ -229,7 +240,7 @@ def _suite_thm704(max_nodes: int, _seed: int) -> dict:
     return {"checked": checked, "violations": violations, "first_counterexample": first}
 
 
-def _suite_ssc(max_nodes: int, _seed: int) -> dict:
+def _suite_ssc(max_nodes: int, _seed: int, _root_ge2: bool, _dump_dir: str) -> dict:
     checked = violations = 0
     first = None
     for lat in oracle.enumerate_lower_dismantlable(max_nodes, join_reducible_top=True):
@@ -241,7 +252,7 @@ def _suite_ssc(max_nodes: int, _seed: int) -> dict:
     return {"checked": checked, "violations": violations, "first_counterexample": first}
 
 
-def _suite_t1(max_nodes: int, seed: int) -> dict:
+def _suite_t1(max_nodes: int, seed: int, _root_ge2: bool, _dump_dir: str) -> dict:
     rng = random.Random(seed)
     lats = list(oracle.enumerate_lower_dismantlable(max_nodes, join_reducible_top=True))
     relabeled = []
@@ -274,9 +285,7 @@ def _suite_t1(max_nodes: int, seed: int) -> dict:
     return {"checked": checked, "violations": violations, "first_counterexample": first}
 
 
-def _suite_block_confluence(max_nodes: int, _seed: int, root_ge2: bool = False, dump_dir: str | None = None) -> dict:
-    from .lattice import induced_sublattice
-
+def _suite_block_confluence(max_nodes: int, _seed: int, root_ge2: bool, dump_dir: str) -> dict:
     checked = label_confluent = iso_confluent = 0
     first = None
     dump_path = None
@@ -300,9 +309,8 @@ def _suite_block_confluence(max_nodes: int, _seed: int, root_ge2: bool = False, 
                 "fixed_points": sorted(sorted(fp) for fp in fixed_points),
                 "isomorphic_fixed_points": len(codes) == 1,
             }
-            if dump_dir is not None:
-                dump_path = str(Path(dump_dir) / "block_confluence_counterexample.adl")
-                Path(dump_path).write_text(adl, encoding="utf-8")
+            dump_path = str(Path(dump_dir) / "block_confluence_counterexample.adl")
+            Path(dump_path).write_text(adl, encoding="utf-8")
     return {
         "checked": checked,
         "violations": checked - label_confluent,
@@ -324,18 +332,14 @@ _SUITES = {
 
 
 def cmd_verify(args) -> int:
+    if args.max_nodes < 2:
+        raise BadOption(f"--max-nodes must be at least 2, got {args.max_nodes}")
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     root_ge2 = (args.root_min_children or 0) >= 2
     results = {}
     worst = EXIT_OK
     for name in names:
-        fn = _SUITES[name]
-        if name == "block-confluence":
-            result = fn(args.max_nodes, args.seed, root_ge2=root_ge2, dump_dir=args.dump_dir)
-        elif name in ("diam", "lemma400"):
-            result = fn(args.max_nodes, args.seed, root_ge2=root_ge2)
-        else:
-            result = fn(args.max_nodes, args.seed)
+        result = _SUITES[name](args.max_nodes, args.seed, root_ge2, args.dump_dir)
         results[name] = result
         if result["violations"]:
             worst = EXIT_NEGATIVE

@@ -35,6 +35,14 @@ class NoSuchElement(DislatError):
     """An element label does not occur in the structure."""
 
 
+class BadOption(DislatError):
+    """A command-line option value is out of range."""
+
+
+class BadGraph(DislatError):
+    """A graph is not simple, or its JSON form is not vertices plus edges."""
+
+
 class EmptyGraph(DislatError):
     """The operation needs at least one vertex."""
 

@@ -128,9 +128,6 @@ class Lattice:
     def down_set(self, x: str) -> tuple[str, ...]:
         return tuple(self.labels[i] for i in _bits(self._down[self.index(x)]))
 
-    def up_set(self, x: str) -> tuple[str, ...]:
-        return tuple(self.labels[i] for i in _bits(self._up[self.index(x)]))
-
     # -- meet / join ----------------------------------------------------------
 
     def _meet_idx(self, xi: int, yi: int) -> int:
@@ -390,65 +387,85 @@ def is_lower_dismantlable(lat: Lattice) -> bool:
     )
 
 
-# -- adjunct representation ------------------------------------------------------
+# -- branch peeling and the adjunct representation ------------------------------
+
+
+def _peel(parent: Mapping[str, str | None]) -> list[tuple[int, tuple[str, ...]]]:
+    """Branch peeling of the rooted tree given as child -> parent (the root
+    maps to None): (round, path) for every class, in peel order.
+
+    Round by round, every branching node (degree > 2) with no branching node
+    below it sheds each pendant path hanging from it as one class; when no
+    branching node is left, each residual leg below the root is one class.
+    A node sheds all its paths at once and is then a leaf, so its round is one
+    more than the latest round below it, and each path runs in the original
+    tree from a child of a branching node or of the root down to the first
+    node without exactly one child.  Paths are listed top member first;
+    classes are ordered by (round, smallest member).
+    """
+    children: dict[str, list[str]] = {v: [] for v in parent}
+    order = []
+    for v, p in parent.items():
+        if p is None:
+            order.append(v)
+        else:
+            children[p].append(v)
+    for v in order:  # breadth-first from the root
+        order.extend(children[v])
+
+    def branching(v: str) -> bool:
+        return len(children[v]) + (parent[v] is not None) > 2
+
+    latest: dict[str, int] = {}  # latest round of a branching node in v's subtree
+    for v in reversed(order):
+        below = max((latest[c] for c in children[v]), default=0)
+        latest[v] = below + 1 if branching(v) else below
+
+    classes = []
+    for v in order:
+        if branching(v):
+            round_no = latest[v]
+        elif parent[v] is None:  # the legs of a root that does not branch
+            round_no = latest[v] + 1
+        else:
+            continue
+        for c in children[v]:
+            path = [c]
+            while len(children[path[-1]]) == 1:
+                path.append(children[path[-1]][0])
+            classes.append((round_no, tuple(path)))
+    return sorted(classes, key=lambda rc: (rc[0], min(rc[1])))
 
 
 def adjunct_representation(lat: Lattice, name: str = "L") -> AdjunctExpr:
     """Decompose a lower dismantlable lattice into a base chain plus ordered
     (bottom, b) adjunctions of chains.
 
-    Strategy: on the rooted tree L \\ {0}, repeatedly strip a deepest pure-path
-    branch hanging at a branching node (ties: smallest node label, then
-    smallest branch-top label).  Deterministic; the pair multiset is
-    order-independent, which tests verify.
+    The peeled classes of the tree L \\ {0} are put back in reverse peel
+    order.  A class whose hinge (the parent of its top member) has no child
+    yet extends the hinge's chain downward; otherwise it is adjoined at
+    (bottom, hinge).  Deterministic; the pair multiset is order-independent,
+    which tests verify.
     """
     if not is_lower_dismantlable(lat):
         raise NotLowerDismantlable("adjunct representation needs a lower dismantlable lattice")
     bottom, top = lat.bottom_label, lat.top_label
-    children: dict[str, list[str]] = {
-        x: [u for u in lat.lower_covers(x) if u != bottom] for x in lat.labels if x != bottom
-    }
-
-    def depth(v: str) -> int:
-        d = 0
-        while v != top:
-            (v,) = lat.upper_covers(v)
-            d += 1
-        return d
-
-    def pure_path(c: str) -> list[str] | None:
-        """The pure path from c to its leaf, or None if the subtree branches."""
-        out = [c]
-        while True:
-            kids = children[out[-1]]
-            if not kids:
-                return out
-            if len(kids) > 1:
-                return None
-            out.append(kids[0])
-
-    stripped: list[Adjunction] = []
-    while True:
-        candidates = []
-        for v, kids in children.items():
-            if len(kids) >= 2:
-                for c in kids:
-                    path = pure_path(c)
-                    if path is not None:
-                        candidates.append((-depth(v), v, c, path))
-        if not candidates:
-            break
-        _, v, c, path = min(candidates)
-        chain = tuple(reversed(path))  # lattice order: leaf .. c
-        stripped.append(Adjunction(pair=(bottom, v), chain=chain))
-        children[v].remove(c)
-        for node in path:
-            del children[node]
-
-    # What remains of the tree is the path below the root; prepend the bottom.
-    spine = [top]
-    while children[spine[-1]]:
-        (only,) = children[spine[-1]]
-        spine.append(only)
-    base = (bottom, *reversed(spine))
-    return AdjunctExpr(base=base, adjunctions=tuple(reversed(stripped)), name=name)
+    parent = {x: lat.upper_covers(x)[0] if x != top else None for x in lat.labels if x != bottom}
+    base = [top]  # chains are built top-down and reversed at the end
+    chain_of = {top: base}
+    adjoined: list[tuple[str, list[str]]] = []
+    for _, path in reversed(_peel(parent)):
+        hinge = parent[path[0]]
+        chain = chain_of[hinge]
+        if chain[-1] == hinge:  # the hinge has no child yet
+            chain.extend(path)
+        else:
+            chain = list(path)
+            adjoined.append((hinge, chain))
+        for x in path:
+            chain_of[x] = chain
+    return AdjunctExpr(
+        base=(bottom, *reversed(base)),
+        adjunctions=tuple(Adjunction(pair=(bottom, h), chain=tuple(reversed(c))) for h, c in adjoined),
+        name=name,
+    )

@@ -1,108 +1,60 @@
-"""Independent brute-force ground truth: exhaustive enumeration of rooted
-trees (one representative per isomorphism class) and backtracking graph /
-lattice isomorphism search.  Every property suite checks the fast paths
-against these."""
+"""Enumeration of rooted trees (one representative per isomorphism class)
+and brute-force ground truth: backtracking graph / lattice isomorphism
+search.  Every property suite checks the fast paths against these."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import product
 from typing import Iterator
 
 from .errors import BudgetExceeded
 from .lattice import Lattice
-from .treeiso import IsoWitness, RootedTree, canonical_code, lattice_of_tree, tree_from_code
+from .treeiso import IsoWitness, RootedTree, lattice_of_tree, tree_from_code
 from .zdg import LabeledGraph
 
 DEFAULT_BUDGET = 2_000_000
 
 
-@dataclass(frozen=True)
-class EnumerationFilter:
-    """Bounds for tree enumeration; root degree >= 2 selects the trees whose
-    corresponding lattices have a join-reducible top."""
-
-    max_nodes: int
-    require_root_degree_ge2: bool = False
-
-    def __post_init__(self) -> None:
-        if self.max_nodes < 1:
-            raise ValueError("max_nodes must be at least 1")
+_CODES: dict[int, tuple[str, ...]] = {1: ("()",)}
 
 
-def _codes_by_parent_arrays(n: int) -> set[str]:
-    """Generator one: exhaust parent arrays (parent[i] < i) and dedupe."""
-    if n == 1:
-        return {"()"}
-    codes: set[str] = set()
-    for parents in product(*(range(i) for i in range(1, n))):
-        parent_map: dict[str, str | None] = {"n0": None}
-        for i, p in enumerate(parents, start=1):
-            parent_map[f"n{i}"] = f"n{p}"
-        codes.add(canonical_code(RootedTree.from_parents(parent_map)))
-    return codes
+def rooted_tree_codes(n: int) -> tuple[str, ...]:
+    """Canonical codes of all rooted-tree isomorphism classes on n nodes,
+    lexicographically sorted: a root over each multiset of smaller trees
+    whose sizes sum to n - 1.  Cached per size."""
+    if n not in _CODES:
+        subtrees = [(k, code) for k in range(1, n) for code in rooted_tree_codes(k)]
 
-
-_RECURSIVE_CACHE: dict[int, set[str]] = {}
-
-
-def _codes_recursive(n: int) -> set[str]:
-    """Generator two: compose a root with a multiset of smaller trees."""
-    if n in _RECURSIVE_CACHE:
-        return _RECURSIVE_CACHE[n]
-    if n == 1:
-        codes = {"()"}
-    else:
-        by_size = {k: sorted(_codes_recursive(k)) for k in range(1, n)}
-
-        def forests(total: int) -> Iterator[tuple[str, ...]]:
-            """Multisets of subtree codes with sizes summing to `total`,
-            emitted once each as (size, code)-ascending tuples."""
+        def forests(total: int, lo: int) -> Iterator[tuple[str, ...]]:
+            """Multisets of subtrees from subtrees[lo:] whose sizes sum to
+            `total`, each emitted once in nondecreasing subtree order."""
             if total == 0:
                 yield ()
                 return
-            for size in range(1, total + 1):
-                for code in by_size[size]:
-                    for rest in forests(total - size):
-                        if rest and (len(rest[0]) // 2, rest[0]) < (size, code):
-                            continue
-                        yield (code, *rest)
+            for i in range(lo, len(subtrees)):
+                size, code = subtrees[i]
+                if size > total:
+                    break
+                for rest in forests(total - size, i):
+                    yield (code, *rest)
 
-        codes = {"(" + "".join(sorted(f)) + ")" for f in forests(n - 1)}
-    _RECURSIVE_CACHE[n] = codes
-    return codes
-
-
-def rooted_tree_codes(n: int) -> list[str]:
-    """Canonical codes of all rooted-tree isomorphism classes on n nodes,
-    lexicographically sorted."""
-    return sorted(_codes_by_parent_arrays(n))
+        _CODES[n] = tuple(sorted("(" + "".join(sorted(f)) + ")" for f in forests(n - 1, 0)))
+    return _CODES[n]
 
 
-def rooted_tree_codes_recursive(n: int) -> list[str]:
-    """Same code set as :func:`rooted_tree_codes` from an independent
-    generator (multiset composition instead of parent-array exhaustion)."""
-    return sorted(_codes_recursive(n))
-
-
-def rooted_trees_of_size(n: int, require_root_degree_ge2: bool = False) -> list[RootedTree]:
-    trees = [tree_from_code(code) for code in rooted_tree_codes(n)]
-    if require_root_degree_ge2:
-        trees = [t for t in trees if t.has_root_degree_ge2]
-    return trees
-
-
-def enumerate_rooted_trees(filt: EnumerationFilter) -> Iterator[RootedTree]:
+def enumerate_rooted_trees(max_nodes: int, root_degree_ge2: bool = False) -> Iterator[RootedTree]:
     """One representative per isomorphism class, sizes ascending and codes
-    lexicographic within a size."""
-    for n in range(1, filt.max_nodes + 1):
-        yield from rooted_trees_of_size(n, filt.require_root_degree_ge2)
+    lexicographic within a size.  Root degree >= 2 selects the trees whose
+    lattices have a join-reducible top."""
+    for n in range(1, max_nodes + 1):
+        for code in rooted_tree_codes(n):
+            tree = tree_from_code(code)
+            if not root_degree_ge2 or tree.has_root_degree_ge2:
+                yield tree
 
 
 def enumerate_lower_dismantlable(max_size: int, join_reducible_top: bool = False) -> Iterator[Lattice]:
     """Lattices of every tree with at most max_size - 1 nodes (|L| = n + 1)."""
-    filt = EnumerationFilter(max_nodes=max_size - 1, require_root_degree_ge2=join_reducible_top)
-    for tree in enumerate_rooted_trees(filt):
+    for tree in enumerate_rooted_trees(max_size - 1, join_reducible_top):
         yield lattice_of_tree(tree)
 
 

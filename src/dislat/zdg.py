@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
-from .errors import BadPartition, EmptyGraph, NoSuchElement
+from .errors import BadGraph, BadPartition, EmptyGraph, NoSuchElement
 from .lattice import Lattice, adjunct, chain_lattice
 
 
@@ -29,7 +28,7 @@ class LabeledGraph:
         adj: dict[str, set[str]] = {v: set() for v in self.vertices}
         for u, v in edges:
             if u == v:
-                raise ValueError(f"loop on {u!r}; graphs here are simple")
+                raise BadGraph(f"loop on {u!r}; graphs here are simple")
             if u not in vset or v not in vset:
                 missing = u if u not in vset else v
                 raise NoSuchElement(f"edge endpoint {missing!r} is not a vertex")
@@ -101,7 +100,19 @@ class LabeledGraph:
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def from_json_obj(cls, obj: Mapping) -> "LabeledGraph":
+    def from_json_obj(cls, obj: object) -> "LabeledGraph":
+        """Read {"vertices": [str, ...], "edges": [[str, str], ...]}."""
+
+        def strings(x: object) -> bool:
+            return isinstance(x, list) and all(isinstance(s, str) for s in x)
+
+        if not (
+            isinstance(obj, dict)
+            and strings(obj.get("vertices"))
+            and isinstance(obj.get("edges"), list)
+            and all(strings(e) and len(e) == 2 for e in obj["edges"])
+        ):
+            raise BadGraph('graph JSON must be {"vertices": [string, ...], "edges": [[string, string], ...]}')
         return cls(obj["vertices"], [tuple(e) for e in obj["edges"]])
 
 
@@ -204,15 +215,3 @@ def lattice_from_complete_multipartite(sizes: Iterable[int]) -> Lattice:
         part = [f"p{i}_{j}" for j in range(1, size + 1)]
         lat = adjunct(lat, chain_lattice(part), "0", "one")
     return lat
-
-
-@dataclass(frozen=True)
-class GraphExport:
-    """Stable serialization pair for a graph (JSON object and DOT text)."""
-
-    json_obj: dict
-    dot: str
-
-
-def export_graph(graph: LabeledGraph) -> GraphExport:
-    return GraphExport(json_obj=graph.to_json_obj(), dot=graph.to_dot())

@@ -27,7 +27,6 @@ from dislat.blocks import neighborhood_classes
 from dislat.dsl import elaborate, parse, parse_file, serialize
 from dislat.lattice import adjunct_representation, induced_sublattice
 from dislat.oracle import (
-    EnumerationFilter,
     brute_graph_iso,
     brute_graph_iso_all,
     brute_lattice_iso,
@@ -104,7 +103,7 @@ def test_criterion_03_main_theorem_exhaustive():
 
 
 def test_criterion_04_corollary_trees():
-    trees = list(enumerate_rooted_trees(EnumerationFilter(max_nodes=7)))
+    trees = list(enumerate_rooted_trees(7))
     graphs = [non_ancestor_graph(t) for t in trees]
     codes = [canonical_code(t) for t in trees]
     mismatches = 0

@@ -204,9 +204,9 @@ class TestPeelOrder:
         assert part.member_sets() == {frozenset({"p1", "p2", "p3"})}
 
     def test_classes_match_neighborhood_partition(self):
-        from dislat.oracle import enumerate_rooted_trees, EnumerationFilter
+        from dislat.oracle import enumerate_rooted_trees
 
-        for tree in enumerate_rooted_trees(EnumerationFilter(max_nodes=7)):
+        for tree in enumerate_rooted_trees(7):
             peeled = peel_order(tree)
             direct = neighborhood_classes(non_ancestor_graph(tree))
             assert peeled.member_sets() == direct.member_sets()

@@ -165,6 +165,22 @@ class TestRecognize:
         code, payload = run_json(capsys, "recognize", graph_file)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"vertices": ["a", "b"], "edges": [["a", "a"], ["a", "b"]]},
+            [1],
+            {"vertices": "ab", "edges": []},
+        ],
+        ids=["self-loop", "bare-list", "string-vertices"],
+    )
+    def test_malformed_graph_exit_2(self, capsys, tmp_path, doc):
+        graph_file = tmp_path / "bad.json"
+        graph_file.write_text(json.dumps(doc))
+        code, payload = run_json(capsys, "recognize", graph_file)
+        assert code == 2
+        assert payload["error"]["type"] == "BadGraph"
+
 
 class TestVerify:
     def test_diam_suite(self, capsys):
@@ -205,6 +221,12 @@ class TestVerify:
     def test_ssc_suite(self, capsys):
         code, payload = run_json(capsys, "verify", "--suite", "ssc", "--max-nodes", "7")
         assert code == 0
+
+    @pytest.mark.parametrize("max_nodes", ["1", "0", "-3"])
+    def test_max_nodes_below_two_exit_2(self, capsys, max_nodes):
+        code, payload = run_json(capsys, "verify", "--suite", "diam", "--max-nodes", max_nodes)
+        assert code == 2
+        assert payload["error"]["type"] == "BadOption"
 
 
 class TestGlobalFlags:

@@ -203,12 +203,12 @@ class TestAdjunctRepresentation:
 
 class TestInvariants:
     def test_round_trip_all_small_lattices(self):
-        for lat in enumerate_lower_dismantlable(8):
+        for lat in enumerate_lower_dismantlable(10):
             expr = adjunct_representation(lat)
             assert elaborate(expr) == lat
 
     def test_pair_multiset_matches_lower_cover_counts(self):
-        for lat in enumerate_lower_dismantlable(8):
+        for lat in enumerate_lower_dismantlable(10):
             expr = adjunct_representation(lat)
             from collections import Counter
 

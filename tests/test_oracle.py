@@ -6,49 +6,59 @@ import pytest
 
 from dislat import (
     BudgetExceeded,
-    EnumerationFilter,
     LabeledGraph,
+    RootedTree,
     brute_graph_iso,
     brute_lattice_iso,
     canonical_code,
     chain_lattice,
     enumerate_rooted_trees,
     non_ancestor_graph,
-    rooted_trees_of_size,
     zero_divisor_graph,
 )
-from dislat.oracle import rooted_tree_codes, rooted_tree_codes_recursive
+from dislat.oracle import rooted_tree_codes
 
-# number of rooted-tree isomorphism classes by node count (1-indexed)
-TREE_COUNTS = [None, 1, 1, 2, 4, 9, 20, 48, 115]
+# number of rooted-tree isomorphism classes by node count, OEIS A000081
+TREE_COUNTS = [None, 1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842, 4766]
+
+
+def parent_array_codes(n: int) -> set[str]:
+    """Reference generator: exhaust the (n-1)! parent arrays (parent[i] < i)
+    and deduplicate by canonical code."""
+    codes: set[str] = set()
+    for parents in itertools.product(*(range(i) for i in range(1, n))):
+        parent_map: dict[str, str | None] = {"n0": None}
+        for i, p in enumerate(parents, start=1):
+            parent_map[f"n{i}"] = f"n{p}"
+        codes.add(canonical_code(RootedTree.from_parents(parent_map)))
+    return codes
+
+
+def trees_of_size(n: int, root_degree_ge2: bool = False) -> list:
+    return [t for t in enumerate_rooted_trees(n, root_degree_ge2) if t.n == n]
 
 
 class TestEnumeration:
-    @pytest.mark.parametrize("n,count", [(3, 2), (4, 4), (5, 9), (6, 20)])
+    @pytest.mark.parametrize("n,count", list(enumerate(TREE_COUNTS))[1:])
     def test_counts(self, n, count):
-        assert len(rooted_trees_of_size(n)) == count
+        assert len(trees_of_size(n)) == count
 
     def test_generators_agree_up_to_eight(self):
         for n in range(1, 9):
-            assert rooted_tree_codes(n) == rooted_tree_codes_recursive(n)
-            assert len(rooted_tree_codes(n)) == TREE_COUNTS[n]
+            assert rooted_tree_codes(n) == tuple(sorted(parent_array_codes(n)))
 
     def test_root_filter(self):
-        assert len(rooted_trees_of_size(4, require_root_degree_ge2=True)) == 4 - 2
+        assert len(trees_of_size(4, root_degree_ge2=True)) == 4 - 2
 
     def test_one_representative_per_class(self):
         for n in range(1, 8):
-            codes = [canonical_code(t) for t in rooted_trees_of_size(n)]
+            codes = [canonical_code(t) for t in trees_of_size(n)]
             assert len(codes) == len(set(codes))
             assert codes == sorted(codes)  # deterministic canonical order
 
     def test_stream_is_size_ascending(self):
-        sizes = [t.n for t in enumerate_rooted_trees(EnumerationFilter(max_nodes=5))]
+        sizes = [t.n for t in enumerate_rooted_trees(5)]
         assert sizes == sorted(sizes)
-
-    def test_filter_validation(self):
-        with pytest.raises(ValueError):
-            EnumerationFilter(max_nodes=0)
 
 
 class TestBruteGraphIso:
@@ -84,7 +94,7 @@ class TestBruteGraphIso:
             brute_graph_iso(g, g, budget=5)
 
     def test_oracle_consistency_with_codes(self):
-        trees = [t for n in range(1, 7) for t in rooted_trees_of_size(n)]
+        trees = list(enumerate_rooted_trees(6))
         for t1, t2 in itertools.combinations_with_replacement(trees, 2):
             same_code = canonical_code(t1) == canonical_code(t2)
             found = brute_graph_iso(non_ancestor_graph(t1), non_ancestor_graph(t2))

@@ -26,7 +26,6 @@ from dislat import (
 )
 from dislat.lattice import relabel
 from dislat.oracle import (
-    EnumerationFilter,
     brute_graph_iso,
     brute_graph_iso_all,
     brute_lattice_iso,
@@ -98,7 +97,7 @@ class TestLatticeOfTree:
         assert cls.lower_cover_count["r"] - 1 == 2  # (0,1) multiplicity
 
     def test_round_trips_both_ways(self):
-        for tree in enumerate_rooted_trees(EnumerationFilter(max_nodes=6)):
+        for tree in enumerate_rooted_trees(6):
             lat = lattice_of_tree(tree)
             back = tree_of_lattice(lat)
             assert back.parent_map() == tree.parent_map()
@@ -140,7 +139,7 @@ class TestNonAncestorGraph:
                 assert all(lat.comparable(v, w) for w in lat.labels)
 
     def test_neighborhood_monotone_under_ancestry(self):
-        for tree in enumerate_rooted_trees(EnumerationFilter(max_nodes=7)):
+        for tree in enumerate_rooted_trees(7):
             nag = non_ancestor_graph(tree)
             for u in nag.vertices:
                 for v in nag.vertices:
@@ -161,7 +160,7 @@ class TestCanonicalCode:
         assert canonical_code(tree.relabeled(mapping)) == canonical_code(tree)
 
     def test_codes_decide_isomorphism_against_brute_force(self):
-        trees = list(enumerate_rooted_trees(EnumerationFilter(max_nodes=6)))
+        trees = list(enumerate_rooted_trees(6))
         for t1, t2 in itertools.combinations(trees, 2):
             # enumeration holds one tree per class, so codes must all differ
             assert canonical_code(t1) != canonical_code(t2)
@@ -183,7 +182,7 @@ class TestRecognize:
         assert non_ancestor_graph(tree) == g
 
     def test_all_non_ancestor_graphs_recognized(self):
-        for tree in enumerate_rooted_trees(EnumerationFilter(max_nodes=7)):
+        for tree in enumerate_rooted_trees(7):
             g = non_ancestor_graph(tree)
             back = recognize(g)
             assert back is not None
@@ -191,7 +190,7 @@ class TestRecognize:
             assert canonical_code(back) != ""  # well-formed
 
     def test_recognized_tree_isomorphic_to_source(self):
-        for tree in enumerate_rooted_trees(EnumerationFilter(max_nodes=7)):
+        for tree in enumerate_rooted_trees(7):
             g = non_ancestor_graph(tree)
             back = recognize(g)
             assert canonical_code(back) == canonical_code(tree)
@@ -223,7 +222,7 @@ class TestIsoDecide:
         assert err.value.which == "second"
 
     def test_agrees_with_brute_force_on_trees(self):
-        trees = list(enumerate_rooted_trees(EnumerationFilter(max_nodes=5)))
+        trees = list(enumerate_rooted_trees(5))
         graphs = [non_ancestor_graph(t) for t in trees]
         for (t1, g1), (t2, g2) in itertools.combinations_with_replacement(list(zip(trees, graphs)), 2):
             want = brute_graph_iso(g1, g2) is not None

@@ -6,6 +6,7 @@ import math
 import pytest
 
 from dislat import (
+    BadGraph,
     BadPartition,
     EmptyGraph,
     LabeledGraph,
@@ -169,5 +170,5 @@ class TestExports:
         assert LabeledGraph.from_json_obj(g.to_json_obj()) == g
 
     def test_loops_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(BadGraph):
             LabeledGraph(["a"], [("a", "a")])
