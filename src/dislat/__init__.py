@@ -74,7 +74,7 @@ from .treeiso import (
     RootedTree,
     align_adjuncts,
     canonical_code,
-    iso_decide,
+    graph_iso,
     lattice_of_tree,
     lift_to_lattice_iso,
     non_ancestor_graph,

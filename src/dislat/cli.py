@@ -134,18 +134,24 @@ def cmd_iso(args) -> int:
     for which, lat in (("first", lat1), ("second", lat2)):
         if not is_lower_dismantlable(lat):
             raise NotInClass(f"{which} lattice is not lower dismantlable", which=which)
-    g1, g2 = zdg.zero_divisor_graph(lat1), zdg.zero_divisor_graph(lat2)
-    isomorphic = treeiso.iso_decide(g1, g2)
-    payload: dict = {"command": "iso", "isomorphic": isomorphic}
+    code1, code2 = (treeiso.canonical_code(treeiso.tree_of_lattice(lat)) for lat in (lat1, lat2))
+    isomorphic = code1 == code2
+    f = treeiso.graph_iso(zdg.zero_divisor_graph(lat1), zdg.zero_divisor_graph(lat2))
+    zdg_isomorphic = f is not None
+    # The main theorem: with join-reducible tops the two verdicts coincide.
+    tops_join_reducible = all(len(lat.lower_covers(lat.top_label)) >= 2 for lat in (lat1, lat2))
+    if tops_join_reducible and isomorphic != zdg_isomorphic:
+        raise InternalInconsistency(
+            "join-reducible tops, but lattice and zero-divisor-graph isomorphism disagree"
+        )
+    payload: dict = {"command": "iso", "isomorphic": isomorphic, "zdg_isomorphic": zdg_isomorphic}
     if isomorphic and args.witness:
-        f = oracle.brute_graph_iso(g1, g2)
-        if f is None:
-            raise InternalInconsistency("codes matched but brute search found no graph isomorphism")
         phi = treeiso.align_adjuncts(lat1, lat2, f)
         psi = treeiso.lift_to_lattice_iso(lat1, lat2, phi)
         payload["witness"] = psi.to_json_obj()
         payload["witness_verified"] = True
     text = "isomorphic\n" if isomorphic else "not isomorphic\n"
+    text += "zero-divisor graphs " + ("isomorphic\n" if zdg_isomorphic else "not isomorphic\n")
     if "witness" in payload:
         pairs = "  ".join(f"{k}->{v}" for k, v in payload["witness"]["map"].items())
         text += f"witness: {pairs}\n"
@@ -172,14 +178,17 @@ def cmd_recognize(args) -> int:
 
 # -- verification suites --------------------------------------------------------
 #
-# Every suite takes (max_nodes, seed, root_ge2, dump_dir) and returns a dict
-# with at least "checked", "violations" and "first_counterexample".
+# Every suite takes (max_nodes, seed, root_min, dump_dir) and returns a dict
+# with at least "checked", "violations" and "first_counterexample".  root_min
+# is the least number of children of the tree's root (lower covers of the
+# top); suites that need a join-reducible top raise it to 2.  dump_dir is
+# None unless counterexample files are wanted.
 
 
-def _suite_diam(max_nodes: int, _seed: int, root_ge2: bool, _dump_dir: str) -> dict:
+def _suite_diam(max_nodes: int, _seed: int, root_min: int, _dump_dir: str | None) -> dict:
     checked = violations = 0
     first = None
-    for lat in oracle.enumerate_lower_dismantlable(max_nodes, join_reducible_top=root_ge2):
+    for lat in oracle.enumerate_lower_dismantlable(max_nodes, root_min):
         graph = zdg.zero_divisor_graph(lat)
         if graph.n == 0:
             continue
@@ -191,10 +200,10 @@ def _suite_diam(max_nodes: int, _seed: int, root_ge2: bool, _dump_dir: str) -> d
     return {"checked": checked, "violations": violations, "first_counterexample": first}
 
 
-def _suite_lemma400(max_nodes: int, _seed: int, root_ge2: bool, _dump_dir: str) -> dict:
+def _suite_lemma400(max_nodes: int, _seed: int, root_min: int, _dump_dir: str | None) -> dict:
     checked = violations = 0
     first = None
-    for lat in oracle.enumerate_lower_dismantlable(max_nodes, join_reducible_top=root_ge2):
+    for lat in oracle.enumerate_lower_dismantlable(max_nodes, root_min):
         checked += 1
         bottom = lat.bottom_label
         bad = None
@@ -214,7 +223,7 @@ def _suite_lemma400(max_nodes: int, _seed: int, root_ge2: bool, _dump_dir: str) 
     return {"checked": checked, "violations": violations, "first_counterexample": first}
 
 
-def _suite_thm704(max_nodes: int, _seed: int, _root_ge2: bool, _dump_dir: str) -> dict:
+def _suite_thm704(max_nodes: int, _seed: int, root_min: int, _dump_dir: str | None) -> dict:
     checked = violations = 0
     first = None
     sizes_pool = []
@@ -229,7 +238,7 @@ def _suite_thm704(max_nodes: int, _seed: int, _root_ge2: bool, _dump_dir: str) -
             violations += 1
             first = first or {"sizes": list(sizes), "got": got}
     # forward direction: top-only adjunct element implies complete multipartite
-    for lat in oracle.enumerate_lower_dismantlable(max_nodes, join_reducible_top=True):
+    for lat in oracle.enumerate_lower_dismantlable(max_nodes, max(root_min, 2)):
         adjuncts = classify(lat).adjunct_elements
         if adjuncts != {lat.top_label}:
             continue
@@ -240,10 +249,10 @@ def _suite_thm704(max_nodes: int, _seed: int, _root_ge2: bool, _dump_dir: str) -
     return {"checked": checked, "violations": violations, "first_counterexample": first}
 
 
-def _suite_ssc(max_nodes: int, _seed: int, _root_ge2: bool, _dump_dir: str) -> dict:
+def _suite_ssc(max_nodes: int, _seed: int, root_min: int, _dump_dir: str | None) -> dict:
     checked = violations = 0
     first = None
-    for lat in oracle.enumerate_lower_dismantlable(max_nodes, join_reducible_top=True):
+    for lat in oracle.enumerate_lower_dismantlable(max_nodes, max(root_min, 2)):
         checked += 1
         report = blocks.ssc_equivalence_report(lat)
         if len(set(report.values())) != 1:
@@ -252,9 +261,9 @@ def _suite_ssc(max_nodes: int, _seed: int, _root_ge2: bool, _dump_dir: str) -> d
     return {"checked": checked, "violations": violations, "first_counterexample": first}
 
 
-def _suite_t1(max_nodes: int, seed: int, _root_ge2: bool, _dump_dir: str) -> dict:
+def _suite_t1(max_nodes: int, seed: int, root_min: int, _dump_dir: str | None) -> dict:
     rng = random.Random(seed)
-    lats = list(oracle.enumerate_lower_dismantlable(max_nodes, join_reducible_top=True))
+    lats = list(oracle.enumerate_lower_dismantlable(max_nodes, max(root_min, 2)))
     relabeled = []
     for lat in lats:
         perm = list(lat.labels)
@@ -279,17 +288,17 @@ def _suite_t1(max_nodes: int, seed: int, _root_ge2: bool, _dump_dir: str) -> dic
             first = first or {
                 "first": dsl.serialize(adjunct_representation(lats[i])),
                 "second": dsl.serialize(adjunct_representation(relabeled[j])),
-                "iso_decide": fast,
+                "codes_equal": fast,
                 "brute": slow,
             }
     return {"checked": checked, "violations": violations, "first_counterexample": first}
 
 
-def _suite_block_confluence(max_nodes: int, _seed: int, root_ge2: bool, dump_dir: str) -> dict:
+def _suite_block_confluence(max_nodes: int, _seed: int, root_min: int, dump_dir: str | None) -> dict:
     checked = label_confluent = iso_confluent = 0
     first = None
     dump_path = None
-    for lat in oracle.enumerate_lower_dismantlable(max_nodes, join_reducible_top=root_ge2):
+    for lat in oracle.enumerate_lower_dismantlable(max_nodes, root_min):
         checked += 1
         fixed_points = blocks.explore_deletion_orders(lat)
         if len(fixed_points) == 1:
@@ -309,8 +318,9 @@ def _suite_block_confluence(max_nodes: int, _seed: int, root_ge2: bool, dump_dir
                 "fixed_points": sorted(sorted(fp) for fp in fixed_points),
                 "isomorphic_fixed_points": len(codes) == 1,
             }
-            dump_path = str(Path(dump_dir) / "block_confluence_counterexample.adl")
-            Path(dump_path).write_text(adl, encoding="utf-8")
+            if dump_dir is not None:
+                dump_path = str(Path(dump_dir) / "block_confluence_counterexample.adl")
+                Path(dump_path).write_text(adl, encoding="utf-8")
     return {
         "checked": checked,
         "violations": checked - label_confluent,
@@ -335,11 +345,10 @@ def cmd_verify(args) -> int:
     if args.max_nodes < 2:
         raise BadOption(f"--max-nodes must be at least 2, got {args.max_nodes}")
     names = list(_SUITES) if args.suite == "all" else [args.suite]
-    root_ge2 = (args.root_min_children or 0) >= 2
     results = {}
     worst = EXIT_OK
     for name in names:
-        result = _SUITES[name](args.max_nodes, args.seed, root_ge2, args.dump_dir)
+        result = _SUITES[name](args.max_nodes, args.seed, args.root_min_children, args.dump_dir)
         results[name] = result
         if result["violations"]:
             worst = EXIT_NEGATIVE
@@ -384,7 +393,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.set_defaults(fn=cmd_analyze)
 
-    p = sub.add_parser("iso", parents=[common], help="decide zero-divisor-graph isomorphism")
+    p = sub.add_parser("iso", parents=[common],
+                       help="decide lattice and zero-divisor-graph isomorphism")
     p.add_argument("file_a")
     p.add_argument("file_b")
     p.add_argument("--witness", action="store_true",
@@ -399,9 +409,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[common], help="run an exhaustive theorem suite")
     p.add_argument("--suite", choices=[*_SUITES, "all"], default="all")
     p.add_argument("--max-nodes", type=int, default=8, help="largest lattice size enumerated")
-    p.add_argument("--root-min-children", type=int, default=None,
+    p.add_argument("--root-min-children", type=int, default=0,
                    help="restrict enumeration to trees whose root has at least this many children")
-    p.add_argument("--dump-dir", default=".", help="where counterexample .adl files go")
+    p.add_argument("--dump-dir", default=None,
+                   help="write counterexample .adl files here (by default none are written)")
     p.set_defaults(fn=cmd_verify)
 
     return parser

@@ -83,9 +83,6 @@ class Lattice:
     def top_label(self) -> str:
         return self.labels[self.top]
 
-    def elements(self) -> tuple[str, ...]:
-        return self.labels
-
     def index(self, x: str) -> int:
         try:
             return self._index[x]

@@ -41,20 +41,22 @@ def rooted_tree_codes(n: int) -> tuple[str, ...]:
     return _CODES[n]
 
 
-def enumerate_rooted_trees(max_nodes: int, root_degree_ge2: bool = False) -> Iterator[RootedTree]:
-    """One representative per isomorphism class, sizes ascending and codes
-    lexicographic within a size.  Root degree >= 2 selects the trees whose
-    lattices have a join-reducible top."""
+def enumerate_rooted_trees(max_nodes: int, root_min_children: int = 0) -> Iterator[RootedTree]:
+    """One representative per isomorphism class whose root has at least
+    `root_min_children` children, sizes ascending and codes lexicographic
+    within a size.  At least 2 selects the trees whose lattices have a
+    join-reducible top."""
     for n in range(1, max_nodes + 1):
         for code in rooted_tree_codes(n):
             tree = tree_from_code(code)
-            if not root_degree_ge2 or tree.has_root_degree_ge2:
+            if len(tree.children(tree.root_label)) >= root_min_children:
                 yield tree
 
 
-def enumerate_lower_dismantlable(max_size: int, join_reducible_top: bool = False) -> Iterator[Lattice]:
-    """Lattices of every tree with at most max_size - 1 nodes (|L| = n + 1)."""
-    for tree in enumerate_rooted_trees(max_size - 1, join_reducible_top):
+def enumerate_lower_dismantlable(max_size: int, root_min_children: int = 0) -> Iterator[Lattice]:
+    """Lattices of every tree with at most max_size - 1 nodes (|L| = n + 1)
+    whose top has at least `root_min_children` lower covers."""
+    for tree in enumerate_rooted_trees(max_size - 1, root_min_children):
         yield lattice_of_tree(tree)
 
 

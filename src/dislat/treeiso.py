@@ -6,9 +6,8 @@ elements and then lifted to a full lattice isomorphism."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping
 
-from .blocks import peel_decomposition
 from .errors import (
     HypothesisViolated,
     InternalInconsistency,
@@ -18,7 +17,7 @@ from .errors import (
     NotLowerDismantlable,
 )
 from .lattice import Lattice, build_from_covers, classify, is_lower_dismantlable
-from .zdg import LabeledGraph, complement_clique_parts, neighborhood_partition, zero_divisor_graph
+from .zdg import LabeledGraph, neighborhood_partition, zero_divisor_graph
 
 FRESH_ROOT = "⊤"
 
@@ -69,18 +68,11 @@ class RootedTree:
         except ValueError:
             raise NoSuchElement(f"no node {x!r}") from None
 
-    def node_labels(self) -> tuple[str, ...]:
-        return self.labels
-
     def parent_map(self) -> dict[str, str | None]:
         return {
             lab: (None if i == self.root else self.labels[self.parent[i]])
             for i, lab in enumerate(self.labels)
         }
-
-    def parent_label(self, x: str) -> str | None:
-        i = self.index(x)
-        return None if i == self.root else self.labels[self.parent[i]]
 
     def children(self, x: str) -> tuple[str, ...]:
         i = self.index(x)
@@ -89,9 +81,6 @@ class RootedTree:
             for j, lab in enumerate(self.labels)
             if self.parent[j] == i and j != self.root
         )
-
-    def degree(self, x: str) -> int:
-        return len(self.children(x)) + (0 if x == self.root_label else 1)
 
     def depth(self, x: str) -> int:
         i = self.index(x)
@@ -117,10 +106,6 @@ class RootedTree:
             if i == ui:
                 return True
         return False
-
-    @property
-    def has_root_degree_ge2(self) -> bool:
-        return len(self.children(self.root_label)) >= 2
 
     def relabeled(self, mapping: Mapping[str, str]) -> "RootedTree":
         return RootedTree.from_parents(
@@ -210,14 +195,35 @@ def non_ancestor_graph(tree: RootedTree) -> LabeledGraph:
 # -- canonical codes ---------------------------------------------------------------
 
 
+def _canonical(tree: RootedTree) -> tuple[CanonicalCode, tuple[str, ...]]:
+    """AHU code of the tree, with the preorder of its nodes that visits
+    children in code order.  For two trees with equal codes, zipping their
+    preorders gives a rooted tree isomorphism: both walks trace the same
+    code, one parenthesis per node."""
+    children: list[list[int]] = [[] for _ in tree.labels]
+    for i, p in enumerate(tree.parent):
+        if i != tree.root:
+            children[p].append(i)
+    order = [tree.root]
+    for v in order:  # breadth-first, so every node comes after its parent
+        order.extend(children[v])
+    code: list[str] = [""] * tree.n
+    for v in reversed(order):
+        children[v].sort(key=code.__getitem__)
+        code[v] = "(" + "".join(code[c] for c in children[v]) + ")"
+    preorder = []
+    stack = [tree.root]
+    while stack:
+        v = stack.pop()
+        preorder.append(tree.labels[v])
+        stack.extend(reversed(children[v]))
+    return code[tree.root], tuple(preorder)
+
+
 def canonical_code(tree: RootedTree) -> CanonicalCode:
     """Nested-parenthesis canonical form with children codes sorted; equal
     codes characterize isomorphic rooted trees."""
-
-    def code(v: str) -> str:
-        return "(" + "".join(sorted(code(c) for c in tree.children(v))) + ")"
-
-    return code(tree.root_label)
+    return _canonical(tree)[0]
 
 
 def tree_from_code(code: CanonicalCode, prefix: str = "n") -> RootedTree:
@@ -288,16 +294,21 @@ def recognize(graph: LabeledGraph) -> RootedTree | None:
     return tree
 
 
-def iso_decide(g1: LabeledGraph, g2: LabeledGraph) -> bool:
-    """Decide isomorphism of two non-ancestor graphs via canonical codes of
-    the reconstructed trees."""
+def graph_iso(g1: LabeledGraph, g2: LabeledGraph) -> IsoWitness | None:
+    """An isomorphism between two non-ancestor graphs, or None when there is
+    none: the matching of the reconstructed trees' canonical preorders,
+    restricted to the graph vertices (the fresh roots come first and match
+    each other)."""
     t1 = recognize(g1)
     if t1 is None:
         raise NotInClass("first graph is not a non-ancestor graph of a rooted tree", which="first")
     t2 = recognize(g2)
     if t2 is None:
         raise NotInClass("second graph is not a non-ancestor graph of a rooted tree", which="second")
-    return canonical_code(t1) == canonical_code(t2)
+    (code1, order1), (code2, order2) = _canonical(t1), _canonical(t2)
+    if code1 != code2:
+        return None
+    return IsoWitness(kind="graph-iso", mapping=dict(zip(order1[1:], order2[1:])))
 
 
 # -- adjunct realignment and lifting ---------------------------------------------
@@ -350,86 +361,17 @@ def align_adjuncts(l1: Lattice, l2: Lattice, f: IsoWitness) -> IsoWitness:
     return IsoWitness(kind="graph-iso", mapping=phi)
 
 
-def _class_hinges(lat: Lattice, graph: LabeledGraph) -> list[tuple[str | None, tuple[str, ...]]]:
-    """(hinge, members) for every class without an adjunct element; hinge is
-    None when the class attaches at the top."""
-    adjuncts = _adjunct_vertices(lat, graph)
-    out = []
-    for block in neighborhood_partition(graph):
-        if set(block) & adjuncts:
-            continue
-        x = block[0]
-        nx = graph.neighbors(x)
-        candidates = [b for b in adjuncts if b != x and b not in nx]
-        if candidates:
-            hinge = min(candidates, key=lambda b: len(lat.down_set(b)))
-        else:
-            hinge = None
-        out.append((hinge, block))
-    return out
-
-
-def _sorted_by_order(lat: Lattice, labels: Iterable[str]) -> list[str]:
-    return sorted(labels, key=lambda v: len(lat.down_set(v)))
-
-
-def _lift(l1: Lattice, l2: Lattice, phi: dict[str, str]) -> dict[str, str]:
-    g1 = zero_divisor_graph(l1)
-    adj1 = _adjunct_vertices(l1, g1)
-
-    if not adj1:
-        # Complete multipartite: map each part onto its phi-image, chains
-        # matched bottom-to-bottom.
-        parts = complement_clique_parts(g1)
-        if parts is None:
-            raise InternalInconsistency("no adjunct vertices but graph is not complete multipartite")
-        psi = {l1.bottom_label: l2.bottom_label, l1.top_label: l2.top_label}
-        for part in parts:
-            image = [phi[v] for v in part]
-            for src, dst in zip(_sorted_by_order(l1, part), _sorted_by_order(l2, image)):
-                psi[src] = dst
-        return psi
-
-    candidates = [(h, block) for h, block in _class_hinges(l1, g1) if h is not None]
-    if not candidates:
-        raise InternalInconsistency("adjunct vertices present but every peelable class hinges at the top")
-    minimal = [
-        (h, block)
-        for h, block in candidates
-        if not any(other != h and l1.lt(other, h) for other, _ in candidates)
-    ]
-    hinge, block = min(minimal, key=lambda hb: (hb[0], hb[1][0]))
-
-    chain = _sorted_by_order(l1, block)
-    image_block = [phi[v] for v in block]
-    chain2 = _sorted_by_order(l2, image_block)
-    hinge2 = phi[hinge]
-
-    step1 = peel_decomposition(l1, chain[0])
-    if tuple(step1.chain) != tuple(chain) or step1.hinge != hinge:
-        raise InternalInconsistency("peel disagrees with the chosen class")
-    step2 = peel_decomposition(l2, chain2[0])
-    if tuple(step2.chain) != tuple(chain2):
-        raise InternalInconsistency("image class does not peel as a unit")
-    if step2.hinge != hinge2:
-        raise InternalInconsistency("the image hinge is not the image of the hinge")
-
-    sub_phi = {v: w for v, w in phi.items() if v not in set(chain)}
-    psi = _lift(step1.sublattice, step2.sublattice, sub_phi)
-    if psi.get(hinge) != hinge2:
-        raise InternalInconsistency("recursive lift moved the hinge")
-    for src, dst in zip(chain, chain2):
-        psi[src] = dst
-    return psi
-
-
 def lift_to_lattice_iso(l1: Lattice, l2: Lattice, phi: IsoWitness) -> IsoWitness:
     """Lift an adjunct-preserving zero-divisor-graph isomorphism to a lattice
     isomorphism that agrees with it on the adjunct elements below the top.
 
-    Recursion: peel the class with the least non-top hinge from both sides and
-    match the chains bottom-to-bottom; the floor is the complete-multipartite
-    case, resolved by matching parts.
+    Every neighborhood class of the first graph is a chain.  It is matched
+    to its phi-image bottom to bottom, and the extremes to the extremes, in
+    one pass.  This is the map the paper's recursive peel builds: peeling a
+    class from both sides matches one class chain bottom to bottom.  A class
+    that merges with its hinge's class after a peel is matched just as its
+    two pieces are, because the image hinge is the image of the hinge: the
+    image of the lower piece lies below it in the merged image chain.
     """
     if phi.kind != "graph-iso":
         raise HypothesisViolated("lift needs a graph isomorphism witness")
@@ -443,7 +385,11 @@ def lift_to_lattice_iso(l1: Lattice, l2: Lattice, phi: IsoWitness) -> IsoWitness
     if {mapping[x] for x in adj1} != adj2:
         raise HypothesisViolated("phi does not preserve adjunct elements")
 
-    psi = _lift(l1, l2, mapping)
+    psi = {l1.bottom_label: l2.bottom_label, l1.top_label: l2.top_label}
+    for block in neighborhood_partition(g1):
+        chain1 = sorted(block, key=lambda v: len(l1.down_set(v)))
+        chain2 = sorted((mapping[v] for v in block), key=lambda v: len(l2.down_set(v)))
+        psi.update(zip(chain1, chain2))
     if not check_lattice_iso(l1, l2, psi):
         raise InternalInconsistency("lifted map is not an order isomorphism")
     return IsoWitness(kind="lattice-iso", mapping=psi)

@@ -79,7 +79,7 @@ def test_criterion_02_figure2_golden():
 
 
 def _population_le9():
-    return list(enumerate_lower_dismantlable(9, join_reducible_top=True))
+    return list(enumerate_lower_dismantlable(9, root_min_children=2))
 
 
 def test_criterion_03_main_theorem_exhaustive():
@@ -170,7 +170,7 @@ def test_criterion_07_multipartite_round_trip():
 
 def test_criterion_08_ssc_three_way():
     disagreements = checked = 0
-    for lat in enumerate_lower_dismantlable(10, join_reducible_top=True):
+    for lat in enumerate_lower_dismantlable(10, root_min_children=2):
         checked += 1
         report = ssc_equivalence_report(lat)
         if len(set(report.values())) != 1:

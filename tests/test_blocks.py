@@ -114,7 +114,7 @@ class TestSsc:
             ssc_equivalence_report(ex2)
 
     def test_three_way_equivalence(self):
-        for lat in enumerate_lower_dismantlable(9, join_reducible_top=True):
+        for lat in enumerate_lower_dismantlable(9, root_min_children=2):
             report = ssc_equivalence_report(lat)
             assert len(set(report.values())) == 1, report
 

@@ -104,6 +104,7 @@ class TestIso:
         code, payload = run_json(capsys, "iso", DATA / "k22.adl", other, "--witness")
         assert code == 0
         assert payload["isomorphic"] is True
+        assert payload["zdg_isomorphic"] is True
         assert payload["witness"]["kind"] == "lattice-iso"
         assert payload["witness_verified"] is True
 
@@ -111,6 +112,55 @@ class TestIso:
         code, payload = run_json(capsys, "iso", DATA / "k22.adl", DATA / "m3.adl")
         assert code == 1
         assert payload["isomorphic"] is False
+        assert payload["zdg_isomorphic"] is False
+
+    @pytest.mark.parametrize(
+        "first,second",
+        [
+            ("lattice c3 { chain 0 a one; }", "lattice c5 { chain 0 a b c one; }"),
+            ("lattice m2 { chain 0 a one; adjoin (0, one): b; }",
+             "lattice m2t { chain 0 a one top; adjoin (0, one): b; }"),
+        ],
+        ids=["3-chain-vs-5-chain", "m2-vs-m2-with-new-top"],
+    )
+    def test_isomorphic_graphs_of_non_isomorphic_lattices(self, capsys, tmp_path, first, second):
+        # join-irreducible tops: the zero-divisor graphs do not decide the lattice
+        a, b = tmp_path / "a.adl", tmp_path / "b.adl"
+        a.write_text(first + "\n")
+        b.write_text(second + "\n")
+        code, payload = run_json(capsys, "iso", a, b)
+        assert code == 1
+        assert payload["isomorphic"] is False
+        assert payload["zdg_isomorphic"] is True
+
+    def test_disagreeing_verdicts_with_join_reducible_tops_exit_3(self, capsys, monkeypatch):
+        from dislat import treeiso
+
+        monkeypatch.setattr(treeiso, "graph_iso", lambda g1, g2: None)
+        code, payload = run_json(capsys, "iso", DATA / "k22.adl", DATA / "k22.adl")
+        assert code == 3
+        assert payload["error"]["type"] == "InternalInconsistency"
+
+    def test_witness_on_128_element_complete_binary_tree(self, capsys, tmp_path):
+        import random
+
+        from dislat import RootedTree, adjunct_representation, lattice_of_tree, serialize
+
+        # nodes 1..127 in heap order: node i has children 2i and 2i + 1
+        tree = RootedTree.from_parents({f"e{i}": None if i == 1 else f"e{i // 2}" for i in range(1, 128)})
+        names = list(tree.labels)
+        random.Random(3).shuffle(names)
+        copy = tree.relabeled({lab: f"w{name[1:]}" for lab, name in zip(tree.labels, names)})
+        files = []
+        for name, t in (("a", tree), ("b", copy)):
+            path = tmp_path / f"{name}.adl"
+            path.write_text(serialize(adjunct_representation(lattice_of_tree(t), name=name)))
+            files.append(path)
+        code, payload = run_json(capsys, "iso", *files, "--witness")
+        assert code == 0
+        assert payload["isomorphic"] is True and payload["zdg_isomorphic"] is True
+        assert payload["witness_verified"] is True
+        assert len(payload["witness"]["map"]) == 128
 
     def test_not_in_class_exit_2(self, capsys, tmp_path):
         # dismantlable but not LOWER dismantlable: the pair sits above the bottom
@@ -213,6 +263,22 @@ class TestVerify:
             capsys, "verify", "--suite", "lemma400", "--max-nodes", "6", "--root-min-children", "2"
         )
         assert filtered["suites"]["lemma400"]["checked"] < unfiltered["suites"]["lemma400"]["checked"]
+
+    def test_root_min_children_above_two(self, capsys):
+        # trees of at most 5 nodes whose root has at least 3 children: 3
+        _, payload = run_json(
+            capsys, "verify", "--suite", "lemma400", "--max-nodes", "6", "--root-min-children", "3"
+        )
+        assert payload["suites"]["lemma400"]["checked"] == 3
+
+    def test_no_dump_without_dump_dir(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, payload = run_json(capsys, "verify", "--max-nodes", "5")
+        suite = payload["suites"]["block-confluence"]
+        assert code == 1 and suite["violations"] > 0
+        assert suite["counterexample_file"] is None
+        assert "adjoin" in suite["first_counterexample"]["lattice"]
+        assert list(tmp_path.iterdir()) == []
 
     def test_thm704_suite(self, capsys):
         code, payload = run_json(capsys, "verify", "--suite", "thm704", "--max-nodes", "7")

@@ -34,8 +34,8 @@ def parent_array_codes(n: int) -> set[str]:
     return codes
 
 
-def trees_of_size(n: int, root_degree_ge2: bool = False) -> list:
-    return [t for t in enumerate_rooted_trees(n, root_degree_ge2) if t.n == n]
+def trees_of_size(n: int, root_min_children: int = 0) -> list:
+    return [t for t in enumerate_rooted_trees(n, root_min_children) if t.n == n]
 
 
 class TestEnumeration:
@@ -48,7 +48,8 @@ class TestEnumeration:
             assert rooted_tree_codes(n) == tuple(sorted(parent_array_codes(n)))
 
     def test_root_filter(self):
-        assert len(trees_of_size(4, root_degree_ge2=True)) == 4 - 2
+        assert len(trees_of_size(4, root_min_children=2)) == 4 - 2
+        assert len(trees_of_size(4, root_min_children=3)) == 1  # the star
 
     def test_one_representative_per_class(self):
         for n in range(1, 8):

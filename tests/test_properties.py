@@ -61,7 +61,7 @@ def test_tree_lattice_round_trip(tree):
 @given(rooted_trees(), st.randoms())
 @settings(max_examples=80, deadline=None)
 def test_canonical_code_relabel_invariant(tree, rng):
-    labels = list(tree.node_labels())
+    labels = list(tree.labels)
     shuffled = labels[:]
     rng.shuffle(shuffled)
     relabeled = tree.relabeled(dict(zip(labels, shuffled)))

@@ -15,7 +15,7 @@ from dislat import (
     canonical_code,
     chain_lattice,
     classify,
-    iso_decide,
+    graph_iso,
     lattice_from_complete_multipartite,
     lattice_of_tree,
     lift_to_lattice_iso,
@@ -32,7 +32,7 @@ from dislat.oracle import (
     enumerate_lower_dismantlable,
     enumerate_rooted_trees,
 )
-from dislat.treeiso import check_lattice_iso
+from dislat.treeiso import _canonical, check_graph_iso, check_lattice_iso
 
 
 def relabel_graph(g: LabeledGraph, mapping) -> LabeledGraph:
@@ -66,12 +66,10 @@ class TestTreeOfLattice:
         tree = tree_of_lattice(m2)
         assert tree.root_label == "one"
         assert set(tree.children("one")) == {"a", "b"}
-        assert tree.has_root_degree_ge2
 
     def test_chain_path(self):
         tree = tree_of_lattice(chain_lattice(["0", "c", "1"]))
         assert tree.parent_map() == {"1": None, "c": "1"}
-        assert not tree.has_root_degree_ge2
 
     def test_non_lower_dismantlable_rejected(self):
         from tests.test_lattice import boolean_cube
@@ -123,7 +121,7 @@ class TestNonAncestorGraph:
         assert nag.edges == (("a", "b"),)
 
     def test_zdg_equals_nag_for_join_reducible_top(self):
-        for lat in enumerate_lower_dismantlable(9, join_reducible_top=True):
+        for lat in enumerate_lower_dismantlable(9, root_min_children=2):
             assert non_ancestor_graph(tree_of_lattice(lat)) == zero_divisor_graph(lat)
 
     def test_zdg_differs_by_isolated_comparable_vertices_otherwise(self):
@@ -156,7 +154,7 @@ class TestCanonicalCode:
 
     def test_relabel_invariant(self, ex2):
         tree = tree_of_lattice(ex2)
-        mapping = {lab: f"q_{lab}" for lab in tree.node_labels()}
+        mapping = {lab: f"q_{lab}" for lab in tree.labels}
         assert canonical_code(tree.relabeled(mapping)) == canonical_code(tree)
 
     def test_codes_decide_isomorphism_against_brute_force(self):
@@ -206,19 +204,19 @@ class TestIsoDecide:
     def test_relabeled_copy_true(self, ex2):
         g = zero_divisor_graph(ex2)
         mapping = {v: f"w{v}" for v in g.vertices}
-        assert iso_decide(g, relabel_graph(g, mapping))
+        assert graph_iso(g, relabel_graph(g, mapping)) is not None
 
     def test_different_part_sizes_false(self):
         g22 = zero_divisor_graph(lattice_from_complete_multipartite([2, 2]))
         g31 = zero_divisor_graph(lattice_from_complete_multipartite([3, 1]))
-        assert not iso_decide(g22, g31)
+        assert graph_iso(g22, g31) is None
 
     def test_not_in_class_raises_with_which(self):
         with pytest.raises(NotInClass) as err:
-            iso_decide(cycle(5), cycle(4))
+            graph_iso(cycle(5), cycle(4))
         assert err.value.which == "first"
         with pytest.raises(NotInClass) as err:
-            iso_decide(cycle(4), cycle(5))
+            graph_iso(cycle(4), cycle(5))
         assert err.value.which == "second"
 
     def test_agrees_with_brute_force_on_trees(self):
@@ -227,8 +225,74 @@ class TestIsoDecide:
         for (t1, g1), (t2, g2) in itertools.combinations_with_replacement(list(zip(trees, graphs)), 2):
             want = brute_graph_iso(g1, g2) is not None
             if g1.n == 0 or g2.n == 0:
-                continue  # empty graphs carry no information for iso_decide
-            assert iso_decide(g1, g2) == want
+                continue  # empty graphs carry no information for graph_iso
+            f = graph_iso(g1, g2)
+            assert (f is not None) == want
+            if f is not None:
+                assert f.kind == "graph-iso"
+                assert check_graph_iso(g1, g2, f.mapping)
+
+
+def random_parents(rng, n: int) -> list[int]:
+    """A random recursive tree on nodes 0..n-1, rooted at 0: parents[i] < i."""
+    return [0] + [rng.randrange(i) for i in range(1, n)]
+
+
+def tree_of_parents(parents: list[int], prefix: str) -> RootedTree:
+    return RootedTree.from_parents(
+        {f"{prefix}{i}": None if i == 0 else f"{prefix}{p}" for i, p in enumerate(parents)}
+    )
+
+
+class TestTreeMatcherAgainstNetworkx:
+    """The zipped canonical preorders against networkx's rooted tree
+    isomorphism, on relabeled copies and on near misses (one leaf moved)."""
+
+    @staticmethod
+    def match(t1: RootedTree, t2: RootedTree) -> dict[str, str] | None:
+        (code1, order1), (code2, order2) = _canonical(t1), _canonical(t2)
+        return dict(zip(order1, order2)) if code1 == code2 else None
+
+    @staticmethod
+    def nx_isomorphic(nx, t1: RootedTree, t2: RootedTree) -> bool:
+        from networkx.algorithms.isomorphism import rooted_tree_isomorphism
+
+        graphs = []
+        for t in (t1, t2):
+            g = nx.Graph()
+            g.add_nodes_from(t.labels)
+            g.add_edges_from((c, p) for c, p in t.parent_map().items() if p is not None)
+            graphs.append(g)
+        return bool(rooted_tree_isomorphism(graphs[0], t1.root_label, graphs[1], t2.root_label))
+
+    @pytest.mark.parametrize("n", [3, 5, 17, 64, 200, 500])
+    def test_agrees_with_networkx(self, n):
+        import random
+
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(n)
+        parents = random_parents(rng, n)
+        t1 = tree_of_parents(parents, "a")
+        perm = list(range(1, n))
+        rng.shuffle(perm)
+        rank = {0: 0, **{old: new for new, old in enumerate(perm, start=1)}}
+        # the same tree with its non-root nodes renamed in a shuffled order
+        copy = tree_of_parents([0] + [rank[parents[old]] for old in perm], "b")
+        leaves = [v for v in range(1, n) if v not in parents]
+        moved = list(parents)
+        leaf = rng.choice(leaves)
+        moved[leaf] = rng.choice([v for v in range(n) if v != leaf and v != parents[leaf]])
+        miss = tree_of_parents(moved, "c")
+        for other in (copy, miss):
+            f = self.match(t1, other)
+            assert (f is not None) == self.nx_isomorphic(nx, t1, other)
+            if f is not None:  # a bijection that maps parents to parents
+                assert sorted(f.values()) == sorted(other.labels)
+                image_parents = other.parent_map()
+                assert all(
+                    image_parents[f[c]] == (None if p is None else f[p]) for c, p in t1.parent_map().items()
+                )
+        assert self.match(t1, copy) is not None
 
 
 class TestAlignAdjuncts:
@@ -262,7 +326,7 @@ class TestAlignAdjuncts:
             align_adjuncts(k22, k22, not_an_iso)
 
     def test_postcondition_on_all_automorphisms(self):
-        for lat in enumerate_lower_dismantlable(7, join_reducible_top=True):
+        for lat in enumerate_lower_dismantlable(7, root_min_children=2):
             g = zero_divisor_graph(lat)
             adjunct_vertices = set(classify(lat).adjunct_elements) & set(g.vertices)
             for mapping in brute_graph_iso_all(g, g):
@@ -304,7 +368,7 @@ class TestLiftToLatticeIso:
             lift_to_lattice_iso(lat, lat, bad)
 
     def test_exhaustive_align_then_lift(self):
-        for lat in enumerate_lower_dismantlable(8, join_reducible_top=True):
+        for lat in enumerate_lower_dismantlable(8, root_min_children=2):
             g = zero_divisor_graph(lat)
             x_set = set(classify(lat).adjunct_elements) - {lat.top_label}
             for mapping in brute_graph_iso_all(g, g):
@@ -322,7 +386,7 @@ class TestLiftToLatticeIso:
         import random
 
         rng = random.Random(42)
-        for lat in enumerate_lower_dismantlable(8, join_reducible_top=True):
+        for lat in enumerate_lower_dismantlable(8, root_min_children=2):
             perm = list(lat.labels)
             rng.shuffle(perm)
             other = relabel(lat, dict(zip(lat.labels, perm)))
@@ -337,7 +401,7 @@ class TestLiftToLatticeIso:
 
 class TestMainTheorem:
     def test_zdg_iso_iff_lattice_iso(self):
-        lats = list(enumerate_lower_dismantlable(8, join_reducible_top=True))
+        lats = list(enumerate_lower_dismantlable(8, root_min_children=2))
         codes = [canonical_code(recognize(zero_divisor_graph(lat))) for lat in lats]
         for i, j in itertools.combinations_with_replacement(range(len(lats)), 2):
             fast = codes[i] == codes[j]

@@ -140,12 +140,12 @@ class TestTheoremSuites:
             assert report["connected"] and report["diameter"] <= 3
 
     def test_vertex_count_when_top_adjunct(self):
-        for lat in enumerate_lower_dismantlable(9, join_reducible_top=True):
+        for lat in enumerate_lower_dismantlable(9, root_min_children=2):
             assert zero_divisor_graph(lat).n == lat.n - 2
 
     def test_forward_multipartite_when_top_only_adjunct(self):
         seen = 0
-        for lat in enumerate_lower_dismantlable(9, join_reducible_top=True):
+        for lat in enumerate_lower_dismantlable(9, root_min_children=2):
             if classify(lat).adjunct_elements != {lat.top_label}:
                 continue
             seen += 1
