@@ -5,10 +5,11 @@ lattices."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Collection
 
 from .errors import ClassHasAdjunct, HypothesisViolated, InternalInconsistency, NotLowerDismantlable
-from .lattice import Lattice, _peel, adjunct, chain_lattice, classify, induced_sublattice, is_lower_dismantlable
+from .lattice import Lattice, _induced_covers, _peel, adjunct, chain_lattice, classify, induced_sublattice
+from .lattice import is_lower_dismantlable
 from .zdg import LabeledGraph, neighborhood_partition, zero_divisor_graph
 
 if TYPE_CHECKING:
@@ -58,29 +59,33 @@ class ClassPartition:
 # -- structural deletion -------------------------------------------------------
 
 
+def _interior_deletable(lat: Lattice, survivors: Collection[str]) -> list[str]:
+    """The structurally deletable elements, in label order, of the sublattice
+    that `lat` induces on `survivors` (which hold the extremes of `lat`): x
+    with unique covers u < x < v where no other upper cover of u lies below v.
+    The extremes are left out."""
+    uppers: dict[str, list[str]] = {x: [] for x in survivors}
+    lowers: dict[str, list[str]] = {x: [] for x in survivors}
+    for u, v in _induced_covers(lat, survivors):
+        uppers[u].append(v)
+        lowers[v].append(u)
+    return sorted(
+        x
+        for x in survivors
+        if x not in (lat.bottom_label, lat.top_label)
+        and len(lowers[x]) == len(uppers[x]) == 1
+        and not any(w != x and lat.leq(w, uppers[x][0]) for w in uppers[lowers[x][0]])
+    )
+
+
 def is_structurally_deletable(lat: Lattice, x: str) -> bool:
     """True when removing x drops the cover-graph edge count by exactly one:
     either x is the top with a unique lower cover, or x has unique covers
     u < x < v with nothing else strictly between u and v."""
     lat.index(x)
-    if lat.n < 3 or x == lat.bottom_label:
-        return False
-    lowers = lat.lower_covers(x)
     if x == lat.top_label:
-        return len(lowers) == 1
-    uppers = lat.upper_covers(x)
-    if len(lowers) != 1 or len(uppers) != 1:
-        return False
-    return lat.open_interval(lowers[0], uppers[0]) == (x,)
-
-
-def delete_element(lat: Lattice, x: str) -> Lattice:
-    """The induced sublattice on everything but x."""
-    return induced_sublattice(lat, (lab for lab in lat.labels if lab != x))
-
-
-def _interior_deletable(lat: Lattice, x: str) -> bool:
-    return x != lat.top_label and is_structurally_deletable(lat, x)
+        return lat.n >= 3 and len(lat.lower_covers(x)) == 1
+    return x in _interior_deletable(lat, lat.labels)
 
 
 def basic_block(lat: Lattice) -> Lattice:
@@ -88,17 +93,15 @@ def basic_block(lat: Lattice) -> Lattice:
 
     The extremes are never deleted (so chains stop at the 2-element lattice);
     deletion order is smallest-label-first, and order independence is a tested
-    conjecture, not an assumption.
+    conjecture, not an assumption.  The block is built once, from the
+    survivors; it is `lat` itself when nothing is deletable.
     """
     if lat.n < 2:
         raise HypothesisViolated("basic block needs at least 2 elements")
-    current = lat
-    while current.n > 2:
-        deletable = sorted(x for x in current.labels if _interior_deletable(current, x))
-        if not deletable:
-            break
-        current = delete_element(current, deletable[0])
-    return current
+    survivors = set(lat.labels)
+    while deletable := _interior_deletable(lat, survivors):
+        survivors.remove(deletable[0])
+    return lat if len(survivors) == lat.n else induced_sublattice(lat, survivors)
 
 
 def explore_deletion_orders(lat: Lattice) -> set[frozenset[str]]:
@@ -110,18 +113,10 @@ def explore_deletion_orders(lat: Lattice) -> set[frozenset[str]]:
     memo: dict[frozenset[str], set[frozenset[str]]] = {}
 
     def reach(state: frozenset[str]) -> set[frozenset[str]]:
-        if state in memo:
-            return memo[state]
-        sub = induced_sublattice(lat, state)
-        deletable = [x for x in sub.labels if _interior_deletable(sub, x)] if sub.n > 2 else []
-        if not deletable:
-            result = {state}
-        else:
-            result = set()
-            for x in deletable:
-                result |= reach(state - {x})
-        memo[state] = result
-        return result
+        if state not in memo:
+            successors = (state - {x} for x in _interior_deletable(lat, state))
+            memo[state] = set().union(*map(reach, successors)) or {state}
+        return memo[state]
 
     return reach(frozenset(lat.labels))
 

@@ -18,6 +18,7 @@ from pathlib import Path
 
 from . import blocks, dsl, oracle, treeiso, zdg
 from .errors import (
+    BadGraph,
     BadOption,
     DislatError,
     DslError,
@@ -168,6 +169,9 @@ def cmd_recognize(args) -> int:
         payload = {"command": "recognize", "in_class": False}
         _emit(payload, args, "not in class\n")
         return EXIT_NEGATIVE
+    bad = [v for v in graph.vertices if not dsl.is_element_name(v)]
+    if bad:
+        raise BadGraph(f"vertex label {bad[0]!r} is not an .adl element name (an identifier, not a keyword)")
     lat = treeiso.lattice_of_tree(tree)
     expr = adjunct_representation(lat, name="recognized")
     adl = dsl.serialize(expr)

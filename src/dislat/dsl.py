@@ -18,12 +18,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DslSyntaxError, DuplicateElement, PairNotAdjunctable, UnknownElement
-from .lattice import Adjunction, AdjunctExpr, Lattice, adjunct, chain_lattice
+from .errors import DslSyntaxError, DuplicateElement, LabelClash, PairNotAdjunctable, UnknownElement
+from .lattice import Adjunction, AdjunctExpr, Lattice, build_from_covers
 
 _KEYWORDS = {"lattice", "chain", "adjoin"}
 _IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 _IDENT_CONT = _IDENT_START | set("0123456789")
+
+
+def is_element_name(label: str) -> bool:
+    """True when `label` can name an element other than the extremes in
+    ``.adl``: an identifier that is not a keyword (``0`` and ``⊤`` are not)."""
+    return label[:1] in _IDENT_START and set(label) <= _IDENT_CONT and label not in _KEYWORDS
 
 
 @dataclass(frozen=True)
@@ -188,15 +194,40 @@ def serialize(expr: AdjunctExpr) -> str:
 def elaborate(expr: AdjunctExpr) -> Lattice:
     """Build the lattice an AdjunctExpr denotes, applying adjunctions
     left-to-right.  Raises PairNotAdjunctable when a pair violates the
-    operation's preconditions at the moment of its adjunction."""
-    lat = chain_lattice(expr.base)
-    for adj in expr.adjunctions:
-        a, b = adj.pair
-        if a not in lat.labels or b not in lat.labels:
-            missing = a if a not in lat.labels else b
-            raise PairNotAdjunctable(f"pair references element {missing!r} not yet introduced")
-        lat = adjunct(lat, chain_lattice(adj.chain), a, b)
-    return lat
+    operation's preconditions at the moment of its adjunction.
+
+    Adjoining a chain between a < b relates no two elements already present
+    and keeps every cover, so the pairs are checked against up-sets kept while
+    reading; the lattice is built and validated once, at the end.
+    """
+    index: dict[str, int] = {}
+    up: list[int] = []  # up[i]: bitmask of the elements >= element i
+    covers: set[tuple[str, str]] = set()
+    for pair, chain in [((), expr.base), *((adj.pair, adj.chain) for adj in expr.adjunctions)]:
+        missing = [x for x in pair if x not in index]
+        if missing:
+            raise PairNotAdjunctable(f"pair references element {missing[0]!r} not yet introduced")
+        if not chain or len(set(chain)) < len(chain):
+            build_from_covers(chain, ())  # raises LabelClash or NotALattice, as for the chain alone
+        if pair:
+            a, b = pair
+            ia, ib = index[a], index[b]
+            if ia == ib or not up[ia] >> ib & 1:
+                raise PairNotAdjunctable(f"need {a!r} < {b!r} in the host lattice")
+            if (a, b) in covers:
+                raise PairNotAdjunctable(f"{a!r} is covered by {b!r}; the interval is empty")
+            clash = index.keys() & set(chain)
+            if clash:
+                raise LabelClash(f"labels occur on both sides: {sorted(clash)}")
+            new = ((1 << len(chain)) - 1) << len(up)
+            up = [mask | new if mask >> ia & 1 else mask for mask in up]  # the chain lies above all x <= a
+            covers |= {(a, chain[0]), (chain[-1], b)}
+        above = up[index[pair[1]]] if pair else 0
+        for k, lab in enumerate(chain):
+            index[lab] = len(up)
+            up.append(((1 << (len(chain) - k)) - 1) << len(up) | above)  # chain[k:] and the up-set of b
+        covers.update(zip(chain, chain[1:]))
+    return build_from_covers(expr.all_labels(), covers)
 
 
 def parse_file(path: str) -> AdjunctExpr:

@@ -71,11 +71,6 @@ class Lattice:
         return len(self.labels)
 
     @property
-    def is_trivial(self) -> bool:
-        """True for the one-element lattice (bottom == top)."""
-        return self.n == 1
-
-    @property
     def bottom_label(self) -> str:
         return self.labels[self.bottom]
 
@@ -115,12 +110,6 @@ class Lattice:
 
     def lower_covers(self, x: str) -> tuple[str, ...]:
         return tuple(self.labels[i] for i in self._lowers[self.index(x)])
-
-    def open_interval(self, x: str, y: str) -> tuple[str, ...]:
-        """Elements strictly between x and y."""
-        xi, yi = self.index(x), self.index(y)
-        mask = self._up[xi] & self._down[yi] & ~(1 << xi) & ~(1 << yi)
-        return tuple(self.labels[i] for i in _bits(mask))
 
     def down_set(self, x: str) -> tuple[str, ...]:
         return tuple(self.labels[i] for i in _bits(self._down[self.index(x)]))
@@ -309,16 +298,7 @@ def induced_sublattice(lat: Lattice, keep: Iterable[str]) -> Lattice:
     Raises NotALattice when the restriction is not a lattice.
     """
     keep_set = set(keep)
-    for x in keep_set:
-        lat.index(x)
-    kept = [lab for lab in lat.labels if lab in keep_set]
-    covers = []
-    for i, x in enumerate(kept):
-        for y in kept:
-            if x != y and lat.lt(x, y):
-                if not any(z != x and z != y and lat.lt(x, z) and lat.lt(z, y) for z in kept):
-                    covers.append((x, y))
-    return build_from_covers(kept, covers)
+    return build_from_covers([lab for lab in lat.labels if lab in keep_set], _induced_covers(lat, keep_set))
 
 
 # -- the adjunct operation -----------------------------------------------------
@@ -382,6 +362,22 @@ def is_lower_dismantlable(lat: Lattice) -> bool:
         for x in lat.labels
         if x != lat.top_label and x != lat.bottom_label
     )
+
+
+def _induced_covers(lat: Lattice, keep: Iterable[str]) -> list[tuple[str, str]]:
+    """Cover pairs (u, v) of the order `lat` induces on `keep`: v is a minimal
+    element of what `keep` holds strictly above u.  O(|keep|^2) mask
+    operations; raises NoSuchElement for a label not in `lat`."""
+    mask = 0
+    for x in keep:
+        mask |= 1 << lat.index(x)
+    out = []
+    for u in _bits(mask):
+        above = lat._up[u] & mask & ~(1 << u)
+        for v in _bits(above):
+            if above & lat._down[v] == 1 << v:
+                out.append((lat.labels[u], lat.labels[v]))
+    return out
 
 
 # -- branch peeling and the adjunct representation ------------------------------

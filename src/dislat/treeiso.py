@@ -169,14 +169,14 @@ def tree_of_lattice(lat: Lattice) -> RootedTree:
     return RootedTree.from_parents(parents)
 
 
-def lattice_of_tree(tree: RootedTree, bottom: str = "0") -> Lattice:
-    """Adjoin a new bottom under every pendant vertex of the tree; the result
-    is the lower dismantlable lattice the tree corresponds to."""
-    if bottom in tree.labels:
-        raise LabelClash(f"bottom label {bottom!r} already names a tree node")
+def lattice_of_tree(tree: RootedTree) -> Lattice:
+    """Adjoin a new bottom ``0`` under every pendant vertex of the tree; the
+    result is the lower dismantlable lattice the tree corresponds to."""
+    if "0" in tree.labels:
+        raise LabelClash("bottom label '0' already names a tree node")
     covers = [(c, p) for c, p in tree.parent_map().items() if p is not None]
-    covers.extend((bottom, leaf) for leaf in tree.leaves())
-    return build_from_covers((bottom, *tree.labels), covers)
+    covers.extend(("0", leaf) for leaf in tree.leaves())
+    return build_from_covers(("0", *tree.labels), covers)
 
 
 def non_ancestor_graph(tree: RootedTree) -> LabeledGraph:
@@ -226,8 +226,8 @@ def canonical_code(tree: RootedTree) -> CanonicalCode:
     return _canonical(tree)[0]
 
 
-def tree_from_code(code: CanonicalCode, prefix: str = "n") -> RootedTree:
-    """Materialize a code as a concrete tree with labels prefix0, prefix1, ...
+def tree_from_code(code: CanonicalCode) -> RootedTree:
+    """Materialize a code as a concrete tree with labels n0, n1, ...
     assigned in preorder."""
     parents: dict[str, str | None] = {}
     counter = 0
@@ -236,7 +236,7 @@ def tree_from_code(code: CanonicalCode, prefix: str = "n") -> RootedTree:
         nonlocal counter
         if code[pos] != "(":
             raise ValueError(f"malformed code at {pos}")
-        me = f"{prefix}{counter}"
+        me = f"n{counter}"
         counter += 1
         parents[me] = parent
         pos += 1

@@ -54,16 +54,6 @@ class LabeledGraph:
     def adjacent(self, u: str, v: str) -> bool:
         return v in self.neighbors(u)
 
-    def complement(self) -> "LabeledGraph":
-        verts = self.vertices
-        edges = [
-            (u, v)
-            for i, u in enumerate(verts)
-            for v in verts[i + 1 :]
-            if v not in self._adj[u]
-        ]
-        return LabeledGraph(verts, edges)
-
     def induced(self, keep: Iterable[str]) -> "LabeledGraph":
         keep_set = set(keep)
         return LabeledGraph(
@@ -164,32 +154,15 @@ def neighborhood_partition(graph: LabeledGraph) -> list[tuple[str, ...]]:
 def complement_clique_parts(graph: LabeledGraph) -> list[tuple[str, ...]] | None:
     """The partite sets if the graph is complete multipartite, else None.
 
-    A graph is complete multipartite exactly when its complement is a disjoint
-    union of cliques; the parts are the complement's components, returned
-    sorted by (descending size, smallest member).
+    A graph is complete multipartite exactly when every neighborhood class is
+    adjacent to every vertex outside it (a class is independent, as the graph
+    has no loops); the parts are then the classes, returned sorted by
+    (descending size, smallest member).
     """
-    comp = graph.complement()
-    seen: set[str] = set()
-    parts: list[tuple[str, ...]] = []
-    for v in graph.vertices:
-        if v in seen:
-            continue
-        block = {v}
-        queue = deque([v])
-        while queue:
-            u = queue.popleft()
-            for w in comp.neighbors(u):
-                if w not in block:
-                    block.add(w)
-                    queue.append(w)
-        for x in block:
-            for y in block:
-                if x != y and not comp.adjacent(x, y):
-                    return None
-        seen |= block
-        parts.append(tuple(sorted(block)))
-    parts.sort(key=lambda p: (-len(p), p))
-    return parts
+    parts = neighborhood_partition(graph)
+    if any(len(graph.neighbors(p[0])) + len(p) != graph.n for p in parts):
+        return None
+    return sorted(parts, key=lambda p: (-len(p), p))
 
 
 def complete_multipartite_parts(graph: LabeledGraph) -> list[int] | None:

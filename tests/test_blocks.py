@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -8,10 +9,14 @@ from dislat import (
     ClassHasAdjunct,
     HypothesisViolated,
     NoSuchElement,
+    adjunct,
     basic_block,
+    build_from_covers,
+    chain_lattice,
     class_has_adjunct,
     classify,
     explore_deletion_orders,
+    induced_sublattice,
     is_ssc,
     is_structurally_deletable,
     neighborhood_classes,
@@ -23,9 +28,77 @@ from dislat import (
     tree_of_lattice,
     zero_divisor_graph,
 )
-from dislat.blocks import annotate_classes, delete_element
+from dislat.blocks import annotate_classes
 from dislat.oracle import enumerate_lower_dismantlable
 from dislat.treeiso import RootedTree
+
+
+# -- references: one rebuilt lattice per deletion ---------------------------------
+
+
+def rebuild_without(lat, x):
+    """The sublattice on everything but x, its covers found by searching every
+    triple of the induced order."""
+    kept = [lab for lab in lat.labels if lab != x]
+    covers = [
+        (u, v)
+        for u in kept
+        for v in kept
+        if lat.lt(u, v) and not any(lat.lt(u, z) and lat.lt(z, v) for z in kept)
+    ]
+    return build_from_covers(kept, covers)
+
+
+def reference_deletable(lat, x):
+    """Structural deletability on a built lattice, from its definition."""
+    if lat.n < 3 or x == lat.bottom_label:
+        return False
+    lowers = lat.lower_covers(x)
+    if x == lat.top_label:
+        return len(lowers) == 1
+    uppers = lat.upper_covers(x)
+    if len(lowers) != 1 or len(uppers) != 1:
+        return False
+    return [z for z in lat.labels if lat.lt(lowers[0], z) and lat.lt(z, uppers[0])] == [x]
+
+
+def reference_interior(lat):
+    return sorted(x for x in lat.labels if x != lat.top_label and reference_deletable(lat, x))
+
+
+def reference_basic_block(lat):
+    current = lat
+    while deletable := reference_interior(current):
+        current = rebuild_without(current, deletable[0])
+    return current
+
+
+def reference_deletion_orders(lat):
+    memo = {}
+
+    def reach(sub):
+        state = frozenset(sub.labels)
+        if state not in memo:
+            fixed = set()
+            for x in reference_interior(sub):
+                fixed |= reach(rebuild_without(sub, x))
+            memo[state] = fixed or {state}
+        return memo[state]
+
+    return reach(lat)
+
+
+def random_dismantlable(rng):
+    """A general dismantlable lattice: a chain with chains adjoined at random
+    pairs a < b that are not covers."""
+    lat = chain_lattice([f"b{i}" for i in range(rng.randrange(3, 6))])
+    for k in range(rng.randrange(4)):
+        pairs = sorted(
+            (a, b) for a in lat.labels for b in lat.labels if lat.lt(a, b) and not lat.covered_by(a, b)
+        )
+        a, b = rng.choice(pairs)
+        lat = adjunct(lat, chain_lattice([f"c{k}_{j}" for j in range(rng.randrange(1, 3))]), a, b)
+    return lat
 
 
 class TestStructurallyDeletable:
@@ -33,9 +106,7 @@ class TestStructurallyDeletable:
         assert is_structurally_deletable(fig2, "a2")
 
     def test_survivor_not_deletable(self, fig2):
-        reduced = fig2
-        for x in ("a2", "a3", "a4"):
-            reduced = delete_element(reduced, x)
+        reduced = induced_sublattice(fig2, set(fig2.labels) - {"a2", "a3", "a4"})
         assert not is_structurally_deletable(reduced, "a1")  # two paths from 0 to x1
 
     def test_m2_atom_false(self, m2):
@@ -59,7 +130,7 @@ class TestStructurallyDeletable:
             if x in (fig2.bottom_label, fig2.top_label):
                 continue
             if is_structurally_deletable(fig2, x):
-                after = delete_element(fig2, x)
+                after = induced_sublattice(fig2, set(fig2.labels) - {x})
                 assert len(after.covers) == len(fig2.covers) - 1
 
 
@@ -298,3 +369,30 @@ class TestConfluence:
 
     def test_m3_confluent(self, m3):
         assert len(explore_deletion_orders(m3)) == 1
+
+
+@pytest.fixture(scope="module")
+def sample_lattices():
+    """Every lower dismantlable lattice of at most 10 elements and 300 random
+    general dismantlable ones."""
+    rng = random.Random(5)
+    return [*enumerate_lower_dismantlable(10), *(random_dismantlable(rng) for _ in range(300))]
+
+
+class TestAgainstRebuild:
+    """The survivor-set routines against one rebuilt lattice per deletion."""
+
+    def test_deletable_elements(self, sample_lattices):
+        for lat in sample_lattices:
+            got = [x for x in lat.labels if is_structurally_deletable(lat, x)]
+            assert got == [x for x in lat.labels if reference_deletable(lat, x)]
+
+    def test_basic_block(self, sample_lattices):
+        for lat in sample_lattices:
+            block, ref = basic_block(lat), reference_basic_block(lat)
+            assert block == ref and block.labels == ref.labels
+            assert (block is lat) == (ref is lat)
+
+    def test_deletion_orders(self, sample_lattices):
+        for lat in sample_lattices:
+            assert explore_deletion_orders(lat) == reference_deletion_orders(lat)

@@ -231,6 +231,16 @@ class TestRecognize:
         assert code == 2
         assert payload["error"]["type"] == "BadGraph"
 
+    @pytest.mark.parametrize("label", ["a b", "chain", "é", "⊤", "0"])
+    def test_label_outside_adl_exit_2(self, capsys, tmp_path, label):
+        # the P3 path a - b - label is in class; its .adl would not parse back
+        graph_file = tmp_path / "labels.json"
+        graph_file.write_text(json.dumps({"vertices": ["a", "b", label], "edges": [["a", "b"], ["b", label]]}))
+        code, payload = run_json(capsys, "recognize", graph_file)
+        assert code == 2
+        assert payload["error"]["type"] == "BadGraph"
+        assert repr(label) in payload["error"]["message"]
+
 
 class TestVerify:
     def test_diam_suite(self, capsys):

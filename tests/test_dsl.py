@@ -1,15 +1,21 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from dislat import (
     AdjunctExpr,
     Adjunction,
+    DislatError,
     DslSyntaxError,
     DuplicateElement,
+    NotALattice,
     PairNotAdjunctable,
     UnknownElement,
+    adjunct,
     adjunct_representation,
+    chain_lattice,
     elaborate,
     parse,
     serialize,
@@ -97,6 +103,58 @@ class TestSerialize:
         assert parse(serialize(expr)) == expr
 
 
+def reference_elaborate(expr):
+    """The per-step fold: one chain lattice and one adjunct per adjoin."""
+    lat = chain_lattice(expr.base)
+    for adj in expr.adjunctions:
+        a, b = adj.pair
+        if a not in lat.labels or b not in lat.labels:
+            missing = a if a not in lat.labels else b
+            raise PairNotAdjunctable(f"pair references element {missing!r} not yet introduced")
+        lat = adjunct(lat, chain_lattice(adj.chain), a, b)
+    return lat
+
+
+def random_expr(rng):
+    """An expression with general pairs; some break a precondition: an empty
+    or repeating chain, a pair that is not a < b, a cover, or names an element
+    not yet introduced, or a chain that reuses a host label."""
+    introduced = []
+
+    def chain(k):
+        out = []
+        for _ in range(k):
+            r = rng.random()
+            if r < 0.04 and out:
+                out.append(rng.choice(out))
+            elif r < 0.08 and introduced:
+                out.append(rng.choice(introduced))
+            else:
+                out.append(f"c{rng.randrange(10**6)}")
+        return tuple(out)
+
+    base = chain(rng.choice([0, 1, 2, 3, 3, 4, 5, 6]))
+    introduced.extend(base)
+    adjunctions = []
+    for _ in range(rng.randrange(6)):
+        pool = introduced if introduced and rng.random() < 0.95 else ["zz", *introduced]
+        a, b = rng.choice(pool), rng.choice(pool)
+        if base and rng.random() < 0.4:
+            a = base[0]
+        c = chain(rng.choice([0, 1, 1, 1, 2, 2, 3, 3]))
+        adjunctions.append(Adjunction(pair=(a, b), chain=c))
+        introduced.extend(c)
+    return AdjunctExpr(base=base, adjunctions=tuple(adjunctions))
+
+
+def outcome(fn, expr):
+    try:
+        lat = fn(expr)
+    except DislatError as exc:
+        return type(exc), str(exc)
+    return lat.labels, lat.cover_pairs()
+
+
 class TestElaborate:
     def test_ex2_sizes(self):
         lat = elaborate(parse(EX2_SRC))
@@ -115,6 +173,28 @@ class TestElaborate:
         lat = elaborate(parse("lattice g { chain 0 a b c one; adjoin (a, c): d; }"))
         assert lat.n == 6
         assert lat.lt("a", "d") and lat.lt("d", "c")
+
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            AdjunctExpr(base=()),
+            AdjunctExpr(base=("0", "a", "b"), adjunctions=(Adjunction(pair=("0", "b"), chain=()),)),
+        ],
+        ids=["empty-base", "empty-chain"],
+    )
+    def test_empty_chain_is_not_a_lattice(self, expr):
+        with pytest.raises(NotALattice):
+            elaborate(expr)
+        assert outcome(elaborate, expr) == outcome(reference_elaborate, expr)
+
+    def test_matches_per_step_fold(self):
+        kinds = set()
+        for seed in range(3000):
+            expr = random_expr(random.Random(seed))
+            got = outcome(elaborate, expr)
+            assert got == outcome(reference_elaborate, expr), expr
+            kinds.add(got[0] if isinstance(got[0], type) else "ok")
+        assert len(kinds) == 4  # valid, PairNotAdjunctable, LabelClash, NotALattice
 
     def test_full_round_trip_on_enumeration(self):
         from dislat.oracle import enumerate_lower_dismantlable

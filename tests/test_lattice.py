@@ -77,7 +77,7 @@ class TestBuildFromCovers:
 
     def test_singleton_allowed_but_flagged(self):
         lat = build_from_covers(["x"], [])
-        assert lat.is_trivial and lat.bottom_label == lat.top_label == "x"
+        assert lat.n == 1 and lat.bottom_label == lat.top_label == "x"
 
 
 class TestMeetJoin:

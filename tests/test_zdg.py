@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 
 import pytest
 
@@ -24,6 +25,43 @@ from dislat.zdg import complement_clique_parts
 def k(n: int) -> LabeledGraph:
     verts = [f"v{i}" for i in range(n)]
     return LabeledGraph(verts, itertools.combinations(verts, 2))
+
+
+def random_graph(rng: random.Random) -> LabeledGraph:
+    """Up to 8 vertices: complete multipartite, then possibly missing one
+    edge, or with independent random edges."""
+    verts = [f"v{i}" for i in range(rng.randrange(9))]
+    pairs = list(itertools.combinations(verts, 2))
+    if rng.random() < 0.5:
+        part = {v: rng.randrange(1 + rng.randrange(4)) for v in verts}
+        edges = [(u, v) for u, v in pairs if part[u] != part[v]]
+        if edges and rng.random() < 0.3:
+            edges.remove(rng.choice(edges))
+    else:
+        p = rng.random()
+        edges = [e for e in pairs if rng.random() < p]
+    return LabeledGraph(verts, edges)
+
+
+def complement_components_if_cliques(g: LabeledGraph) -> list[tuple[str, ...]] | None:
+    """Components of the complement graph, sorted by (descending size,
+    smallest member), or None when one of them is not a clique."""
+    comp = {v: {w for w in g.vertices if w != v and not g.adjacent(v, w)} for v in g.vertices}
+    seen: set[str] = set()
+    parts = []
+    for v in g.vertices:
+        if v in seen:
+            continue
+        block, stack = {v}, [v]
+        while stack:
+            for w in comp[stack.pop()] - block:
+                block.add(w)
+                stack.append(w)
+        if any(comp[x] != block - {x} for x in block):
+            return None
+        seen |= block
+        parts.append(tuple(sorted(block)))
+    return sorted(parts, key=lambda p: (-len(p), p))
 
 
 class TestZeroDivisorGraph:
@@ -94,6 +132,10 @@ class TestCompleteMultipartite:
         g = zero_divisor_graph(lattice_from_complete_multipartite([3, 1]))
         parts = complement_clique_parts(g)
         assert [len(p) for p in parts] == [3, 1]
+        rng = random.Random(3)
+        for _ in range(500):
+            g = random_graph(rng)
+            assert complement_clique_parts(g) == complement_components_if_cliques(g)
 
     def test_path_is_not_complete_multipartite(self):
         p4 = LabeledGraph(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d")])
