@@ -62,20 +62,22 @@ class ClassPartition:
 def _interior_deletable(lat: Lattice, survivors: Collection[str]) -> list[str]:
     """The structurally deletable elements, in label order, of the sublattice
     that `lat` induces on `survivors` (which hold the extremes of `lat`): x
-    with unique covers u < x < v where no other upper cover of u lies below v.
-    The extremes are left out."""
-    uppers: dict[str, list[str]] = {x: [] for x in survivors}
+    with unique covers u < x < v where no other upper cover of u lies below v,
+    one mask test.  The extremes are left out."""
+    index = lat._index
+    uppers = {x: 0 for x in survivors}  # mask of the induced upper covers
     lowers: dict[str, list[str]] = {x: [] for x in survivors}
     for u, v in _induced_covers(lat, survivors):
-        uppers[u].append(v)
+        uppers[u] |= 1 << index[v]
         lowers[v].append(u)
-    return sorted(
-        x
-        for x in survivors
-        if x not in (lat.bottom_label, lat.top_label)
-        and len(lowers[x]) == len(uppers[x]) == 1
-        and not any(w != x and lat.leq(w, uppers[x][0]) for w in uppers[lowers[x][0]])
-    )
+    out = []
+    for x in survivors:
+        if x in (lat.bottom_label, lat.top_label) or len(lowers[x]) != 1 or uppers[x].bit_count() != 1:
+            continue
+        v = uppers[x].bit_length() - 1
+        if uppers[lowers[x][0]] & ~(1 << index[x]) & lat._down[v] == 0:
+            out.append(x)
+    return sorted(out)
 
 
 def is_structurally_deletable(lat: Lattice, x: str) -> bool:
@@ -126,34 +128,30 @@ def explore_deletion_orders(lat: Lattice) -> set[frozenset[str]]:
 
 def is_ssc(lat: Lattice) -> bool:
     """Definition-true check: for every a not below b there must be a nonzero
-    c <= a with b meet c = bottom."""
-    bottom = lat.bottom_label
-    for a in lat.labels:
-        for b in lat.labels:
-            if lat.leq(a, b):
-                continue
-            if not any(
-                c != bottom and lat.leq(c, a) and lat.meet(b, c) == bottom
-                for c in lat.labels
-            ):
-                return False
+    c <= a with b meet c = bottom.
+
+    With Z(b) the mask of the nonzero c whose down-sets meet that of b only
+    in the bottom, the witness c exists exactly when down(a) & Z(b) != 0."""
+    zero = 1 << lat.bottom
+    down, up = lat._down, lat._up
+    for b, down_b in enumerate(down):
+        z = sum(1 << c for c, down_c in enumerate(down) if down_b & down_c == zero) & ~zero
+        if any(down_a & z == 0 and not up[a] >> b & 1 for a, down_a in enumerate(down)):
+            return False
     return True
 
 
-def ssc_equivalence_report(lat: Lattice, block: Lattice | None = None) -> dict:
+def ssc_equivalence_report(lat: Lattice, block: Lattice, graph: LabeledGraph) -> dict:
     """Three independent computations whose agreement is the three-way
     equivalence theorem; agreement is asserted by tests, not here.
 
     Requires a lower dismantlable lattice whose top is join-reducible.
-    `block` is the basic block of `lat` when the caller already has it.
+    `block` is the basic block of `lat` and `graph` its zero-divisor graph.
     """
     if not is_lower_dismantlable(lat):
         raise HypothesisViolated("not lower dismantlable")
     if len(lat.lower_covers(lat.top_label)) < 2:
         raise HypothesisViolated("top is join-irreducible")
-    if block is None:
-        block = basic_block(lat)
-    graph = zero_divisor_graph(lat)
     return {
         "basic_block_is_self": block == lat,
         "ssc": is_ssc(lat),

@@ -46,11 +46,15 @@ def _load_lattice(path: str) -> Lattice:
     return dsl.elaborate(expr)
 
 
+def _write_json(payload: dict) -> None:
+    """The document in one write: `json.dump` would write each token apart."""
+    sys.stdout.write(json.dumps(payload, indent=2, ensure_ascii=False, sort_keys=True) + "\n")
+
+
 def _emit(payload: dict, args, text: str | None = None) -> None:
     """JSON document in --json mode, otherwise the human/text rendering."""
     if args.json or text is None:
-        json.dump(payload, sys.stdout, indent=2, ensure_ascii=False, sort_keys=True)
-        sys.stdout.write("\n")
+        _write_json(payload)
     else:
         sys.stdout.write(text)
 
@@ -92,7 +96,7 @@ def cmd_zdg(args) -> int:
     payload: dict = {"command": "zdg", **graph.to_json_obj()}
     if graph.n == 0:
         payload["warning"] = "zero-divisor graph is empty (the lattice is a chain)"
-    _emit(payload, args, graph.to_json())
+    _emit(payload, args, None if args.json else graph.to_json())
     return EXIT_OK
 
 
@@ -106,12 +110,12 @@ def cmd_analyze(args) -> int:
         "basic_block_elements": sorted(block.labels),
         "lower_dismantlable": is_lower_dismantlable(lat),
     }
+    graph = zdg.zero_divisor_graph(lat)
     try:
-        payload["ssc"] = blocks.ssc_equivalence_report(lat, block)
+        payload["ssc"] = blocks.ssc_equivalence_report(lat, block, graph)
     except HypothesisViolated as exc:
         payload["ssc"] = None
         payload["ssc_hypothesis_violated"] = str(exc)
-    graph = zdg.zero_divisor_graph(lat)
     payload["zdg_classes"] = blocks.annotate_classes(lat, graph).to_json_obj()["classes"]
     if payload["lower_dismantlable"]:
         tree = treeiso.tree_of_lattice(lat)
@@ -137,7 +141,8 @@ def cmd_iso(args) -> int:
             raise NotInClass(f"{which} lattice is not lower dismantlable", which=which)
     code1, code2 = (treeiso.canonical_code(treeiso.tree_of_lattice(lat)) for lat in (lat1, lat2))
     isomorphic = code1 == code2
-    f = treeiso.graph_iso(zdg.zero_divisor_graph(lat1), zdg.zero_divisor_graph(lat2))
+    g1, g2 = zdg.zero_divisor_graph(lat1), zdg.zero_divisor_graph(lat2)
+    f = treeiso.graph_iso(g1, g2)
     zdg_isomorphic = f is not None
     # The main theorem: with join-reducible tops the two verdicts coincide.
     tops_join_reducible = all(len(lat.lower_covers(lat.top_label)) >= 2 for lat in (lat1, lat2))
@@ -147,8 +152,8 @@ def cmd_iso(args) -> int:
         )
     payload: dict = {"command": "iso", "isomorphic": isomorphic, "zdg_isomorphic": zdg_isomorphic}
     if isomorphic and args.witness:
-        phi = treeiso.align_adjuncts(lat1, lat2, f)
-        psi = treeiso.lift_to_lattice_iso(lat1, lat2, phi)
+        phi = treeiso.align_adjuncts(lat1, lat2, g1, g2, f)
+        psi = treeiso.lift_to_lattice_iso(lat1, lat2, g1, g2, phi)
         payload["witness"] = psi.to_json_obj()
         payload["witness_verified"] = True
     text = "isomorphic\n" if isomorphic else "not isomorphic\n"
@@ -258,7 +263,7 @@ def _suite_ssc(max_nodes: int, _seed: int, root_min: int, _dump_dir: str | None)
     first = None
     for lat in oracle.enumerate_lower_dismantlable(max_nodes, max(root_min, 2)):
         checked += 1
-        report = blocks.ssc_equivalence_report(lat)
+        report = blocks.ssc_equivalence_report(lat, blocks.basic_block(lat), zdg.zero_divisor_graph(lat))
         if len(set(report.values())) != 1:
             violations += 1
             first = first or {"lattice": dsl.serialize(adjunct_representation(lat)), "report": report}
@@ -435,7 +440,7 @@ def main(argv: list[str] | None = None) -> int:
     except (InternalInconsistency,) as exc:
         _fail(args, exc)
         return EXIT_INTERNAL
-    except (DislatError, OSError, json.JSONDecodeError) as exc:
+    except (DislatError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         _fail(args, exc)
         return EXIT_INPUT
 
@@ -443,8 +448,7 @@ def main(argv: list[str] | None = None) -> int:
 def _fail(args, exc: Exception, **extra) -> None:
     payload = {"error": {"type": type(exc).__name__, "message": str(exc), **extra}}
     if args.json:
-        json.dump(payload, sys.stdout, indent=2, ensure_ascii=False, sort_keys=True)
-        sys.stdout.write("\n")
+        _write_json(payload)
     else:
         sys.stderr.write(f"error: {exc}\n")
 

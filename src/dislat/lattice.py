@@ -2,9 +2,13 @@
 operation, and recognition/decomposition of lower dismantlable lattices.
 
 Elements are dense integer indices internally; the public API speaks element
-labels throughout.  The order relation is materialized as per-element bitmasks
-at construction time, so comparability, meet and join are cheap lookups at
-desk scale.
+labels throughout.  The order relation is materialized at construction time as
+per-element bitmasks: ``_down[i]`` holds the elements below i and ``_up[i]``
+those above it, both including i.  Comparability is one bit test.  The
+principal down-sets and up-sets are indexed by mask, and the meet of x and y
+is the element whose down-set is ``_down[x] & _down[y]`` (it exists exactly
+when that intersection is principal), so meet and join are one AND and one
+dict lookup.
 """
 
 from __future__ import annotations
@@ -38,7 +42,9 @@ class Lattice:
     the constructor trusts its arguments.
     """
 
-    __slots__ = ("labels", "covers", "bottom", "top", "_index", "_up", "_down", "_uppers", "_lowers")
+    __slots__ = (
+        "labels", "covers", "bottom", "top", "_index", "_up", "_down", "_up_index", "_down_index", "_uppers", "_lowers"
+    )
 
     def __init__(
         self,
@@ -56,6 +62,8 @@ class Lattice:
         self._index = {lab: i for i, lab in enumerate(labels)}
         self._up = up
         self._down = down
+        self._up_index = {mask: i for i, mask in enumerate(up)}
+        self._down_index = {mask: i for i, mask in enumerate(down)}
         uppers: list[list[int]] = [[] for _ in labels]
         lowers: list[list[int]] = [[] for _ in labels]
         for u, v in covers:
@@ -117,18 +125,17 @@ class Lattice:
     # -- meet / join ----------------------------------------------------------
 
     def _meet_idx(self, xi: int, yi: int) -> int:
-        common = self._down[xi] & self._down[yi]
-        for i in _bits(common):
-            if common & ~self._down[i] == 0:
-                return i
-        raise NotALattice(f"no meet for ({self.labels[xi]}, {self.labels[yi]})")
+        """The element whose down-set is the common down-set, if any."""
+        meet = self._down_index.get(self._down[xi] & self._down[yi])
+        if meet is None:
+            raise NotALattice(f"no meet for ({self.labels[xi]}, {self.labels[yi]})")
+        return meet
 
     def _join_idx(self, xi: int, yi: int) -> int:
-        common = self._up[xi] & self._up[yi]
-        for i in _bits(common):
-            if common & ~self._up[i] == 0:
-                return i
-        raise NotALattice(f"no join for ({self.labels[xi]}, {self.labels[yi]})")
+        join = self._up_index.get(self._up[xi] & self._up[yi])
+        if join is None:
+            raise NotALattice(f"no join for ({self.labels[xi]}, {self.labels[yi]})")
+        return join
 
     def meet(self, x: str, y: str) -> str:
         return self.labels[self._meet_idx(self.index(x), self.index(y))]
@@ -225,9 +232,11 @@ def build_from_covers(labels: Sequence[str], cover_pairs: Iterable[tuple[str, st
 
     n = len(labels)
     uppers: list[list[int]] = [[] for _ in range(n)]
+    lowers: list[list[int]] = [[] for _ in range(n)]
     indeg = [0] * n
     for u, v in covers:
         uppers[u].append(v)
+        lowers[v].append(u)
         indeg[v] += 1
 
     # Kahn topological order over the upward cover digraph.
@@ -251,17 +260,24 @@ def build_from_covers(labels: Sequence[str], cover_pairs: Iterable[tuple[str, st
             mask |= up[j]
         up[i] = mask
 
-    for u, v in covers:
+    # beyond[u]: what lies strictly above some upper cover of u.  A cover
+    # (u, v) is transitive exactly when v lies there.
+    beyond = [0] * n
+    for u in range(n):
         for w in uppers[u]:
-            if w != v and up[w] >> v & 1:
-                raise NotReduced(
-                    f"({labels[u]!r}, {labels[v]!r}) is transitive, not a cover"
-                )
+            beyond[u] |= up[w] ^ 1 << w
+    for u, v in covers:
+        if beyond[u] >> v & 1:
+            raise NotReduced(
+                f"({labels[u]!r}, {labels[v]!r}) is transitive, not a cover"
+            )
 
     down = [0] * n
-    for i in range(n):
-        for j in _bits(up[i]):
-            down[j] |= 1 << i
+    for i in order:
+        mask = 1 << i
+        for j in lowers[i]:
+            mask |= down[j]
+        down[i] = mask
 
     full = (1 << n) - 1
     minimal = [i for i in range(n) if down[i] == 1 << i]
@@ -272,10 +288,13 @@ def build_from_covers(labels: Sequence[str], cover_pairs: Iterable[tuple[str, st
         raise NotALattice(f"{len(maximal)} maximal elements; need a unique top")
 
     lat = Lattice(labels, frozenset(covers), tuple(up), tuple(down), minimal[0], maximal[0])
+    meets, joins = lat._down_index, lat._up_index
     for xi in range(n):
+        down_x, up_x = down[xi], up[xi]
         for yi in range(xi + 1, n):
-            lat._meet_idx(xi, yi)
-            lat._join_idx(xi, yi)
+            if down_x & down[yi] not in meets or up_x & up[yi] not in joins:
+                lat._meet_idx(xi, yi)  # raises NotALattice for the missing one
+                lat._join_idx(xi, yi)
     return lat
 
 
@@ -357,11 +376,7 @@ def is_lower_dismantlable(lat: Lattice) -> bool:
     i.e. every element other than bottom and top has exactly one upper cover."""
     if lat.n < 2:
         raise HypothesisViolated("lower dismantlability needs at least 2 elements")
-    return all(
-        len(lat.upper_covers(x)) == 1
-        for x in lat.labels
-        if x != lat.top_label and x != lat.bottom_label
-    )
+    return all(len(ups) == 1 for i, ups in enumerate(lat._uppers) if i != lat.top and i != lat.bottom)
 
 
 def _induced_covers(lat: Lattice, keep: Iterable[str]) -> list[tuple[str, str]]:

@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .errors import (
+    CycleDetected,
     HypothesisViolated,
     InternalInconsistency,
     LabelClash,
@@ -17,7 +18,7 @@ from .errors import (
     NotLowerDismantlable,
 )
 from .lattice import Lattice, build_from_covers, classify, is_lower_dismantlable
-from .zdg import LabeledGraph, neighborhood_partition, zero_divisor_graph
+from .zdg import LabeledGraph, neighborhood_partition
 
 FRESH_ROOT = "⊤"
 
@@ -26,11 +27,50 @@ CanonicalCode = str
 
 @dataclass(frozen=True)
 class RootedTree:
-    """Parent-array rooted tree; the root is its own parent."""
+    """Parent-array rooted tree; the root is its own parent.
+
+    Construction walks the tree once from the root, which rejects parent
+    links with a cycle, and indexes it: labels to indices, child lists in
+    label order, and the preorder.  Node i sits at preorder position
+    ``_tin[i]`` and its subtree fills the positions up to ``_tout[i]``, so u
+    is a proper ancestor of v exactly when ``_tin[u] < _tin[v] < _tout[u]``.
+    """
 
     labels: tuple[str, ...]
     parent: tuple[int, ...]
     root: int
+    _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    _children: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    _preorder: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _tin: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _tout: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        n = len(self.labels)
+        children: list[list[int]] = [[] for _ in range(n)]
+        for i, p in enumerate(self.parent):
+            if i != self.root:
+                children[p].append(i)
+        preorder = []
+        stack = [self.root]
+        while stack:  # each node is on the child list of its parent only
+            v = stack.pop()
+            preorder.append(v)
+            stack.extend(reversed(children[v]))
+        if len(preorder) != n:  # a node the root does not reach has a cycle above it
+            raise CycleDetected("parent links contain a cycle")
+        tin = [0] * n
+        for pos, v in enumerate(preorder):
+            tin[v] = pos
+        tout = [0] * n
+        for v in reversed(preorder):
+            tout[v] = tout[children[v][-1]] if children[v] else tin[v] + 1
+        init = object.__setattr__
+        init(self, "_index", {lab: i for i, lab in enumerate(self.labels)})
+        init(self, "_children", tuple(map(tuple, children)))
+        init(self, "_preorder", tuple(preorder))
+        init(self, "_tin", tuple(tin))
+        init(self, "_tout", tuple(tout))
 
     @classmethod
     def from_parents(cls, parents: Mapping[str, str | None]) -> "RootedTree":
@@ -38,8 +78,7 @@ class RootedTree:
         index = {lab: i for i, lab in enumerate(labels)}
         roots = [lab for lab, p in parents.items() if p is None]
         if len(roots) != 1:
-            raise ValueError(f"need exactly one root, found {len(roots)}")
-        root = index[roots[0]]
+            raise HypothesisViolated(f"need exactly one root, found {len(roots)}")
         parent = []
         for lab in labels:
             p = parents[lab]
@@ -49,10 +88,7 @@ class RootedTree:
                 if p not in index:
                     raise NoSuchElement(f"parent {p!r} of {lab!r} is not a node")
                 parent.append(index[p])
-        tree = cls(labels=labels, parent=tuple(parent), root=root)
-        for lab in labels:  # reject cycles / disconnection
-            tree.depth(lab)
-        return tree
+        return cls(labels=labels, parent=tuple(parent), root=index[roots[0]])
 
     @property
     def n(self) -> int:
@@ -64,8 +100,8 @@ class RootedTree:
 
     def index(self, x: str) -> int:
         try:
-            return self.labels.index(x)
-        except ValueError:
+            return self._index[x]
+        except KeyError:
             raise NoSuchElement(f"no node {x!r}") from None
 
     def parent_map(self) -> dict[str, str | None]:
@@ -75,37 +111,15 @@ class RootedTree:
         }
 
     def children(self, x: str) -> tuple[str, ...]:
-        i = self.index(x)
-        return tuple(
-            lab
-            for j, lab in enumerate(self.labels)
-            if self.parent[j] == i and j != self.root
-        )
-
-    def depth(self, x: str) -> int:
-        i = self.index(x)
-        d = 0
-        seen = {i}
-        while i != self.root:
-            i = self.parent[i]
-            if i in seen:
-                raise ValueError("parent links contain a cycle")
-            seen.add(i)
-            d += 1
-        return d
+        return tuple(self.labels[j] for j in self._children[self.index(x)])
 
     def leaves(self) -> tuple[str, ...]:
-        return tuple(lab for lab in self.labels if not self.children(lab))
+        return tuple(lab for lab, kids in zip(self.labels, self._children) if not kids)
 
     def is_ancestor(self, u: str, v: str) -> bool:
         """True when u lies on the root path of v (proper ancestor)."""
-        ui = self.index(u)
-        i = self.index(v)
-        while i != self.root:
-            i = self.parent[i]
-            if i == ui:
-                return True
-        return False
+        ui, vi = self.index(u), self.index(v)
+        return self._tin[ui] < self._tin[vi] < self._tout[ui]
 
     def relabeled(self, mapping: Mapping[str, str]) -> "RootedTree":
         return RootedTree.from_parents(
@@ -126,27 +140,27 @@ class IsoWitness:
 
 
 def check_graph_iso(g1: LabeledGraph, g2: LabeledGraph, mapping: Mapping[str, str]) -> bool:
+    """Whether `mapping` is a bijection from the vertices of g1 onto those of
+    g2 that carries the edge set of g1 onto that of g2, which is to say that
+    it preserves adjacency both ways."""
     if set(mapping) != set(g1.vertices) or set(mapping.values()) != set(g2.vertices):
         return False
     if len(set(mapping.values())) != len(mapping):
         return False
-    for u in g1.vertices:
-        for v in g1.vertices:
-            if u < v and g1.adjacent(u, v) != g2.adjacent(mapping[u], mapping[v]):
-                return False
-    return True
+    image = {(a, b) if a < b else (b, a) for a, b in ((mapping[u], mapping[v]) for u, v in g1.edges)}
+    return image == set(g2.edges)
 
 
 def check_lattice_iso(l1: Lattice, l2: Lattice, mapping: Mapping[str, str]) -> bool:
+    """Whether `mapping` is a bijection from l1 onto l2 that carries the
+    cover relation of l1 onto that of l2.  The order is the reflexive and
+    transitive closure of the covers, so this is exactly an order
+    isomorphism."""
     if set(mapping) != set(l1.labels) or set(mapping.values()) != set(l2.labels):
         return False
     if len(set(mapping.values())) != len(mapping):
         return False
-    for x in l1.labels:
-        for y in l1.labels:
-            if l1.leq(x, y) != l2.leq(mapping[x], mapping[y]):
-                return False
-    return True
+    return {(mapping[a], mapping[b]) for a, b in l1.cover_pairs()} == l2.cover_pairs()
 
 
 # -- lattice <-> tree ------------------------------------------------------------
@@ -181,15 +195,11 @@ def lattice_of_tree(tree: RootedTree) -> Lattice:
 
 def non_ancestor_graph(tree: RootedTree) -> LabeledGraph:
     """Vertices: every node but the root; edges: pairs where neither is an
-    ancestor of the other."""
-    verts = [v for v in tree.labels if v != tree.root_label]
-    edges = [
-        (u, v)
-        for i, u in enumerate(verts)
-        for v in verts[i + 1 :]
-        if not tree.is_ancestor(u, v) and not tree.is_ancestor(v, u)
-    ]
-    return LabeledGraph(verts, edges)
+    ancestor of the other.  Each such pair is listed once, from the node
+    earlier in preorder to each node after its subtree."""
+    pre, labels = tree._preorder, tree.labels
+    edges = [(labels[u], labels[w]) for u in pre for w in pre[tree._tout[u] :]]
+    return LabeledGraph((v for v in labels if v != tree.root_label), edges)
 
 
 # -- canonical codes ---------------------------------------------------------------
@@ -200,15 +210,9 @@ def _canonical(tree: RootedTree) -> tuple[CanonicalCode, tuple[str, ...]]:
     children in code order.  For two trees with equal codes, zipping their
     preorders gives a rooted tree isomorphism: both walks trace the same
     code, one parenthesis per node."""
-    children: list[list[int]] = [[] for _ in tree.labels]
-    for i, p in enumerate(tree.parent):
-        if i != tree.root:
-            children[p].append(i)
-    order = [tree.root]
-    for v in order:  # breadth-first, so every node comes after its parent
-        order.extend(children[v])
+    children = [list(kids) for kids in tree._children]
     code: list[str] = [""] * tree.n
-    for v in reversed(order):
+    for v in reversed(tree._preorder):
         children[v].sort(key=code.__getitem__)
         code[v] = "(" + "".join(code[c] for c in children[v]) + ")"
     preorder = []
@@ -230,25 +234,20 @@ def tree_from_code(code: CanonicalCode) -> RootedTree:
     """Materialize a code as a concrete tree with labels n0, n1, ...
     assigned in preorder."""
     parents: dict[str, str | None] = {}
-    counter = 0
-
-    def walk(pos: int, parent: str | None) -> int:
-        nonlocal counter
-        if code[pos] != "(":
-            raise ValueError(f"malformed code at {pos}")
-        me = f"n{counter}"
-        counter += 1
-        parents[me] = parent
-        pos += 1
-        while code[pos] == "(":
-            pos = walk(pos, me)
-        if code[pos] != ")":
-            raise ValueError(f"malformed code at {pos}")
-        return pos + 1
-
-    end = walk(0, None)
-    if end != len(code):
-        raise ValueError("trailing characters after code")
+    open_nodes: list[str] = []
+    for pos, ch in enumerate(code):
+        if parents and not open_nodes:
+            raise HypothesisViolated(f"trailing characters after code at {pos}")
+        if ch == "(":
+            me = f"n{len(parents)}"
+            parents[me] = open_nodes[-1] if open_nodes else None
+            open_nodes.append(me)
+        elif ch == ")" and open_nodes:
+            open_nodes.pop()
+        else:
+            raise HypothesisViolated(f"malformed code at {pos}")
+    if open_nodes or not parents:
+        raise HypothesisViolated(f"malformed code at {len(code)}")
     return RootedTree.from_parents(parents)
 
 
@@ -259,37 +258,37 @@ def recognize(graph: LabeledGraph) -> RootedTree | None:
     """Reconstruct a rooted tree whose non-ancestor graph equals `graph`
     label-for-label, or None when no such tree exists.
 
-    Among non-adjacent pairs the ancestor is the one with the smaller
-    neighborhood; equal-neighborhood vertices form path segments ordered by
-    label.  A fresh root is added above the maximal vertices and the result is
-    verified by a full round trip.
+    Among non-adjacent vertices of a non-ancestor graph the ancestor has the
+    smaller neighborhood; equal-neighborhood vertices form path segments,
+    ordered here by label.  So with the vertices ranked by (degree, label),
+    the parent of v is its highest-ranked non-neighbor below it, or a fresh
+    root above the maximal vertices when there is none.
+
+    The result is verified in full.  The non-edges of a non-ancestor graph are
+    exactly its ancestor pairs, so the input is the tree's non-ancestor graph
+    when no edge joins an ancestor pair and the edge count is C(m, 2) minus
+    the ancestor pairs among the m vertices.
     """
     root = FRESH_ROOT
     while root in set(graph.vertices):
         root += "'"
 
-    nbrs = {v: graph.neighbors(v) for v in graph.vertices}
-
-    def is_proper_ancestor(u: str, v: str) -> bool:
-        if u == v or u in nbrs[v]:
-            return False
-        if nbrs[u] == nbrs[v]:
-            return u < v
-        return nbrs[u] < nbrs[v]
-
+    ranked = sorted(graph.vertices, key=lambda v: (graph.degree(v), v))
+    bit = {v: 1 << r for r, v in enumerate(ranked)}
     parents: dict[str, str | None] = {root: None}
-    for v in graph.vertices:
-        ancestors = [u for u in graph.vertices if is_proper_ancestor(u, v)]
-        if not ancestors:
-            parents[v] = root
-        else:
-            # the immediate parent is the deepest ancestor
-            parents[v] = max(ancestors, key=lambda u: (len(nbrs[u]), u))
-    try:
-        tree = RootedTree.from_parents(parents)
-    except (ValueError, NoSuchElement):
-        return None
-    if non_ancestor_graph(tree) != graph:
+    for r, v in enumerate(ranked):
+        below = ((1 << r) - 1) & ~sum(map(bit.__getitem__, graph.neighbors(v)))
+        parents[v] = ranked[below.bit_length() - 1] if below else root
+    tree = RootedTree.from_parents(parents)
+
+    index, tin, tout = tree._index, tree._tin, tree._tout
+    for u, v in graph.edges:
+        a, b = index[u], index[v]
+        if tin[a] < tin[b] < tout[a] or tin[b] < tin[a] < tout[b]:
+            return None
+    m = graph.n
+    ancestor_pairs = sum(tout[i] - tin[i] - 1 for i in range(tree.n) if i != tree.root)
+    if len(graph.edges) != m * (m - 1) // 2 - ancestor_pairs:
         return None
     return tree
 
@@ -325,9 +324,12 @@ def _require_top_adjunct(lat: Lattice, side: str) -> None:
         raise HypothesisViolated(f"{side} lattice's top is not an adjunct element")
 
 
-def align_adjuncts(l1: Lattice, l2: Lattice, f: IsoWitness) -> IsoWitness:
-    """Turn a zero-divisor-graph isomorphism into one that maps adjunct
-    elements to adjunct elements, by swapping images of class-mates.
+def align_adjuncts(
+    l1: Lattice, l2: Lattice, g1: LabeledGraph, g2: LabeledGraph, f: IsoWitness
+) -> IsoWitness:
+    """Turn an isomorphism f from the zero-divisor graph g1 of l1 to the
+    zero-divisor graph g2 of l2 into one that maps adjunct elements to
+    adjunct elements, by swapping images of class-mates.
 
     The count of misaligned adjunct elements drops by one per swap; class
     structure is untouched (the result maps every class exactly as f does).
@@ -336,7 +338,6 @@ def align_adjuncts(l1: Lattice, l2: Lattice, f: IsoWitness) -> IsoWitness:
         raise HypothesisViolated("align_adjuncts needs a graph isomorphism witness")
     _require_top_adjunct(l1, "first")
     _require_top_adjunct(l2, "second")
-    g1, g2 = zero_divisor_graph(l1), zero_divisor_graph(l2)
     phi = dict(f.mapping)
     if not check_graph_iso(g1, g2, phi):
         raise InternalInconsistency("f is not an isomorphism of the zero-divisor graphs")
@@ -361,9 +362,12 @@ def align_adjuncts(l1: Lattice, l2: Lattice, f: IsoWitness) -> IsoWitness:
     return IsoWitness(kind="graph-iso", mapping=phi)
 
 
-def lift_to_lattice_iso(l1: Lattice, l2: Lattice, phi: IsoWitness) -> IsoWitness:
-    """Lift an adjunct-preserving zero-divisor-graph isomorphism to a lattice
-    isomorphism that agrees with it on the adjunct elements below the top.
+def lift_to_lattice_iso(
+    l1: Lattice, l2: Lattice, g1: LabeledGraph, g2: LabeledGraph, phi: IsoWitness
+) -> IsoWitness:
+    """Lift an adjunct-preserving isomorphism phi from the zero-divisor graph
+    g1 of l1 to the zero-divisor graph g2 of l2 to a lattice isomorphism that
+    agrees with it on the adjunct elements below the top.
 
     Every neighborhood class of the first graph is a chain.  It is matched
     to its phi-image bottom to bottom, and the extremes to the extremes, in
@@ -377,7 +381,6 @@ def lift_to_lattice_iso(l1: Lattice, l2: Lattice, phi: IsoWitness) -> IsoWitness
         raise HypothesisViolated("lift needs a graph isomorphism witness")
     _require_top_adjunct(l1, "first")
     _require_top_adjunct(l2, "second")
-    g1, g2 = zero_divisor_graph(l1), zero_divisor_graph(l2)
     mapping = dict(phi.mapping)
     if not check_graph_iso(g1, g2, mapping):
         raise InternalInconsistency("phi is not an isomorphism of the zero-divisor graphs")

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import random
 from pathlib import Path
 
 import pytest
 
-from dislat import dsl
+from dislat import adjunct, chain_lattice, dsl
+from dislat.oracle import enumerate_lower_dismantlable
 
 DATA = Path(__file__).parent / "data"
 
@@ -49,3 +51,31 @@ def negssc():
 @pytest.fixture(scope="session")
 def chain4():
     return load("chain4.adl")
+
+
+def random_dismantlable(rng):
+    """A general dismantlable lattice: a chain with chains adjoined at random
+    pairs a < b that are not covers."""
+    lat = chain_lattice([f"b{i}" for i in range(rng.randrange(3, 6))])
+    for k in range(rng.randrange(4)):
+        pairs = sorted(
+            (a, b) for a in lat.labels for b in lat.labels if lat.lt(a, b) and not lat.covered_by(a, b)
+        )
+        a, b = rng.choice(pairs)
+        lat = adjunct(lat, chain_lattice([f"c{k}_{j}" for j in range(rng.randrange(1, 3))]), a, b)
+    return lat
+
+
+@pytest.fixture(scope="session")
+def sample_lattices():
+    """Every lower dismantlable lattice of at most 10 elements and 300 random
+    general dismantlable ones."""
+    rng = random.Random(5)
+    return [*enumerate_lower_dismantlable(10), *(random_dismantlable(rng) for _ in range(300))]
+
+
+def leq_meet(lat, x, y):
+    """The meet of x and y found from `leq` alone: the common lower bound
+    above every other one."""
+    lower = [z for z in lat.labels if lat.leq(z, x) and lat.leq(z, y)]
+    return next(z for z in lower if all(lat.leq(w, z) for w in lower))

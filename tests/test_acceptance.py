@@ -172,7 +172,7 @@ def test_criterion_08_ssc_three_way():
     disagreements = checked = 0
     for lat in enumerate_lower_dismantlable(10, root_min_children=2):
         checked += 1
-        report = ssc_equivalence_report(lat)
+        report = ssc_equivalence_report(lat, basic_block(lat), zero_divisor_graph(lat))
         if len(set(report.values())) != 1:
             disagreements += 1
     ok = disagreements == 0
@@ -189,11 +189,11 @@ def test_criterion_09_align_and_lift():
         x_set = set(classify(lat).adjunct_elements) - {lat.top_label}
         for mapping in brute_graph_iso_all(graph, graph):
             iso_count += 1
-            phi = align_adjuncts(lat, lat, IsoWitness("graph-iso", mapping))
+            phi = align_adjuncts(lat, lat, graph, graph, IsoWitness("graph-iso", mapping))
             if {phi.mapping[x] for x in adjunct_vertices} != adjunct_vertices:
                 failures += 1
                 continue
-            psi = lift_to_lattice_iso(lat, lat, phi)
+            psi = lift_to_lattice_iso(lat, lat, graph, graph, phi)
             if not check_lattice_iso(lat, lat, psi.mapping):
                 failures += 1
             elif any(psi.mapping[x] != phi.mapping[x] for x in x_set):

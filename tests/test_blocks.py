@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import itertools
-import random
 
 import pytest
 
@@ -9,10 +8,8 @@ from dislat import (
     ClassHasAdjunct,
     HypothesisViolated,
     NoSuchElement,
-    adjunct,
     basic_block,
     build_from_covers,
-    chain_lattice,
     class_has_adjunct,
     classify,
     explore_deletion_orders,
@@ -31,6 +28,7 @@ from dislat import (
 from dislat.blocks import annotate_classes
 from dislat.oracle import enumerate_lower_dismantlable
 from dislat.treeiso import RootedTree
+from tests.conftest import leq_meet
 
 
 # -- references: one rebuilt lattice per deletion ---------------------------------
@@ -86,19 +84,6 @@ def reference_deletion_orders(lat):
         return memo[state]
 
     return reach(lat)
-
-
-def random_dismantlable(rng):
-    """A general dismantlable lattice: a chain with chains adjoined at random
-    pairs a < b that are not covers."""
-    lat = chain_lattice([f"b{i}" for i in range(rng.randrange(3, 6))])
-    for k in range(rng.randrange(4)):
-        pairs = sorted(
-            (a, b) for a in lat.labels for b in lat.labels if lat.lt(a, b) and not lat.covered_by(a, b)
-        )
-        a, b = rng.choice(pairs)
-        lat = adjunct(lat, chain_lattice([f"c{k}_{j}" for j in range(rng.randrange(1, 3))]), a, b)
-    return lat
 
 
 class TestStructurallyDeletable:
@@ -167,14 +152,14 @@ class TestSsc:
         assert is_ssc(m2)
 
     def test_report_m3(self, m3):
-        assert ssc_equivalence_report(m3) == {
+        assert ssc_equivalence_report(m3, basic_block(m3), zero_divisor_graph(m3)) == {
             "basic_block_is_self": True,
             "ssc": True,
             "all_classes_singleton": True,
         }
 
     def test_report_negssc(self, negssc):
-        assert ssc_equivalence_report(negssc) == {
+        assert ssc_equivalence_report(negssc, basic_block(negssc), zero_divisor_graph(negssc)) == {
             "basic_block_is_self": False,
             "ssc": False,
             "all_classes_singleton": False,
@@ -182,11 +167,26 @@ class TestSsc:
 
     def test_hypothesis_violated(self, ex2):
         with pytest.raises(HypothesisViolated):
-            ssc_equivalence_report(ex2)
+            ssc_equivalence_report(ex2, basic_block(ex2), zero_divisor_graph(ex2))
+
+    def test_matches_triple_loop(self, sample_lattices):
+        def reference_is_ssc(lat):
+            """For every a not below b, a nonzero c <= a with b meet c = bottom."""
+            bottom = lat.bottom_label
+            return all(
+                lat.leq(a, b)
+                or any(c != bottom and lat.leq(c, a) and leq_meet(lat, b, c) == bottom for c in lat.labels)
+                for a in lat.labels
+                for b in lat.labels
+            )
+
+        verdicts = [is_ssc(lat) for lat in sample_lattices]
+        assert verdicts == [reference_is_ssc(lat) for lat in sample_lattices]
+        assert 0 < sum(verdicts) < len(verdicts)
 
     def test_three_way_equivalence(self):
         for lat in enumerate_lower_dismantlable(9, root_min_children=2):
-            report = ssc_equivalence_report(lat)
+            report = ssc_equivalence_report(lat, basic_block(lat), zero_divisor_graph(lat))
             assert len(set(report.values())) == 1, report
 
 
@@ -369,14 +369,6 @@ class TestConfluence:
 
     def test_m3_confluent(self, m3):
         assert len(explore_deletion_orders(m3)) == 1
-
-
-@pytest.fixture(scope="module")
-def sample_lattices():
-    """Every lower dismantlable lattice of at most 10 elements and 300 random
-    general dismantlable ones."""
-    rng = random.Random(5)
-    return [*enumerate_lower_dismantlable(10), *(random_dismantlable(rng) for _ in range(300))]
 
 
 class TestAgainstRebuild:

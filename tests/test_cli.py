@@ -305,6 +305,86 @@ class TestVerify:
         assert payload["error"]["type"] == "BadOption"
 
 
+class TestInputEncoding:
+    @pytest.mark.parametrize("command", ["build", "zdg", "analyze", "recognize"])
+    def test_not_utf8_exit_2(self, capsys, tmp_path, command):
+        bad = tmp_path / "utf16.txt"
+        bad.write_bytes(b"\xff\xfe" + "lattice x { chain 0 a; }".encode("utf-16-le"))
+        code, payload = run_json(capsys, command, bad)
+        assert code == 2
+        assert payload["error"]["type"] == "UnicodeDecodeError"
+
+    def test_not_utf8_second_iso_file(self, capsys, tmp_path):
+        bad = tmp_path / "bad.adl"
+        bad.write_bytes(b"lattice x { chain 0 \xe9; }")
+        code, payload = run_json(capsys, "iso", DATA / "m2.adl", bad)
+        assert code == 2
+        assert payload["error"]["type"] == "UnicodeDecodeError"
+
+    def test_not_utf8_text_mode(self, capsys, tmp_path):
+        bad = tmp_path / "bad.adl"
+        bad.write_bytes(b"\xff\xfe")
+        code = main(["build", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and captured.err.startswith("error: ")
+
+
+@pytest.fixture(scope="module")
+def random_513(tmp_path_factory):
+    """A 513-element lattice of a random recursive tree as .adl, a relabeled
+    copy, and its zero-divisor graph as graph JSON."""
+    import random
+
+    from dislat import RootedTree, adjunct_representation, lattice_of_tree, serialize, zero_divisor_graph
+
+    rng = random.Random(513)
+    tree = RootedTree.from_parents({f"r{i}": None if i == 0 else f"r{rng.randrange(i)}" for i in range(512)})
+    folder = tmp_path_factory.mktemp("random513")
+    files = {}
+    for name, t in (("a", tree), ("b", tree.relabeled({x: f"w{x}" for x in tree.labels}))):
+        files[name] = folder / f"{name}.adl"
+        files[name].write_text(serialize(adjunct_representation(lattice_of_tree(t), name=name)))
+    graph = zero_divisor_graph(lattice_of_tree(tree))
+    files["graph"] = folder / "graph.json"
+    files["graph"].write_text(json.dumps(graph.to_json_obj()))
+    return files, graph
+
+
+class TestLargeInputs:
+    """Smoke runs on 513 elements; no timing is asserted.  The documents are
+    parsed but not validated against the schema, which takes seconds on a
+    graph of 128k edges; the tests above validate every document shape."""
+
+    @staticmethod
+    def run_json(capsys, *argv) -> tuple[int, dict]:
+        code, out = run(capsys, "--json", *argv)
+        return code, json.loads(out)
+
+    def test_zdg(self, capsys, random_513):
+        from dislat import LabeledGraph
+
+        files, graph = random_513
+        code, payload = self.run_json(capsys, "zdg", files["a"])
+        assert code == 0
+        assert LabeledGraph.from_json_obj(payload) == graph and graph.n == 511
+
+    def test_recognize(self, capsys, random_513):
+        from dislat import elaborate, parse, zero_divisor_graph
+
+        files, graph = random_513
+        code, payload = self.run_json(capsys, "recognize", files["graph"])
+        assert code == 0 and payload["in_class"] is True
+        assert zero_divisor_graph(elaborate(parse(payload["adl"]))) == graph
+
+    def test_iso_witness(self, capsys, random_513):
+        files, _ = random_513
+        code, payload = self.run_json(capsys, "iso", "--witness", files["a"], files["b"])
+        assert code == 0
+        assert payload["isomorphic"] is True and payload["witness_verified"] is True
+        assert len(payload["witness"]["map"]) == 513
+
+
 class TestGlobalFlags:
     def test_json_flag_after_subcommand(self, capsys):
         code = main(["build", str(DATA / "m2.adl"), "--json"])

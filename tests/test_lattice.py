@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -79,6 +80,66 @@ class TestBuildFromCovers:
         lat = build_from_covers(["x"], [])
         assert lat.n == 1 and lat.bottom_label == lat.top_label == "x"
 
+    def test_first_missing_bound_named(self):
+        """On 2,000 seeded bounded posets, build_from_covers either succeeds
+        or names the first pair in label order without a meet, or failing
+        that a join, as a scan of every pair on the closure of the covers
+        finds it."""
+        rng = random.Random(11)
+        failures = 0
+        for _ in range(2000):
+            labels, covers = random_bounded_poset(rng)
+            want = reference_first_missing_bound(labels, covers)
+            try:
+                build_from_covers(labels, covers)
+                got = None
+            except NotALattice as exc:
+                got = str(exc)
+            assert got == want
+            failures += got is not None
+        assert 0 < failures < 2000
+
+
+def random_bounded_poset(rng):
+    """The cover relation of a random order on a few elements, with a bottom
+    and a top added, labels and covers shuffled."""
+    n = rng.randrange(2, 8)
+    above = [{i} for i in range(n)]
+    edges = {tuple(sorted(rng.sample(range(n), 2))) for _ in range(rng.randrange(n, 3 * n))}
+    for i in reversed(range(n)):
+        for a, b in edges:
+            if a == i:
+                above[i] |= above[b]
+    reduced = [(a, b) for a, b in edges if not any(c != b and b in above[c] for x, c in edges if x == a)]
+    labels = [f"m{i}" for i in range(n)]
+    covers = [(labels[a], labels[b]) for a, b in reduced]
+    covers += [("bot", labels[i]) for i in range(n) if all(b != i for _, b in reduced)]
+    covers += [(labels[i], "top") for i in range(n) if all(a != i for a, _ in reduced)]
+    labels += ["bot", "top"]
+    rng.shuffle(labels)
+    rng.shuffle(covers)
+    return labels, covers
+
+
+def reference_first_missing_bound(labels, covers):
+    """The message for the first pair (x, y), in label order, whose common
+    lower bounds have no greatest element (checked first) or whose common
+    upper bounds have no least one; None for a lattice."""
+    below = {x: {x} for x in labels}
+    for _ in labels:  # the closure settles within len(labels) rounds
+        for a, b in covers:
+            below[b] |= below[a]
+    above = {x: {y for y in labels if x in below[y]} for x in labels}
+    for i, x in enumerate(labels):
+        for y in labels[i + 1 :]:
+            lower = below[x] & below[y]
+            if not any(lower <= below[z] for z in lower):
+                return f"no meet for ({x}, {y})"
+            upper = above[x] & above[y]
+            if not any(upper <= above[z] for z in upper):
+                return f"no join for ({x}, {y})"
+    return None
+
 
 class TestMeetJoin:
     def test_chain_meet_is_min(self):
@@ -91,6 +152,18 @@ class TestMeetJoin:
     def test_ex2_meet_join(self, ex2):
         assert ex2.meet("a4", "a3") == "0"
         assert ex2.join("a4", "a3") == "a5"
+
+    def test_match_bit_scan(self, sample_lattices):
+        """The indexed meet and join against a scan of the common down-set
+        (up-set) for the element it lies under (over)."""
+
+        def scan(masks, common):
+            return next(i for i, mask in enumerate(masks) if common >> i & 1 and common & ~mask == 0)
+
+        for lat in sample_lattices:
+            for x, y in itertools.product(range(lat.n), repeat=2):
+                assert lat._meet_idx(x, y) == scan(lat._down, lat._down[x] & lat._down[y])
+                assert lat._join_idx(x, y) == scan(lat._up, lat._up[x] & lat._up[y])
 
     def test_totality_on_cube(self):
         cube = boolean_cube()

@@ -5,10 +5,13 @@ import itertools
 import pytest
 
 from dislat import (
+    CycleDetected,
+    DislatError,
     HypothesisViolated,
     IsoWitness,
     LabeledGraph,
     NotInClass,
+    NoSuchElement,
     NotLowerDismantlable,
     RootedTree,
     align_adjuncts,
@@ -32,7 +35,8 @@ from dislat.oracle import (
     enumerate_lower_dismantlable,
     enumerate_rooted_trees,
 )
-from dislat.treeiso import _canonical, check_graph_iso, check_lattice_iso
+from dislat.treeiso import FRESH_ROOT, _canonical, check_graph_iso, check_lattice_iso, tree_from_code
+from tests.conftest import random_dismantlable
 
 
 def relabel_graph(g: LabeledGraph, mapping) -> LabeledGraph:
@@ -244,6 +248,220 @@ def tree_of_parents(parents: list[int], prefix: str) -> RootedTree:
     )
 
 
+def walk_ancestors(tree: RootedTree, v: str) -> set[str]:
+    """The proper ancestors of v, by following the parent links."""
+    parent, out = tree.parent_map(), set()
+    while parent[v] is not None:
+        v = parent[v]
+        out.add(v)
+    return out
+
+
+def reference_non_ancestor_graph(tree: RootedTree) -> LabeledGraph:
+    verts = [v for v in tree.labels if v != tree.root_label]
+    above = {v: walk_ancestors(tree, v) for v in verts}
+    pairs = itertools.combinations(verts, 2)
+    return LabeledGraph(verts, [(u, v) for u, v in pairs if u not in above[v] and v not in above[u]])
+
+
+def reference_recognize(graph: LabeledGraph) -> RootedTree | None:
+    """Parents from pairwise neighborhood comparisons (the ancestor has the
+    smaller neighborhood, ties by label; the parent is the deepest
+    ancestor), checked by rebuilding the whole non-ancestor graph."""
+    root = FRESH_ROOT
+    while root in graph.vertices:
+        root += "'"
+    nbrs = {v: graph.neighbors(v) for v in graph.vertices}
+
+    def is_proper_ancestor(u: str, v: str) -> bool:
+        if u == v or u in nbrs[v]:
+            return False
+        return u < v if nbrs[u] == nbrs[v] else nbrs[u] < nbrs[v]
+
+    parents: dict[str, str | None] = {root: None}
+    for v in graph.vertices:
+        ancestors = [u for u in graph.vertices if is_proper_ancestor(u, v)]
+        parents[v] = max(ancestors, key=lambda u: (len(nbrs[u]), u)) if ancestors else root
+    try:
+        tree = RootedTree.from_parents(parents)
+    except DislatError:
+        return None
+    return tree if reference_non_ancestor_graph(tree) == graph else None
+
+
+def mutations(rng, g: LabeledGraph):
+    """The graph itself, then with one edge added, one edge removed, an
+    isolated vertex added, and two labels swapped."""
+    yield g
+    verts, edges = list(g.vertices), set(g.edges)
+    missing = [p for p in itertools.combinations(verts, 2) if p not in edges]
+    if missing:
+        yield LabeledGraph(verts, edges | {rng.choice(missing)})
+    if edges:
+        yield LabeledGraph(verts, edges - {rng.choice(sorted(edges))})
+    yield LabeledGraph([*verts, "zz"], edges)
+    if len(verts) >= 2:
+        a, b = rng.sample(verts, 2)
+        swap = {a: b, b: a}
+        yield LabeledGraph(verts, [(swap.get(u, u), swap.get(v, v)) for u, v in edges])
+
+
+class TestTreeIndex:
+    """The dict index, child lists and preorder intervals against walks
+    along the parent links."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 60, 500])
+    @pytest.mark.parametrize("shape", ["random", "path"])
+    def test_is_ancestor_matches_parent_walk(self, n, shape):
+        import random
+
+        rng = random.Random(n)
+        parents = random_parents(rng, n) if shape == "random" else [0, *range(n - 1)]
+        tree = tree_of_parents(parents, "v")
+        for v in tree.labels:
+            assert {u for u in tree.labels if tree.is_ancestor(u, v)} == walk_ancestors(tree, v)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 60])
+    def test_children_leaves_and_graph_match_scans(self, n):
+        import random
+
+        tree = tree_of_parents(random_parents(random.Random(n), n), "v")
+        parent = tree.parent_map()
+        for v in tree.labels:
+            assert tree.children(v) == tuple(sorted(c for c, p in parent.items() if p == v))
+        assert tree.leaves() == tuple(sorted(v for v in tree.labels if v not in parent.values()))
+        assert non_ancestor_graph(tree) == reference_non_ancestor_graph(tree)
+
+    def test_unknown_node(self):
+        tree = RootedTree.from_parents({"r": None, "a": "r"})
+        with pytest.raises(NoSuchElement):
+            tree.is_ancestor("r", "zz")
+
+    def test_cycle_avoiding_root_rejected(self):
+        with pytest.raises(CycleDetected):
+            RootedTree.from_parents({"r": None, "a": "r", "b": "c", "c": "b"})
+        with pytest.raises(CycleDetected):
+            RootedTree.from_parents({"r": None, "a": "a"})
+
+    @pytest.mark.parametrize(
+        "parents", [{"r": None, "s": None, "a": "r"}, {"a": "b", "b": "a"}], ids=["two-roots", "no-root"]
+    )
+    def test_root_count_rejected(self, parents):
+        with pytest.raises(HypothesisViolated):
+            RootedTree.from_parents(parents)
+
+    def test_unknown_parent_rejected(self):
+        with pytest.raises(NoSuchElement):
+            RootedTree.from_parents({"r": None, "a": "q"})
+
+
+class TestTreeFromCode:
+    @pytest.mark.parametrize("code", ["", "(", ")", "(()", "()()", "()x", "(x)", "())"])
+    def test_malformed_rejected(self, code):
+        with pytest.raises(HypothesisViolated):
+            tree_from_code(code)
+
+    def test_round_trip(self):
+        for tree in enumerate_rooted_trees(7):
+            code = canonical_code(tree)
+            assert canonical_code(tree_from_code(code)) == code
+
+    def test_deep_path(self):
+        code = "(" * 3000 + ")" * 3000
+        tree = tree_from_code(code)
+        assert tree.n == 3000 and tree.leaves() == ("n2999",)
+
+
+class TestRecognizeAgainstRebuild:
+    def test_mutated_non_ancestor_graphs(self):
+        """Accept exactly when the rebuild-and-compare check accepts, with
+        the same tree, on non-ancestor graphs and one-step mutations."""
+        import random
+
+        rng = random.Random(17)
+        verdicts = []
+        for n in [*range(1, 9), *(rng.randrange(9, 30) for _ in range(40))]:
+            tree = tree_of_parents(random_parents(rng, n), "t")
+            for g in mutations(rng, non_ancestor_graph(tree)):
+                got, want = recognize(g), reference_recognize(g)
+                assert (got is None) == (want is None)
+                if got is not None:
+                    assert got.parent_map() == want.parent_map()
+                verdicts.append(got is not None)
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    def test_random_graphs(self):
+        import random
+
+        rng = random.Random(23)
+        for _ in range(500):
+            verts = [f"v{i}" for i in range(rng.randrange(1, 8))]
+            p = rng.random()
+            g = LabeledGraph(verts, [e for e in itertools.combinations(verts, 2) if rng.random() < p])
+            got, want = recognize(g), reference_recognize(g)
+            assert (got is None) == (want is None)
+            assert got is None or got.parent_map() == want.parent_map()
+
+
+class TestIsoChecks:
+    """The edge-set and cover-set checks against the pairwise definitions."""
+
+    @staticmethod
+    def pairwise_graph_iso(g1, g2, mapping) -> bool:
+        if set(mapping) != set(g1.vertices) or set(mapping.values()) != set(g2.vertices):
+            return False
+        return all(
+            g1.adjacent(u, v) == g2.adjacent(mapping[u], mapping[v])
+            for u, v in itertools.combinations(g1.vertices, 2)
+        )
+
+    @staticmethod
+    def pairwise_lattice_iso(l1, l2, mapping) -> bool:
+        if set(mapping) != set(l1.labels) or set(mapping.values()) != set(l2.labels):
+            return False
+        return all(l1.leq(x, y) == l2.leq(mapping[x], mapping[y]) for x in l1.labels for y in l1.labels)
+
+    @staticmethod
+    def candidate_maps(rng, labels, image):
+        """The map onto a relabeled copy, the same with two images swapped,
+        and the same with one element left out."""
+        mapping = dict(zip(labels, image))
+        yield mapping
+        if len(labels) >= 2:
+            a, b = rng.sample(labels, 2)
+            yield {**mapping, a: mapping[b], b: mapping[a]}
+        yield {k: v for k, v in mapping.items() if k != labels[0]}
+
+    def test_agree_with_definitions(self):
+        import random
+
+        rng = random.Random(29)
+        lats = [*enumerate_lower_dismantlable(7), *(random_dismantlable(rng) for _ in range(200))]
+        verdicts = []
+        for lat in lats:
+            perm = list(lat.labels)
+            rng.shuffle(perm)
+            image = {x: f"w{y}" for x, y in zip(lat.labels, perm)}
+            other = relabel(lat, image)
+            for mapping in self.candidate_maps(rng, list(lat.labels), [image[x] for x in lat.labels]):
+                want = self.pairwise_lattice_iso(lat, other, mapping)
+                assert check_lattice_iso(lat, other, mapping) == want
+                verdicts.append(want)
+            g1, g2 = zero_divisor_graph(lat), zero_divisor_graph(other)
+            targets = [g2]  # and the same vertices with one edge more or less
+            missing = [e for e in itertools.combinations(g2.vertices, 2) if e not in g2.edges]
+            if missing:
+                targets.append(LabeledGraph(g2.vertices, [*g2.edges, rng.choice(missing)]))
+            if g2.edges:
+                targets.append(LabeledGraph(g2.vertices, g2.edges[1:]))
+            for mapping in self.candidate_maps(rng, list(g1.vertices), [image[v] for v in g1.vertices]):
+                for target in targets:
+                    want = self.pairwise_graph_iso(g1, target, mapping)
+                    assert check_graph_iso(g1, target, mapping) == want
+                    verdicts.append(want)
+        assert 0 < sum(verdicts) < len(verdicts)
+
+
 class TestTreeMatcherAgainstNetworkx:
     """The zipped canonical preorders against networkx's rooted tree
     isomorphism, on relabeled copies and on near misses (one leaf moved)."""
@@ -299,14 +517,15 @@ class TestAlignAdjuncts:
     def test_already_aligned_is_identity(self, k22):
         g = zero_divisor_graph(k22)
         f = IsoWitness("graph-iso", {v: v for v in g.vertices})
-        assert align_adjuncts(k22, k22, f).mapping == f.mapping
+        assert align_adjuncts(k22, k22, g, g, f).mapping == f.mapping
 
     def test_single_swap_restores_alignment(self):
         from dislat.dsl import elaborate, parse
 
         lat = elaborate(parse("lattice t { chain 0 p a z one; adjoin (0, a): q; adjoin (0, one): r; }"))
         f = IsoWitness("graph-iso", {"a": "z", "z": "a", "p": "p", "q": "q", "r": "r"})
-        phi = align_adjuncts(lat, lat, f)
+        g = zero_divisor_graph(lat)
+        phi = align_adjuncts(lat, lat, g, g, f)
         adjunct_vertices = {"a"}
         assert {phi.mapping[x] for x in adjunct_vertices} == adjunct_vertices
         # class behavior is f's: classes map setwise identically
@@ -314,8 +533,9 @@ class TestAlignAdjuncts:
 
     def test_hypothesis_checked(self, ex2):
         f = IsoWitness("graph-iso", {})
+        g = zero_divisor_graph(ex2)
         with pytest.raises(HypothesisViolated):
-            align_adjuncts(ex2, ex2, f)  # join-irreducible top
+            align_adjuncts(ex2, ex2, g, g, f)  # join-irreducible top
 
     def test_invalid_witness_rejected(self, k22):
         from dislat import InternalInconsistency
@@ -323,14 +543,14 @@ class TestAlignAdjuncts:
         g = zero_divisor_graph(k22)
         not_an_iso = IsoWitness("graph-iso", {"v": "v", "w": "x", "x": "w", "y": "y"})
         with pytest.raises(InternalInconsistency):
-            align_adjuncts(k22, k22, not_an_iso)
+            align_adjuncts(k22, k22, g, g, not_an_iso)
 
     def test_postcondition_on_all_automorphisms(self):
         for lat in enumerate_lower_dismantlable(7, root_min_children=2):
             g = zero_divisor_graph(lat)
             adjunct_vertices = set(classify(lat).adjunct_elements) & set(g.vertices)
             for mapping in brute_graph_iso_all(g, g):
-                phi = align_adjuncts(lat, lat, IsoWitness("graph-iso", mapping))
+                phi = align_adjuncts(lat, lat, g, g, IsoWitness("graph-iso", mapping))
                 assert {phi.mapping[x] for x in adjunct_vertices} == adjunct_vertices
                 # class behavior preserved: phi([x]) == f([x]) setwise
                 for v in g.vertices:
@@ -343,7 +563,7 @@ class TestLiftToLatticeIso:
         g = zero_divisor_graph(m3)
         for perm in itertools.permutations(["a", "b", "c"]):
             f = IsoWitness("graph-iso", dict(zip(["a", "b", "c"], perm)))
-            psi = lift_to_lattice_iso(m3, m3, align_adjuncts(m3, m3, f))
+            psi = lift_to_lattice_iso(m3, m3, g, g, align_adjuncts(m3, m3, g, g, f))
             assert psi.kind == "lattice-iso"
             assert psi.mapping["0"] == "0" and psi.mapping["one"] == "one"
             assert all(psi.mapping[x] == f.mapping[x] for x in "abc")
@@ -351,8 +571,9 @@ class TestLiftToLatticeIso:
 
     def test_k22_relabeled(self, k22):
         other = relabel(k22, {"0": "0", "v": "m", "w": "n", "x": "s", "y": "t", "one": "one"})
-        f = brute_graph_iso(zero_divisor_graph(k22), zero_divisor_graph(other))
-        psi = lift_to_lattice_iso(k22, other, align_adjuncts(k22, other, f))
+        g1, g2 = zero_divisor_graph(k22), zero_divisor_graph(other)
+        f = brute_graph_iso(g1, g2)
+        psi = lift_to_lattice_iso(k22, other, g1, g2, align_adjuncts(k22, other, g1, g2, f))
         assert check_lattice_iso(k22, other, psi.mapping)
         # brute-force oracle confirms psi is one of the valid isomorphisms
         from dislat.oracle import brute_lattice_iso_all
@@ -364,16 +585,17 @@ class TestLiftToLatticeIso:
 
         lat = elaborate(parse("lattice t { chain 0 p a z one; adjoin (0, a): q; adjoin (0, one): r; }"))
         bad = IsoWitness("graph-iso", {"a": "z", "z": "a", "p": "p", "q": "q", "r": "r"})
+        g = zero_divisor_graph(lat)
         with pytest.raises(HypothesisViolated):
-            lift_to_lattice_iso(lat, lat, bad)
+            lift_to_lattice_iso(lat, lat, g, g, bad)
 
     def test_exhaustive_align_then_lift(self):
         for lat in enumerate_lower_dismantlable(8, root_min_children=2):
             g = zero_divisor_graph(lat)
             x_set = set(classify(lat).adjunct_elements) - {lat.top_label}
             for mapping in brute_graph_iso_all(g, g):
-                phi = align_adjuncts(lat, lat, IsoWitness("graph-iso", mapping))
-                psi = lift_to_lattice_iso(lat, lat, phi)
+                phi = align_adjuncts(lat, lat, g, g, IsoWitness("graph-iso", mapping))
+                psi = lift_to_lattice_iso(lat, lat, g, g, phi)
                 assert check_lattice_iso(lat, lat, psi.mapping)
                 assert all(psi.mapping[x] == phi.mapping[x] for x in x_set)
                 for v in g.vertices:
@@ -393,8 +615,8 @@ class TestLiftToLatticeIso:
             g1, g2 = zero_divisor_graph(lat), zero_divisor_graph(other)
             x_set = set(classify(lat).adjunct_elements) - {lat.top_label}
             for mapping in brute_graph_iso_all(g1, g2):
-                phi = align_adjuncts(lat, other, IsoWitness("graph-iso", mapping))
-                psi = lift_to_lattice_iso(lat, other, phi)
+                phi = align_adjuncts(lat, other, g1, g2, IsoWitness("graph-iso", mapping))
+                psi = lift_to_lattice_iso(lat, other, g1, g2, phi)
                 assert check_lattice_iso(lat, other, psi.mapping)
                 assert all(psi.mapping[x] == phi.mapping[x] for x in x_set)
 
@@ -411,7 +633,7 @@ class TestMainTheorem:
     def test_witness_json_shape(self, m3):
         g = zero_divisor_graph(m3)
         f = IsoWitness("graph-iso", {v: v for v in g.vertices})
-        psi = lift_to_lattice_iso(m3, m3, align_adjuncts(m3, m3, f))
+        psi = lift_to_lattice_iso(m3, m3, g, g, align_adjuncts(m3, m3, g, g, f))
         obj = psi.to_json_obj()
         assert obj["kind"] == "lattice-iso"
         assert obj["map"]["0"] == "0"

@@ -20,6 +20,7 @@ from dislat import (
 )
 from dislat.oracle import enumerate_lower_dismantlable
 from dislat.zdg import complement_clique_parts
+from tests.conftest import leq_meet
 
 
 def k(n: int) -> LabeledGraph:
@@ -86,6 +87,14 @@ class TestZeroDivisorGraph:
         g = zero_divisor_graph(chain_lattice(["0", "a", "b", "1"]))
         assert g.vertices == ()
         assert g.edges == ()
+
+    def test_matches_meets_from_order(self, sample_lattices):
+        """The down-set test against meets found from `leq` alone."""
+        for lat in sample_lattices:
+            bottom = lat.bottom_label
+            nonzero = [x for x in lat.labels if x != bottom]
+            edges = [(x, y) for x, y in itertools.combinations(nonzero, 2) if leq_meet(lat, x, y) == bottom]
+            assert zero_divisor_graph(lat) == LabeledGraph({v for e in edges for v in e}, edges)
 
     def test_incomparability_shortcut_agrees(self):
         """On lower dismantlable lattices the meet-based graph equals the
@@ -210,6 +219,18 @@ class TestExports:
     def test_json_round_trip(self, ex2):
         g = zero_divisor_graph(ex2)
         assert LabeledGraph.from_json_obj(g.to_json_obj()) == g
+
+    def test_edges_normalized(self):
+        """Each edge once, as (smaller, larger), sorted, whatever the input
+        order, orientation or repetition."""
+        rng = random.Random(8)
+        for _ in range(300):
+            g = random_graph(rng)
+            given = [e if rng.random() < 0.5 else e[::-1] for e in g.edges for _ in range(rng.randrange(1, 3))]
+            rng.shuffle(given)
+            h = LabeledGraph(reversed(g.vertices), given)
+            assert h.edges == tuple(sorted({(min(u, v), max(u, v)) for u, v in given}))
+            assert h == g and all(h.neighbors(v) == g.neighbors(v) for v in g.vertices)
 
     def test_loops_rejected(self):
         with pytest.raises(BadGraph):
