@@ -13,7 +13,6 @@ from .errors import (
     BadOption,
     BadPartition,
     BudgetExceeded,
-    ClassHasAdjunct,
     CycleDetected,
     DislatError,
     DslError,
@@ -36,10 +35,8 @@ from .lattice import (
     AdjunctExpr,
     ElementClassification,
     Lattice,
-    adjunct,
     adjunct_representation,
     build_from_covers,
-    chain_lattice,
     classify,
     induced_sublattice,
     is_lower_dismantlable,
@@ -55,17 +52,12 @@ from .zdg import (
 )
 from .blocks import (
     ClassPartition,
-    PeelStep,
     VertexClass,
     basic_block,
-    class_has_adjunct,
     explore_deletion_orders,
     is_ssc,
     is_structurally_deletable,
-    neighborhood_classes,
-    peel_decomposition,
     peel_order,
-    reassemble,
     ssc_equivalence_report,
 )
 from .treeiso import (

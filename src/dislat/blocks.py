@@ -1,16 +1,14 @@
 """Basic-block reduction, section semi-complementation, neighborhood
-equivalence classes, and the peel decomposition of lower dismantlable
-lattices."""
+equivalence classes, and branch peeling of lower dismantlable lattices."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Collection
 
-from .errors import ClassHasAdjunct, HypothesisViolated, InternalInconsistency, NotLowerDismantlable
-from .lattice import Lattice, _induced_covers, _peel, adjunct, chain_lattice, classify, induced_sublattice
-from .lattice import is_lower_dismantlable
-from .zdg import LabeledGraph, neighborhood_partition, zero_divisor_graph
+from .errors import HypothesisViolated
+from .lattice import Lattice, _induced_covers, _peel, classify, induced_sublattice, is_lower_dismantlable
+from .zdg import LabeledGraph, neighborhood_partition
 
 if TYPE_CHECKING:
     from .treeiso import RootedTree
@@ -18,11 +16,12 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class VertexClass:
-    """One neighborhood-equivalence class; flags are None until computed."""
+    """One neighborhood-equivalence class and the adjunct element it holds,
+    if any."""
 
     members: tuple[str, ...]
-    has_adjunct: bool | None = None
-    adjunct_member: str | None = None
+    has_adjunct: bool
+    adjunct_member: str | None
 
 
 @dataclass(frozen=True)
@@ -162,23 +161,6 @@ def ssc_equivalence_report(lat: Lattice, block: Lattice, graph: LabeledGraph) ->
 # -- neighborhood classes ----------------------------------------------------------
 
 
-def neighborhood_classes(graph: LabeledGraph) -> ClassPartition:
-    """Group vertices by exact open-neighborhood equality; flags unset."""
-    blocks = neighborhood_partition(graph)
-    return ClassPartition(classes=tuple(VertexClass(members=b) for b in blocks))
-
-
-def class_has_adjunct(graph: LabeledGraph, x: str) -> bool:
-    """Graph-side adjunct-content test: is there an adjacent pair y, z with x
-    adjacent to neither?  For zero-divisor graphs of lower dismantlable
-    lattices this detects an adjunct element in [x]."""
-    nbrs = graph.neighbors(x)
-    for y, z in graph.edges:
-        if y != x and z != x and y not in nbrs and z not in nbrs:
-            return True
-    return False
-
-
 def annotate_classes(lat: Lattice, graph: LabeledGraph) -> ClassPartition:
     """Neighborhood classes of `graph` with lattice-side adjunct flags."""
     adjuncts = classify(lat).adjunct_elements
@@ -222,53 +204,3 @@ def peel_order(tree: "RootedTree") -> ClassPartition:
         peel_order=tuple(range(len(classes))),
         peel_rounds=tuple(round_no for round_no, _ in peeled),
     )
-
-
-@dataclass(frozen=True)
-class PeelStep:
-    """One peel: the input lattice equals sublattice ]_(0,hinge) chain."""
-
-    sublattice: Lattice
-    hinge: str
-    chain: tuple[str, ...]
-
-
-def peel_decomposition(lat: Lattice, x: str) -> PeelStep:
-    """Split off the neighborhood class of x as a pendant chain.
-
-    The class of x must contain no adjunct element.  The hinge is the top when
-    no adjunct element is comparable to x, else the least such; the set of
-    those elements is a chain, which is asserted at runtime.
-    """
-    if not is_lower_dismantlable(lat):
-        raise NotLowerDismantlable("peeling needs a lower dismantlable lattice")
-    graph = zero_divisor_graph(lat)
-    nx = graph.neighbors(x)  # raises NoSuchElement for non-vertices
-    if class_has_adjunct(graph, x):
-        raise ClassHasAdjunct(f"the class of {x!r} contains an adjunct element")
-
-    members = sorted((v for v in graph.vertices if graph.neighbors(v) == nx), key=lambda v: len(lat.down_set(v)))
-    # Adjunct elements not adjacent to x; ones outside the graph are
-    # comparable to everything (join-irreducible-top lattices) and count
-    # vacuously, or the class would reattach at the wrong height.
-    vertex_set = set(graph.vertices)
-    ax = [
-        b
-        for b in classify(lat).adjunct_elements
-        if b != x and (b not in vertex_set or b not in nx)
-    ]
-    for i, b1 in enumerate(ax):
-        for b2 in ax[i + 1 :]:
-            if lat.incomparable(b1, b2):
-                raise InternalInconsistency(f"non-adjacent adjunct elements {b1!r}, {b2!r} are incomparable")
-    if ax:
-        hinge = min(ax, key=lambda b: len(lat.down_set(b)))
-    else:
-        hinge = lat.top_label
-    rest = [lab for lab in lat.labels if lab not in set(members)]
-    return PeelStep(sublattice=induced_sublattice(lat, rest), hinge=hinge, chain=tuple(members))
-
-
-def reassemble(step: PeelStep) -> Lattice:
-    """Inverse of peel_decomposition: glue the chain back at (bottom, hinge)."""
-    return adjunct(step.sublattice, chain_lattice(step.chain), step.sublattice.bottom_label, step.hinge)

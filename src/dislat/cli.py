@@ -139,7 +139,7 @@ def cmd_iso(args) -> int:
     for which, lat in (("first", lat1), ("second", lat2)):
         if not is_lower_dismantlable(lat):
             raise NotInClass(f"{which} lattice is not lower dismantlable", which=which)
-    code1, code2 = (treeiso.canonical_code(treeiso.tree_of_lattice(lat)) for lat in (lat1, lat2))
+    (code1, order1), (code2, order2) = (treeiso._canonical(treeiso.tree_of_lattice(lat)) for lat in (lat1, lat2))
     isomorphic = code1 == code2
     g1, g2 = zdg.zero_divisor_graph(lat1), zdg.zero_divisor_graph(lat2)
     f = treeiso.graph_iso(g1, g2)
@@ -152,8 +152,13 @@ def cmd_iso(args) -> int:
         )
     payload: dict = {"command": "iso", "isomorphic": isomorphic, "zdg_isomorphic": zdg_isomorphic}
     if isomorphic and args.witness:
-        phi = treeiso.align_adjuncts(lat1, lat2, g1, g2, f)
-        psi = treeiso.lift_to_lattice_iso(lat1, lat2, g1, g2, phi)
+        if tops_join_reducible:  # the theorem's route, from the graph isomorphism
+            phi = treeiso.align_adjuncts(lat1, lat2, g1, g2, f)
+            psi = treeiso.lift_to_lattice_iso(lat1, lat2, g1, g2, phi)
+            payload["witness_route"] = "zdg-lift"
+        else:
+            psi = treeiso.tree_match_iso(lat1, lat2, order1, order2)
+            payload["witness_route"] = "tree-match"
         payload["witness"] = psi.to_json_obj()
         payload["witness_verified"] = True
     text = "isomorphic\n" if isomorphic else "not isomorphic\n"
@@ -167,7 +172,10 @@ def cmd_iso(args) -> int:
 
 def cmd_recognize(args) -> int:
     with open(args.graph, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+        try:
+            obj = json.load(fh)
+        except RecursionError:
+            raise BadGraph("graph JSON nests too deeply to be a graph") from None
     graph = zdg.LabeledGraph.from_json_obj(obj)
     tree = treeiso.recognize(graph)
     if tree is None:

@@ -55,10 +55,6 @@ class HypothesisViolated(DislatError):
     """The input does not satisfy the operation's structural hypothesis."""
 
 
-class ClassHasAdjunct(DislatError):
-    """The neighborhood class contains an adjunct element and cannot be peeled."""
-
-
 class NotInClass(DislatError):
     """A graph is not the non-ancestor graph of any rooted tree.
 

@@ -1,5 +1,5 @@
-"""Finite bounded lattices: construction, order predicates, the adjunct
-operation, and recognition/decomposition of lower dismantlable lattices.
+"""Finite bounded lattices: construction, order predicates, and
+recognition/decomposition of lower dismantlable lattices.
 
 Elements are dense integer indices internally; the public API speaks element
 labels throughout.  The order relation is materialized at construction time as
@@ -24,7 +24,6 @@ from .errors import (
     NotALattice,
     NotLowerDismantlable,
     NotReduced,
-    PairNotAdjunctable,
 )
 
 
@@ -298,12 +297,6 @@ def build_from_covers(labels: Sequence[str], cover_pairs: Iterable[tuple[str, st
     return lat
 
 
-def chain_lattice(labels: Sequence[str]) -> Lattice:
-    """The chain whose elements are `labels` listed bottom-to-top."""
-    labels = tuple(labels)
-    return build_from_covers(labels, zip(labels, labels[1:]))
-
-
 def relabel(lat: Lattice, mapping: Mapping[str, str]) -> Lattice:
     """Rebuild the lattice with every label replaced via `mapping`."""
     new_labels = [mapping[lab] for lab in lat.labels]
@@ -318,29 +311,6 @@ def induced_sublattice(lat: Lattice, keep: Iterable[str]) -> Lattice:
     """
     keep_set = set(keep)
     return build_from_covers([lab for lab in lat.labels if lab in keep_set], _induced_covers(lat, keep_set))
-
-
-# -- the adjunct operation -----------------------------------------------------
-
-
-def adjunct(l1: Lattice, l2: Lattice, a: str, b: str) -> Lattice:
-    """Glue `l2` into the open interval between a < b of `l1`.
-
-    Requires a < b with a not covered by b, and disjoint label sets.  The
-    result has covers(l1) + covers(l2) plus a < bottom(l2) and top(l2) < b.
-    """
-    if not l1.lt(a, b):
-        raise PairNotAdjunctable(f"need {a!r} < {b!r} in the host lattice")
-    if l1.covered_by(a, b):
-        raise PairNotAdjunctable(f"{a!r} is covered by {b!r}; the interval is empty")
-    clash = set(l1.labels) & set(l2.labels)
-    if clash:
-        raise LabelClash(f"labels occur on both sides: {sorted(clash)}")
-    labels = l1.labels + l2.labels
-    covers = list(l1.cover_pairs()) + list(l2.cover_pairs())
-    covers.append((a, l2.bottom_label))
-    covers.append((l2.top_label, b))
-    return build_from_covers(labels, covers)
 
 
 # -- classification -------------------------------------------------------------

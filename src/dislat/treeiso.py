@@ -1,12 +1,14 @@
 """Rooted trees, non-ancestor graphs, canonical codes, recognition of
 non-ancestor graphs, and the constructive isomorphism pipeline: a graph
 isomorphism between zero-divisor graphs is realigned to preserve adjunct
-elements and then lifted to a full lattice isomorphism."""
+elements and then lifted to a full lattice isomorphism.  Without the
+hypothesis of a join-reducible top, a lattice isomorphism is read off the
+two lattices' trees instead."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .errors import (
     CycleDetected,
@@ -395,4 +397,16 @@ def lift_to_lattice_iso(
         psi.update(zip(chain1, chain2))
     if not check_lattice_iso(l1, l2, psi):
         raise InternalInconsistency("lifted map is not an order isomorphism")
+    return IsoWitness(kind="lattice-iso", mapping=psi)
+
+
+def tree_match_iso(l1: Lattice, l2: Lattice, order1: Sequence[str], order2: Sequence[str]) -> IsoWitness:
+    """The lattice isomorphism read off the trees of two lower dismantlable
+    lattices with equal canonical codes: bottom to bottom, and the canonical
+    preorders `order1` and `order2` of their `tree_of_lattice` trees (from
+    `_canonical`) zipped node by node.  It needs no hypothesis on the tops:
+    a lattice is its tree with a bottom adjoined under the leaves."""
+    psi = {l1.bottom_label: l2.bottom_label, **dict(zip(order1, order2))}
+    if not check_lattice_iso(l1, l2, psi):
+        raise InternalInconsistency("matched trees do not give an order isomorphism")
     return IsoWitness(kind="lattice-iso", mapping=psi)

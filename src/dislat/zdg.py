@@ -14,8 +14,9 @@ import json
 from collections import deque
 from typing import Iterable
 
+from .dsl import elaborate
 from .errors import BadGraph, BadPartition, EmptyGraph, NoSuchElement
-from .lattice import Lattice, adjunct, chain_lattice
+from .lattice import Adjunction, AdjunctExpr, Lattice
 
 
 class LabeledGraph:
@@ -186,9 +187,9 @@ def lattice_from_complete_multipartite(sizes: Iterable[int]) -> Lattice:
         raise BadPartition(f"need at least 2 parts, got {len(sizes)}")
     if any(s < 1 for s in sizes):
         raise BadPartition("every part must have at least one vertex")
-    base = ["0"] + [f"p1_{j}" for j in range(1, sizes[0] + 1)] + ["one"]
-    lat = chain_lattice(base)
-    for i, size in enumerate(sizes[1:], start=2):
-        part = [f"p{i}_{j}" for j in range(1, size + 1)]
-        lat = adjunct(lat, chain_lattice(part), "0", "one")
-    return lat
+    base = ("0", *(f"p1_{j}" for j in range(1, sizes[0] + 1)), "one")
+    adjunctions = tuple(
+        Adjunction(pair=("0", "one"), chain=tuple(f"p{i}_{j}" for j in range(1, size + 1)))
+        for i, size in enumerate(sizes[1:], start=2)
+    )
+    return elaborate(AdjunctExpr(base=base, adjunctions=adjunctions))

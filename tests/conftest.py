@@ -5,8 +5,10 @@ from pathlib import Path
 
 import pytest
 
-from dislat import adjunct, chain_lattice, dsl
+from dislat import dsl
+from dislat.lattice import relabel
 from dislat.oracle import enumerate_lower_dismantlable
+from tests.reference import adjunct, chain_lattice
 
 DATA = Path(__file__).parent / "data"
 
@@ -79,3 +81,12 @@ def leq_meet(lat, x, y):
     above every other one."""
     lower = [z for z in lat.labels if lat.leq(z, x) and lat.leq(z, y)]
     return next(z for z in lower if all(lat.leq(w, z) for w in lower))
+
+
+def shuffled_copy(lat, rng):
+    """`lat` with its nonzero labels shuffled among themselves; the bottom
+    keeps its label, so the copy still has an `.adl` form."""
+    nonzero = [x for x in lat.labels if x != lat.bottom_label]
+    image = nonzero[:]
+    rng.shuffle(image)
+    return relabel(lat, {lat.bottom_label: lat.bottom_label, **dict(zip(nonzero, image))})

@@ -1,0 +1,193 @@
+"""Step-by-step constructions that the tests check the package against.
+
+The package builds each lattice once and lifts an isomorphism in one pass;
+the paper proceeds one step at a time.  These are those steps, kept as
+independent references:
+
+- `chain_lattice` and `adjunct`: the adjunct operation, one validated
+  lattice per step, and `reference_elaborate`, the fold of an `.adl`
+  expression through them;
+- `peel_decomposition` and `reassemble`: part I's decomposition
+  L = L1 ](0,a) C, which splits off one neighborhood class as a pendant chain;
+- `reference_lift`: the recursive lift of an adjunct-preserving isomorphism
+  of zero-divisor graphs, peeling one class from both lattices per level.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Iterable, Sequence
+
+from dislat import DislatError, Lattice, build_from_covers, classify, induced_sublattice, is_lower_dismantlable
+from dislat.errors import InternalInconsistency, LabelClash, NotLowerDismantlable, PairNotAdjunctable
+from dislat.zdg import LabeledGraph, complement_clique_parts, neighborhood_partition, zero_divisor_graph
+
+
+class ClassHasAdjunct(DislatError):
+    """The neighborhood class contains an adjunct element and cannot be peeled."""
+
+
+# -- the adjunct operation -----------------------------------------------------
+
+
+def chain_lattice(labels: Sequence[str]) -> Lattice:
+    """The chain whose elements are `labels` listed bottom-to-top."""
+    labels = tuple(labels)
+    return build_from_covers(labels, zip(labels, labels[1:]))
+
+
+def adjunct(l1: Lattice, l2: Lattice, a: str, b: str) -> Lattice:
+    """Glue `l2` into the open interval between a < b of `l1`.
+
+    Requires a < b with a not covered by b, and disjoint label sets.  The
+    result has covers(l1) + covers(l2) plus a < bottom(l2) and top(l2) < b.
+    """
+    if not l1.lt(a, b):
+        raise PairNotAdjunctable(f"need {a!r} < {b!r} in the host lattice")
+    if l1.covered_by(a, b):
+        raise PairNotAdjunctable(f"{a!r} is covered by {b!r}; the interval is empty")
+    clash = set(l1.labels) & set(l2.labels)
+    if clash:
+        raise LabelClash(f"labels occur on both sides: {sorted(clash)}")
+    labels = l1.labels + l2.labels
+    covers = list(l1.cover_pairs()) + list(l2.cover_pairs())
+    covers.append((a, l2.bottom_label))
+    covers.append((l2.top_label, b))
+    return build_from_covers(labels, covers)
+
+
+def reference_elaborate(expr):
+    """The per-step fold: one chain lattice and one adjunct per adjoin."""
+    lat = chain_lattice(expr.base)
+    for adj in expr.adjunctions:
+        a, b = adj.pair
+        if a not in lat.labels or b not in lat.labels:
+            missing = a if a not in lat.labels else b
+            raise PairNotAdjunctable(f"pair references element {missing!r} not yet introduced")
+        lat = adjunct(lat, chain_lattice(adj.chain), a, b)
+    return lat
+
+
+# -- neighborhood classes and the peel ---------------------------------------------
+
+
+def neighborhood_classes(graph: LabeledGraph) -> set[frozenset[str]]:
+    """The classes of equal open neighborhoods, found by comparing every
+    pair of vertices."""
+    return {frozenset(w for w in graph.vertices if graph.neighbors(w) == graph.neighbors(v)) for v in graph.vertices}
+
+
+def class_has_adjunct(graph: LabeledGraph, x: str) -> bool:
+    """Graph-side adjunct-content test: is there an adjacent pair y, z with x
+    adjacent to neither?  For zero-divisor graphs of lower dismantlable
+    lattices this detects an adjunct element in [x]."""
+    nbrs = graph.neighbors(x)
+    for y, z in graph.edges:
+        if y != x and z != x and y not in nbrs and z not in nbrs:
+            return True
+    return False
+
+
+def _by_height(lat: Lattice, labels: Iterable[str]) -> list[str]:
+    return sorted(labels, key=lambda v: len(lat.down_set(v)))
+
+
+@dataclass(frozen=True)
+class PeelStep:
+    """One peel: the input lattice equals sublattice ]_(0,hinge) chain."""
+
+    sublattice: Lattice
+    hinge: str
+    chain: tuple[str, ...]
+
+
+def peel_decomposition(lat: Lattice, x: str) -> PeelStep:
+    """Split off the neighborhood class of x as a pendant chain.
+
+    The class of x must contain no adjunct element.  The hinge is the top when
+    no adjunct element is comparable to x, else the least such; the set of
+    those elements is a chain, which is asserted at runtime.
+    """
+    if not is_lower_dismantlable(lat):
+        raise NotLowerDismantlable("peeling needs a lower dismantlable lattice")
+    graph = zero_divisor_graph(lat)
+    nx = graph.neighbors(x)  # raises NoSuchElement for non-vertices
+    if class_has_adjunct(graph, x):
+        raise ClassHasAdjunct(f"the class of {x!r} contains an adjunct element")
+
+    members = _by_height(lat, (v for v in graph.vertices if graph.neighbors(v) == nx))
+    # Adjunct elements not adjacent to x; ones outside the graph are
+    # comparable to everything (join-irreducible-top lattices) and count
+    # vacuously, or the class would reattach at the wrong height.
+    vertex_set = set(graph.vertices)
+    ax = [
+        b
+        for b in classify(lat).adjunct_elements
+        if b != x and (b not in vertex_set or b not in nx)
+    ]
+    for i, b1 in enumerate(ax):
+        for b2 in ax[i + 1 :]:
+            if lat.incomparable(b1, b2):
+                raise InternalInconsistency(f"non-adjacent adjunct elements {b1!r}, {b2!r} are incomparable")
+    hinge = _by_height(lat, ax)[0] if ax else lat.top_label
+    rest = [lab for lab in lat.labels if lab not in set(members)]
+    return PeelStep(sublattice=induced_sublattice(lat, rest), hinge=hinge, chain=tuple(members))
+
+
+def reassemble(step: PeelStep) -> Lattice:
+    """Inverse of peel_decomposition: glue the chain back at (bottom, hinge)."""
+    return adjunct(step.sublattice, chain_lattice(step.chain), step.sublattice.bottom_label, step.hinge)
+
+
+# -- the recursive lift ------------------------------------------------------------
+
+
+def reference_lift(l1: Lattice, l2: Lattice, phi: dict[str, str]) -> dict[str, str]:
+    """Lift an adjunct-preserving isomorphism phi of the zero-divisor graphs
+    of l1 and l2 (both with join-reducible tops) to a lattice isomorphism.
+
+    Peel from both sides the class with the least hinge below the top,
+    match the two chains bottom to bottom, and recurse on what is left; the
+    floor is the complete-multipartite case, where every part is matched to
+    its phi-image bottom to bottom.
+    """
+    g1 = zero_divisor_graph(l1)
+    adj1 = set(classify(l1).adjunct_elements) & set(g1.vertices)
+    if not adj1:
+        parts = complement_clique_parts(g1)
+        if parts is None:
+            raise InternalInconsistency("no adjunct vertices but graph is not complete multipartite")
+        psi = {l1.bottom_label: l2.bottom_label, l1.top_label: l2.top_label}
+        for part in parts:
+            psi.update(zip(_by_height(l1, part), _by_height(l2, (phi[v] for v in part))))
+        return psi
+
+    candidates = []  # (hinge, class) for every class without an adjunct element that hinges below the top
+    for block in neighborhood_partition(g1):
+        if set(block) & adj1:
+            continue
+        nx = g1.neighbors(block[0])
+        hinges = [b for b in adj1 if b != block[0] and b not in nx]
+        if hinges:
+            candidates.append((_by_height(l1, hinges)[0], block))
+    if not candidates:
+        raise InternalInconsistency("adjunct vertices present but every peelable class hinges at the top")
+    minimal = [(h, block) for h, block in candidates if not any(o != h and l1.lt(o, h) for o, _ in candidates)]
+    hinge, block = min(minimal, key=lambda hb: (hb[0], hb[1][0]))
+
+    chain1 = _by_height(l1, block)
+    chain2 = _by_height(l2, (phi[v] for v in block))
+    step1, step2 = peel_decomposition(l1, chain1[0]), peel_decomposition(l2, chain2[0])
+    if step1.chain != tuple(chain1) or step1.hinge != hinge:
+        raise InternalInconsistency("peel disagrees with the chosen class")
+    if step2.chain != tuple(chain2):
+        raise InternalInconsistency("image class does not peel as a unit")
+    if step2.hinge != phi[hinge]:
+        raise InternalInconsistency("the image hinge is not the image of the hinge")
+
+    psi = reference_lift(step1.sublattice, step2.sublattice, {v: w for v, w in phi.items() if v not in block})
+    if psi.get(hinge) != phi[hinge]:
+        raise InternalInconsistency("recursive lift moved the hinge")
+    psi.update(zip(chain1, chain2))
+    return psi
+

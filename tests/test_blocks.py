@@ -5,22 +5,17 @@ import itertools
 import pytest
 
 from dislat import (
-    ClassHasAdjunct,
     HypothesisViolated,
     NoSuchElement,
     basic_block,
     build_from_covers,
-    class_has_adjunct,
     classify,
     explore_deletion_orders,
     induced_sublattice,
     is_ssc,
     is_structurally_deletable,
-    neighborhood_classes,
     non_ancestor_graph,
-    peel_decomposition,
     peel_order,
-    reassemble,
     ssc_equivalence_report,
     tree_of_lattice,
     zero_divisor_graph,
@@ -28,7 +23,9 @@ from dislat import (
 from dislat.blocks import annotate_classes
 from dislat.oracle import enumerate_lower_dismantlable
 from dislat.treeiso import RootedTree
+from dislat.zdg import neighborhood_partition
 from tests.conftest import leq_meet
+from tests.reference import ClassHasAdjunct, class_has_adjunct, neighborhood_classes, peel_decomposition, reassemble
 
 
 # -- references: one rebuilt lattice per deletion ---------------------------------
@@ -193,7 +190,7 @@ class TestSsc:
 class TestNeighborhoodClasses:
     def test_tree_side_classes_of_ex2(self, ex2):
         classes = neighborhood_classes(non_ancestor_graph(tree_of_lattice(ex2)))
-        assert classes.member_sets() == {
+        assert classes == {
             frozenset({"a1", "a7"}),
             frozenset({"a2"}),
             frozenset({"a3"}),
@@ -205,7 +202,7 @@ class TestNeighborhoodClasses:
 
     def test_graph_side_misses_a8(self, ex2):
         classes = neighborhood_classes(zero_divisor_graph(ex2))
-        assert classes.member_sets() == {
+        assert classes == {
             frozenset({"a1", "a7"}),
             frozenset({"a2"}),
             frozenset({"a3"}),
@@ -216,11 +213,19 @@ class TestNeighborhoodClasses:
 
     def test_k22_two_classes_of_two(self, k22):
         classes = neighborhood_classes(zero_divisor_graph(k22))
-        assert sorted(len(c.members) for c in classes.classes) == [2, 2]
+        assert sorted(map(len, classes)) == [2, 2]
 
-    def test_flags_unset(self, ex2):
-        for c in neighborhood_classes(zero_divisor_graph(ex2)).classes:
-            assert c.has_adjunct is None and c.adjunct_member is None
+    def test_partition_matches_pairwise_comparison(self, sample_lattices):
+        for lat in sample_lattices:
+            g = zero_divisor_graph(lat)
+            assert {frozenset(b) for b in neighborhood_partition(g)} == neighborhood_classes(g)
+
+    def test_flags_are_set(self, ex2):
+        g = zero_divisor_graph(ex2)
+        for part in (annotate_classes(ex2, g), peel_order(tree_of_lattice(ex2))):
+            for c in part.classes:
+                assert isinstance(c.has_adjunct, bool)
+                assert (c.adjunct_member is not None) == c.has_adjunct
 
 
 class TestClassHasAdjunct:
@@ -238,9 +243,8 @@ class TestClassHasAdjunct:
         for lat in enumerate_lower_dismantlable(9):
             g = zero_divisor_graph(lat)
             adjuncts = set(classify(lat).adjunct_elements)
-            for cls in neighborhood_classes(g).classes:
-                lattice_side = bool(set(cls.members) & adjuncts)
-                assert class_has_adjunct(g, cls.members[0]) == lattice_side
+            for cls in neighborhood_classes(g):
+                assert class_has_adjunct(g, min(cls)) == bool(cls & adjuncts)
 
 
 class TestPeelOrder:
@@ -279,8 +283,7 @@ class TestPeelOrder:
 
         for tree in enumerate_rooted_trees(7):
             peeled = peel_order(tree)
-            direct = neighborhood_classes(non_ancestor_graph(tree))
-            assert peeled.member_sets() == direct.member_sets()
+            assert peeled.member_sets() == neighborhood_classes(non_ancestor_graph(tree))
 
     def test_json_export_shape(self, ex2):
         obj = peel_order(tree_of_lattice(ex2)).to_json_obj()
@@ -342,12 +345,12 @@ class TestPeelDecomposition:
     def test_reassembly_on_everything_peelable(self):
         for lat in enumerate_lower_dismantlable(8):
             g = zero_divisor_graph(lat)
-            for cls in neighborhood_classes(g).classes:
-                x = cls.members[0]
+            for cls in neighborhood_classes(g):
+                x = min(cls)
                 if class_has_adjunct(g, x):
                     continue
                 step = peel_decomposition(lat, x)
-                assert set(step.chain) == set(cls.members)
+                assert set(step.chain) == cls
                 assert reassemble(step) == lat
 
 

@@ -106,7 +106,52 @@ class TestIso:
         assert payload["isomorphic"] is True
         assert payload["zdg_isomorphic"] is True
         assert payload["witness"]["kind"] == "lattice-iso"
+        assert payload["witness_route"] == "zdg-lift"
         assert payload["witness_verified"] is True
+
+    @pytest.mark.parametrize(
+        "first,second",
+        [
+            ("lattice c3 { chain 0 a one; }", "lattice c3b { chain 0 b top; }"),
+            ((DATA / "ex2.adl").read_text(), (DATA / "ex2.adl").read_text()),
+        ],
+        ids=["3-chains", "ex2-itself"],
+    )
+    def test_witness_with_join_irreducible_tops(self, capsys, tmp_path, first, second):
+        a, b = tmp_path / "a.adl", tmp_path / "b.adl"
+        a.write_text(first)
+        b.write_text(second)
+        code, payload = run_json(capsys, "iso", a, b, "--witness")
+        assert code == 0
+        assert payload["isomorphic"] is True
+        assert payload["witness_route"] == "tree-match"
+        assert payload["witness_verified"] is True
+
+    def test_witness_on_every_lattice_up_to_10(self, capsys, tmp_path):
+        """Each lattice of at most 10 elements against a relabeled copy: exit
+        0 and a witness that `check_lattice_iso` accepts, on either route.
+        The documents are not validated against the schema here, which would
+        take most of the time; the tests above validate both routes' shape."""
+        import random
+
+        from dislat import adjunct_representation, serialize
+        from dislat.oracle import enumerate_lower_dismantlable
+        from dislat.treeiso import check_lattice_iso
+        from tests.conftest import shuffled_copy
+
+        rng = random.Random(10)
+        a, b = tmp_path / "a.adl", tmp_path / "b.adl"
+        routes = set()
+        for lat in enumerate_lower_dismantlable(10):
+            other = shuffled_copy(lat, rng)
+            a.write_text(serialize(adjunct_representation(lat)))
+            b.write_text(serialize(adjunct_representation(other)))
+            code, out = run(capsys, "--json", "iso", a, b, "--witness")
+            payload = json.loads(out)
+            assert code == 0
+            assert check_lattice_iso(lat, other, payload["witness"]["map"])
+            routes.add(payload["witness_route"])
+        assert routes == {"zdg-lift", "tree-match"}
 
     def test_not_isomorphic_exit_1(self, capsys):
         code, payload = run_json(capsys, "iso", DATA / "k22.adl", DATA / "m3.adl")
@@ -214,6 +259,13 @@ class TestRecognize:
         graph_file.write_text("{not json")
         code, payload = run_json(capsys, "recognize", graph_file)
         assert code == 2
+
+    def test_deeply_nested_json_exit_2(self, capsys, tmp_path):
+        graph_file = tmp_path / "deep.json"
+        graph_file.write_text("[" * 200_000 + "]" * 200_000)
+        code, payload = run_json(capsys, "recognize", graph_file)
+        assert code == 2
+        assert payload["error"]["type"] == "BadGraph"
 
     @pytest.mark.parametrize(
         "doc",

@@ -13,14 +13,13 @@ from dislat import (
     NotALattice,
     PairNotAdjunctable,
     UnknownElement,
-    adjunct,
     adjunct_representation,
-    chain_lattice,
     elaborate,
     parse,
     serialize,
     zero_divisor_graph,
 )
+from tests.reference import reference_elaborate
 
 EX2_SRC = (
     "lattice ex2 { chain 0 a3 a5 a8 one; adjoin (0, a8): a2 a6; "
@@ -101,18 +100,6 @@ class TestSerialize:
         name = "very_long_identifier_42_with_suffix"
         expr = AdjunctExpr(base=("0", name, "one"), name="t")
         assert parse(serialize(expr)) == expr
-
-
-def reference_elaborate(expr):
-    """The per-step fold: one chain lattice and one adjunct per adjoin."""
-    lat = chain_lattice(expr.base)
-    for adj in expr.adjunctions:
-        a, b = adj.pair
-        if a not in lat.labels or b not in lat.labels:
-            missing = a if a not in lat.labels else b
-            raise PairNotAdjunctable(f"pair references element {missing!r} not yet introduced")
-        lat = adjunct(lat, chain_lattice(adj.chain), a, b)
-    return lat
 
 
 def random_expr(rng):

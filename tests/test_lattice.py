@@ -13,16 +13,15 @@ from dislat import (
     NotLowerDismantlable,
     NotReduced,
     PairNotAdjunctable,
-    adjunct,
     adjunct_representation,
     build_from_covers,
-    chain_lattice,
     classify,
     elaborate,
     is_lower_dismantlable,
 )
 from dislat.lattice import induced_sublattice, relabel
 from dislat.oracle import enumerate_lower_dismantlable
+from tests.reference import adjunct, chain_lattice
 
 M2_COVERS = [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")]
 

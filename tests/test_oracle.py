@@ -11,12 +11,12 @@ from dislat import (
     brute_graph_iso,
     brute_lattice_iso,
     canonical_code,
-    chain_lattice,
     enumerate_rooted_trees,
     non_ancestor_graph,
     zero_divisor_graph,
 )
 from dislat.oracle import rooted_tree_codes
+from tests.reference import chain_lattice
 
 # number of rooted-tree isomorphism classes by node count, OEIS A000081
 TREE_COUNTS = [None, 1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842, 4766]

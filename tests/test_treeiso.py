@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -16,7 +17,6 @@ from dislat import (
     RootedTree,
     align_adjuncts,
     canonical_code,
-    chain_lattice,
     classify,
     graph_iso,
     lattice_from_complete_multipartite,
@@ -35,8 +35,9 @@ from dislat.oracle import (
     enumerate_lower_dismantlable,
     enumerate_rooted_trees,
 )
-from dislat.treeiso import FRESH_ROOT, _canonical, check_graph_iso, check_lattice_iso, tree_from_code
-from tests.conftest import random_dismantlable
+from dislat.treeiso import FRESH_ROOT, _canonical, check_graph_iso, check_lattice_iso, tree_from_code, tree_match_iso
+from tests.conftest import random_dismantlable, shuffled_copy
+from tests.reference import chain_lattice, reference_lift
 
 
 def relabel_graph(g: LabeledGraph, mapping) -> LabeledGraph:
@@ -619,6 +620,39 @@ class TestLiftToLatticeIso:
                 psi = lift_to_lattice_iso(lat, other, g1, g2, phi)
                 assert check_lattice_iso(lat, other, psi.mapping)
                 assert all(psi.mapping[x] == phi.mapping[x] for x in x_set)
+
+    def test_one_pass_lift_is_the_recursive_peel(self):
+        """The one-pass lift returns the map that peeling one class at a
+        time from both lattices builds, on every lattice of at most 10
+        elements with a join-reducible top against a relabeled copy."""
+        rng = random.Random(10)
+        for lat in enumerate_lower_dismantlable(10, root_min_children=2):
+            other = shuffled_copy(lat, rng)
+            g1, g2 = zero_divisor_graph(lat), zero_divisor_graph(other)
+            phi = align_adjuncts(lat, other, g1, g2, graph_iso(g1, g2))
+            psi = lift_to_lattice_iso(lat, other, g1, g2, phi)
+            assert psi.mapping == reference_lift(lat, other, phi.mapping)
+
+
+class TestTreeMatchIso:
+    def test_every_lattice_against_a_relabeled_copy(self):
+        """Every lattice of at most 10 elements, whatever its top; the
+        witness is checked here as well as inside `tree_match_iso`."""
+        rng = random.Random(11)
+        for lat in enumerate_lower_dismantlable(10):
+            other = shuffled_copy(lat, rng)
+            (code1, order1), (code2, order2) = (_canonical(tree_of_lattice(x)) for x in (lat, other))
+            assert code1 == code2
+            psi = tree_match_iso(lat, other, order1, order2)
+            assert psi.kind == "lattice-iso"
+            assert check_lattice_iso(lat, other, psi.mapping)
+
+    def test_unequal_codes_rejected(self, m2, chain4):
+        from dislat import InternalInconsistency
+
+        order1, order2 = (_canonical(tree_of_lattice(x))[1] for x in (m2, chain4))
+        with pytest.raises(InternalInconsistency):
+            tree_match_iso(m2, chain4, order1, order2)
 
 
 class TestMainTheorem:

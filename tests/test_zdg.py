@@ -11,7 +11,6 @@ from dislat import (
     BadPartition,
     EmptyGraph,
     LabeledGraph,
-    chain_lattice,
     classify,
     complete_multipartite_parts,
     connectivity_report,
@@ -21,6 +20,7 @@ from dislat import (
 from dislat.oracle import enumerate_lower_dismantlable
 from dislat.zdg import complement_clique_parts
 from tests.conftest import leq_meet
+from tests.reference import adjunct, chain_lattice
 
 
 def k(n: int) -> LabeledGraph:
@@ -179,6 +179,16 @@ class TestLatticeFromParts:
     def test_round_trip(self, sizes):
         lat = lattice_from_complete_multipartite(sizes)
         assert complete_multipartite_parts(zero_divisor_graph(lat)) == sorted(sizes, reverse=True)
+
+    def test_same_lattice_as_one_adjunct_per_part(self):
+        for k in range(2, 5):
+            for sizes in itertools.combinations_with_replacement(range(1, 5), k):
+                sizes = sorted(sizes, reverse=True)
+                ref = chain_lattice(["0", *(f"p1_{j}" for j in range(1, sizes[0] + 1)), "one"])
+                for i, size in enumerate(sizes[1:], start=2):
+                    ref = adjunct(ref, chain_lattice([f"p{i}_{j}" for j in range(1, size + 1)]), "0", "one")
+                lat = lattice_from_complete_multipartite(sizes)
+                assert lat.labels == ref.labels and lat == ref
 
 
 class TestTheoremSuites:
