@@ -4,10 +4,10 @@ equivalence classes, and branch peeling of lower dismantlable lattices."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Collection
+from typing import TYPE_CHECKING
 
 from .errors import HypothesisViolated
-from .lattice import Lattice, _induced_covers, _peel, classify, induced_sublattice, is_lower_dismantlable
+from .lattice import Lattice, _bits, _peel, build_from_covers, classify, is_lower_dismantlable
 from .zdg import LabeledGraph, neighborhood_partition
 
 if TYPE_CHECKING:
@@ -58,35 +58,44 @@ class ClassPartition:
 # -- structural deletion -------------------------------------------------------
 
 
-def _interior_deletable(lat: Lattice, survivors: Collection[str]) -> list[str]:
-    """The structurally deletable elements, in label order, of the sublattice
-    that `lat` induces on `survivors` (which hold the extremes of `lat`): x
-    with unique covers u < x < v where no other upper cover of u lies below v,
-    one mask test.  The extremes are left out."""
-    index = lat._index
-    uppers = {x: 0 for x in survivors}  # mask of the induced upper covers
-    lowers: dict[str, list[str]] = {x: [] for x in survivors}
-    for u, v in _induced_covers(lat, survivors):
-        uppers[u] |= 1 << index[v]
-        lowers[v].append(u)
+def _cover_masks(lat: Lattice) -> tuple[list[int], list[int]]:
+    """Per element, the masks of its upper covers and of its lower covers."""
+    return [sum(1 << v for v in vs) for vs in lat._uppers], [sum(1 << u for u in us) for us in lat._lowers]
+
+
+def _deletable(lat: Lattice, uppers: list[int], lowers: list[int], survivors: int) -> list[int]:
+    """The structurally deletable elements, by index, of the sublattice that
+    `lat` induces on the mask `survivors` (which holds the extremes of
+    `lat`), given its cover masks: x with unique covers u < x < v where no
+    other upper cover of u lies below v, one mask test.  The extremes are
+    left out."""
     out = []
-    for x in survivors:
-        if x in (lat.bottom_label, lat.top_label) or len(lowers[x]) != 1 or uppers[x].bit_count() != 1:
+    for x in _bits(survivors & ~(1 << lat.bottom | 1 << lat.top)):
+        lo, up = lowers[x], uppers[x]
+        if lo & lo - 1 or up & up - 1:  # more than one lower or upper cover
             continue
-        v = uppers[x].bit_length() - 1
-        if uppers[lowers[x][0]] & ~(1 << index[x]) & lat._down[v] == 0:
+        if uppers[lo.bit_length() - 1] & ~(1 << x) & lat._down[up.bit_length() - 1] == 0:
             out.append(x)
-    return sorted(out)
+    return out
+
+
+def _delete(uppers: list[int], lowers: list[int], x: int) -> None:
+    """Delete the deletable x, with unique covers u < x < v, in place: the
+    covers (u, x) and (x, v) become (u, v).  No other cover changes, since x
+    was the only survivor strictly between u and v."""
+    u, v = lowers[x].bit_length() - 1, uppers[x].bit_length() - 1
+    uppers[u] = uppers[u] & ~(1 << x) | 1 << v
+    lowers[v] = lowers[v] & ~(1 << x) | 1 << u
 
 
 def is_structurally_deletable(lat: Lattice, x: str) -> bool:
     """True when removing x drops the cover-graph edge count by exactly one:
     either x is the top with a unique lower cover, or x has unique covers
     u < x < v with nothing else strictly between u and v."""
-    lat.index(x)
-    if x == lat.top_label:
-        return lat.n >= 3 and len(lat.lower_covers(x)) == 1
-    return x in _interior_deletable(lat, lat.labels)
+    i = lat.index(x)
+    if i == lat.top:
+        return lat.n >= 3 and len(lat._lowers[i]) == 1
+    return i in _deletable(lat, *_cover_masks(lat), (1 << lat.n) - 1)
 
 
 def basic_block(lat: Lattice) -> Lattice:
@@ -94,32 +103,49 @@ def basic_block(lat: Lattice) -> Lattice:
 
     The extremes are never deleted (so chains stop at the 2-element lattice);
     deletion order is smallest-label-first, and order independence is a tested
-    conjecture, not an assumption.  The block is built once, from the
-    survivors; it is `lat` itself when nothing is deletable.
+    conjecture, not an assumption.  Each deletion updates two cover masks, and
+    the block is built once, from the survivors and their covers; it is `lat`
+    itself when nothing is deletable.
     """
     if lat.n < 2:
         raise HypothesisViolated("basic block needs at least 2 elements")
-    survivors = set(lat.labels)
-    while deletable := _interior_deletable(lat, survivors):
-        survivors.remove(deletable[0])
-    return lat if len(survivors) == lat.n else induced_sublattice(lat, survivors)
+    uppers, lowers = _cover_masks(lat)
+    full = survivors = (1 << lat.n) - 1
+    while deletable := _deletable(lat, uppers, lowers, survivors):
+        x = min(deletable, key=lat.labels.__getitem__)
+        _delete(uppers, lowers, x)
+        survivors &= ~(1 << x)
+    if survivors == full:
+        return lat
+    labels = lat.labels
+    return build_from_covers(
+        [labels[x] for x in _bits(survivors)],
+        [(labels[u], labels[v]) for u in _bits(survivors) for v in _bits(uppers[u])],
+    )
 
 
 def explore_deletion_orders(lat: Lattice) -> set[frozenset[str]]:
     """All fixed points reachable by any deletion order, as label sets.
 
-    Exhaustive over orders with memoization on the surviving label set; used
-    to test the confluence conjecture.
+    Exhaustive over orders with memoization on the survivor mask, whose
+    cover masks travel with it; used to test the confluence conjecture.
     """
-    memo: dict[frozenset[str], set[frozenset[str]]] = {}
+    memo: dict[int, set[int]] = {}
 
-    def reach(state: frozenset[str]) -> set[frozenset[str]]:
-        if state not in memo:
-            successors = (state - {x} for x in _interior_deletable(lat, state))
-            memo[state] = set().union(*map(reach, successors)) or {state}
-        return memo[state]
+    def reach(survivors: int, uppers: list[int], lowers: list[int]) -> set[int]:
+        fixed: set[int] = set()
+        for x in _deletable(lat, uppers, lowers, survivors):
+            after = survivors & ~(1 << x)
+            if after not in memo:
+                uppers_after, lowers_after = uppers[:], lowers[:]
+                _delete(uppers_after, lowers_after, x)
+                reach(after, uppers_after, lowers_after)
+            fixed |= memo[after]
+        memo[survivors] = fixed or {survivors}
+        return memo[survivors]
 
-    return reach(frozenset(lat.labels))
+    labels = lat.labels
+    return {frozenset(labels[x] for x in _bits(fp)) for fp in reach((1 << lat.n) - 1, *_cover_masks(lat))}
 
 
 # -- section semi-complementation ------------------------------------------------

@@ -113,60 +113,69 @@ def brute_graph_iso(g1: LabeledGraph, g2: LabeledGraph, budget: int = DEFAULT_BU
 # -- brute-force lattice isomorphism ----------------------------------------------
 
 
+def _cover_profile(lat: Lattice) -> list[tuple[int, int]]:
+    """Per element, its numbers of lower and of upper covers."""
+    return [(len(lo), len(up)) for lo, up in zip(lat._lowers, lat._uppers)]
+
+
+def lattice_iso_key(lat: Lattice) -> tuple:
+    """What `brute_lattice_iso_all` compares before it searches: the size,
+    the cover count, the sorted (lower, upper) cover-count profile, and the
+    profiles of the bottom and of the top.  Lattices with different keys are
+    not isomorphic."""
+    prof = _cover_profile(lat)
+    return (lat.n, len(lat.covers), tuple(sorted(prof)), prof[lat.bottom], prof[lat.top])
+
+
 def brute_lattice_iso_all(
     l1: Lattice, l2: Lattice, budget: int = DEFAULT_BUDGET
 ) -> Iterator[dict[str, str]]:
     """Yield every order isomorphism l1 -> l2 (bottom to bottom, top to top),
-    lexicographic in l1's label order."""
-    if l1.n != l2.n or len(l1.covers) != len(l2.covers):
-        return
+    lexicographic in l1's label order.
 
-    def profile(lat: Lattice, x: str) -> tuple[int, int]:
-        return (len(lat.lower_covers(x)), len(lat.upper_covers(x)))
-
-    prof1 = {x: profile(l1, x) for x in l1.labels}
-    prof2 = {x: profile(l2, x) for x in l2.labels}
-    if sorted(prof1.values()) != sorted(prof2.values()):
+    Elements are mapped in l1's label order, each to the still unused
+    elements of l2 with its (lower, upper) cover counts, in l2's label order,
+    that agree with every mapped element on the cover relation both ways;
+    each full map is then checked on every ordered pair.  The search runs on
+    indices and upper-cover masks."""
+    if lattice_iso_key(l1) != lattice_iso_key(l2):
         return
-
-    order = [x for x in sorted(l1.labels) if x not in (l1.bottom_label, l1.top_label)]
-    base = {l1.bottom_label: l2.bottom_label, l1.top_label: l2.top_label}
-    if prof1[l1.bottom_label] != prof2[l2.bottom_label] or prof1[l1.top_label] != prof2[l2.top_label]:
-        return
+    prof1, prof2 = _cover_profile(l1), _cover_profile(l2)
+    covers1 = [sum(1 << v for v in up) for up in l1._uppers]  # upper covers of each element
+    covers2 = [sum(1 << v for v in up) for up in l2._uppers]
+    up1, up2 = l1._up, l2._up
+    labels1, labels2 = l1.labels, l2.labels
+    order = [i for i in sorted(range(l1.n), key=labels1.__getitem__) if i not in (l1.bottom, l1.top)]
+    candidates = sorted(range(l2.n), key=labels2.__getitem__)
     nodes_visited = 0
 
-    def extend(i: int, mapping: dict[str, str], used: set[str]) -> Iterator[dict[str, str]]:
+    def extend(i: int, mapping: dict[int, int], used: int) -> Iterator[dict[str, str]]:
         nonlocal nodes_visited
         if i == len(order):
-            full = dict(mapping)
             if all(
-                l1.leq(x, y) == l2.leq(full[x], full[y])
-                for x in l1.labels
-                for y in l1.labels
+                (up1[x] >> y & 1) == (up2[fx] >> mapping[y] & 1)
+                for x, fx in mapping.items()
+                for y in mapping
             ):
-                yield full
+                yield {labels1[x]: labels2[fx] for x, fx in mapping.items()}
             return
         v = order[i]
-        for w in sorted(l2.labels):
-            if w in used or prof2[w] != prof1[v]:
+        for w in candidates:
+            if used >> w & 1 or prof2[w] != prof1[v]:
                 continue
-            ok = True
-            for u, fu in mapping.items():
-                if l1.covered_by(u, v) != l2.covered_by(fu, w) or l1.covered_by(v, u) != l2.covered_by(w, fu):
-                    ok = False
-                    break
-            if not ok:
+            if any(
+                (covers1[u] >> v & 1) != (covers2[fu] >> w & 1) or (covers1[v] >> u & 1) != (covers2[w] >> fu & 1)
+                for u, fu in mapping.items()
+            ):
                 continue
             nodes_visited += 1
             if nodes_visited > budget:
                 raise BudgetExceeded(f"lattice isomorphism search exceeded {budget} nodes")
             mapping[v] = w
-            used.add(w)
-            yield from extend(i + 1, mapping, used)
+            yield from extend(i + 1, mapping, used | 1 << w)
             del mapping[v]
-            used.remove(w)
 
-    yield from extend(0, dict(base), set(base.values()))
+    yield from extend(0, {l1.bottom: l2.bottom, l1.top: l2.top}, 1 << l2.bottom | 1 << l2.top)
 
 
 def brute_lattice_iso(l1: Lattice, l2: Lattice, budget: int = DEFAULT_BUDGET) -> IsoWitness | None:

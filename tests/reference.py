@@ -10,16 +10,19 @@ independent references:
 - `peel_decomposition` and `reassemble`: part I's decomposition
   L = L1 ](0,a) C, which splits off one neighborhood class as a pendant chain;
 - `reference_lift`: the recursive lift of an adjunct-preserving isomorphism
-  of zero-divisor graphs, peeling one class from both lattices per level.
+  of zero-divisor graphs, peeling one class from both lattices per level;
+- `brute_lattice_iso_all`: the backtracking lattice-isomorphism search on
+  labels, through the public order predicates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from dislat import DislatError, Lattice, build_from_covers, classify, induced_sublattice, is_lower_dismantlable
-from dislat.errors import InternalInconsistency, LabelClash, NotLowerDismantlable, PairNotAdjunctable
+from dislat.errors import BudgetExceeded, InternalInconsistency, LabelClash, NotLowerDismantlable, PairNotAdjunctable
+from dislat.oracle import DEFAULT_BUDGET
 from dislat.zdg import LabeledGraph, complement_clique_parts, neighborhood_partition, zero_divisor_graph
 
 
@@ -191,3 +194,54 @@ def reference_lift(l1: Lattice, l2: Lattice, phi: dict[str, str]) -> dict[str, s
     psi.update(zip(chain1, chain2))
     return psi
 
+
+
+# -- the label-level lattice-isomorphism search -------------------------------------
+
+
+def brute_lattice_iso_all(l1: Lattice, l2: Lattice, budget: int = DEFAULT_BUDGET) -> Iterator[dict[str, str]]:
+    """Yield every order isomorphism l1 -> l2 (bottom to bottom, top to top),
+    lexicographic in l1's label order."""
+    if l1.n != l2.n or len(l1.covers) != len(l2.covers):
+        return
+
+    def profile(lat: Lattice, x: str) -> tuple[int, int]:
+        return (len(lat.lower_covers(x)), len(lat.upper_covers(x)))
+
+    prof1 = {x: profile(l1, x) for x in l1.labels}
+    prof2 = {x: profile(l2, x) for x in l2.labels}
+    if sorted(prof1.values()) != sorted(prof2.values()):
+        return
+
+    order = [x for x in sorted(l1.labels) if x not in (l1.bottom_label, l1.top_label)]
+    base = {l1.bottom_label: l2.bottom_label, l1.top_label: l2.top_label}
+    if prof1[l1.bottom_label] != prof2[l2.bottom_label] or prof1[l1.top_label] != prof2[l2.top_label]:
+        return
+    nodes_visited = 0
+
+    def extend(i: int, mapping: dict[str, str], used: set[str]) -> Iterator[dict[str, str]]:
+        nonlocal nodes_visited
+        if i == len(order):
+            full = dict(mapping)
+            if all(l1.leq(x, y) == l2.leq(full[x], full[y]) for x in l1.labels for y in l1.labels):
+                yield full
+            return
+        v = order[i]
+        for w in sorted(l2.labels):
+            if w in used or prof2[w] != prof1[v]:
+                continue
+            if any(
+                l1.covered_by(u, v) != l2.covered_by(fu, w) or l1.covered_by(v, u) != l2.covered_by(w, fu)
+                for u, fu in mapping.items()
+            ):
+                continue
+            nodes_visited += 1
+            if nodes_visited > budget:
+                raise BudgetExceeded(f"lattice isomorphism search exceeded {budget} nodes")
+            mapping[v] = w
+            used.add(w)
+            yield from extend(i + 1, mapping, used)
+            del mapping[v]
+            used.remove(w)
+
+    yield from extend(0, dict(base), set(base.values()))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -21,11 +22,14 @@ from dislat import (
     zero_divisor_graph,
 )
 from dislat.blocks import annotate_classes
+from dislat.lattice import _peel
 from dislat.oracle import enumerate_lower_dismantlable
 from dislat.treeiso import RootedTree
 from dislat.zdg import neighborhood_partition
+from dislat.treeiso import lattice_of_tree
 from tests.conftest import leq_meet
 from tests.reference import ClassHasAdjunct, class_has_adjunct, neighborhood_classes, peel_decomposition, reassemble
+from tests.test_treeiso import random_parents, tree_of_parents
 
 
 # -- references: one rebuilt lattice per deletion ---------------------------------
@@ -391,3 +395,64 @@ class TestAgainstRebuild:
     def test_deletion_orders(self, sample_lattices):
         for lat in sample_lattices:
             assert explore_deletion_orders(lat) == reference_deletion_orders(lat)
+
+
+# -- closed form: basic blocks read off the maximal unary paths ----------------------
+
+
+def unary_paths(lat):
+    """The tree's maximal unary paths (`_peel`), split into the members that
+    every fixed point keeps and the paths that end in a leaf.  Empty when the
+    lattice is a chain."""
+    tree = tree_of_lattice(lat)
+    if all(len(tree.children(v)) <= 1 for v in tree.labels):
+        return set(), []
+    kept, leaf_paths = set(), []
+    for _, path in _peel(tree.parent_map()):
+        if tree.children(path[-1]):  # the path ends in a branching node
+            kept.add(path[-1])
+        else:
+            leaf_paths.append(path)
+    return kept, leaf_paths
+
+
+def predicted_fixed_points(lat):
+    """A path ending in a branching node keeps only that node, one ending in a
+    leaf keeps any one member, and a chain keeps only its extremes."""
+    kept, leaf_paths = unary_paths(lat)
+    kept |= {lat.bottom_label, lat.top_label}
+    return {frozenset(kept.union(pick)) for pick in itertools.product(*leaf_paths)}
+
+
+def random_tree_lattices(count, max_nodes, seed):
+    """Lattices of random recursive trees of 1..max_nodes nodes, their labels
+    shuffled so that label order is not tree order."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randrange(1, max_nodes + 1)
+        tree = tree_of_parents(random_parents(rng, n), "v")
+        image = list(tree.labels)
+        rng.shuffle(image)
+        yield lattice_of_tree(tree.relabeled(dict(zip(tree.labels, image))))
+
+
+class TestClosedFormBlocks:
+    """Fixed points predicted from the unary paths, with no deletion stepped."""
+
+    @pytest.fixture(scope="class")
+    def lattices(self):
+        return [*enumerate_lower_dismantlable(10), *random_tree_lattices(50, 20, seed=9)]
+
+    def test_counts(self, lattices):
+        assert len(lattices) == 486 + 50
+        assert sum(len(predicted_fixed_points(lat)) > 1 for lat in lattices) > 100
+
+    def test_deletion_orders(self, lattices):
+        for lat in lattices:
+            assert explore_deletion_orders(lat) == predicted_fixed_points(lat)
+
+    def test_basic_block_keeps_largest_label_of_each_leaf_path(self, lattices):
+        for lat in lattices:
+            kept, leaf_paths = unary_paths(lat)
+            block = set(basic_block(lat).labels)
+            assert block == kept | {lat.bottom_label, lat.top_label} | {max(path) for path in leaf_paths}

@@ -1,13 +1,19 @@
 from __future__ import annotations
 
+import itertools
 import json
+import random
 from pathlib import Path
 
 import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from dislat.cli import main
+from dislat import adjunct_representation, canonical_code, serialize, tree_of_lattice, zero_divisor_graph
+from dislat.cli import _SUITES, _bucket_ids, _suite_t1, main
+from dislat.lattice import relabel
+from dislat.oracle import brute_lattice_iso, enumerate_lower_dismantlable
+from dislat.treeiso import recognize
 
 DATA = Path(__file__).parent / "data"
 SCHEMA = json.loads((Path(__file__).parent.parent / "schemas" / "cli_output.schema.json").read_text())
@@ -355,6 +361,90 @@ class TestVerify:
         code, payload = run_json(capsys, "verify", "--suite", "diam", "--max-nodes", max_nodes)
         assert code == 2
         assert payload["error"]["type"] == "BadOption"
+
+
+    def test_all_suites_at_9_match_golden(self, capsys):
+        """The bytes that `dislat --json --seed 0 verify --suite all
+        --max-nodes 9` printed before t1 ran brute force within buckets."""
+        code, out = run(capsys, "--json", "--seed", "0", "verify", "--suite", "all", "--max-nodes", "9")
+        assert code == 1  # block-confluence finds label-level violations
+        assert out.encode("utf-8") == (DATA / "verify_all_9.json").read_bytes()
+
+
+def reference_t1(max_nodes: int, seed: int) -> dict:
+    """Suite t1 with brute force on every pair."""
+    rng = random.Random(seed)
+    lats = list(enumerate_lower_dismantlable(max_nodes, 2))
+    relabeled = []
+    for lat in lats:
+        perm = list(lat.labels)
+        rng.shuffle(perm)
+        relabeled.append(relabel(lat, dict(zip(lat.labels, perm))))
+    codes = [canonical_code(recognize(zero_divisor_graph(lat))) for lat in lats]
+    codes_relab = [canonical_code(recognize(zero_divisor_graph(lat))) for lat in relabeled]
+    checked = violations = 0
+    first = None
+    for i, j in itertools.combinations_with_replacement(range(len(lats)), 2):
+        checked += 1
+        fast = codes[i] == codes_relab[j]
+        slow = brute_lattice_iso(lats[i], relabeled[j]) is not None
+        if fast != slow:
+            violations += 1
+            first = first or {
+                "first": serialize(adjunct_representation(lats[i])),
+                "second": serialize(adjunct_representation(relabeled[j])),
+                "codes_equal": fast,
+                "brute": slow,
+            }
+    return {"checked": checked, "violations": violations, "first_counterexample": first}
+
+
+class TestT1Buckets:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_same_result_as_brute_force_on_every_pair(self, seed):
+        assert _suite_t1(8, seed, 0, None) == reference_t1(8, seed)
+
+    def test_equal_codes_never_cross_buckets(self):
+        rng = random.Random(2)
+        lats = list(enumerate_lower_dismantlable(10))
+        for lat in list(lats):
+            perm = list(lat.labels)
+            rng.shuffle(perm)
+            lats.append(relabel(lat, dict(zip(lat.labels, perm))))
+        buckets_of_code: dict = {}
+        for lat, bucket in zip(lats, _bucket_ids(lats)):
+            buckets_of_code.setdefault(canonical_code(tree_of_lattice(lat)), set()).add(bucket)
+        assert len(buckets_of_code) == len(lats) // 2 == 486
+        assert all(len(buckets) == 1 for buckets in buckets_of_code.values())
+
+
+class TestInternalErrors:
+    """An exception that the program does not expect exits 3, never with a
+    traceback."""
+
+    @pytest.mark.parametrize("exc", [ValueError("bad value"), KeyError("missing")])
+    def test_json(self, capsys, monkeypatch, exc):
+        def broken(*_args):
+            raise exc
+
+        monkeypatch.setitem(_SUITES, "diam", broken)
+        code = main(["--json", "verify", "--suite", "diam", "--max-nodes", "4"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "Traceback" not in captured.out + captured.err
+        payload = json.loads(captured.out)
+        jsonschema.validate(payload, SCHEMA)
+        assert payload["error"]["type"] == type(exc).__name__
+
+    def test_text(self, capsys, monkeypatch):
+        def broken(*_args):
+            raise ValueError("bad value")
+
+        monkeypatch.setitem(_SUITES, "diam", broken)
+        code = main(["verify", "--suite", "diam", "--max-nodes", "4"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == "" and captured.err == "error: bad value\n"
 
 
 class TestInputEncoding:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -15,7 +16,9 @@ from dislat import (
     non_ancestor_graph,
     zero_divisor_graph,
 )
-from dislat.oracle import rooted_tree_codes
+from dislat.lattice import relabel
+from dislat.oracle import brute_lattice_iso_all, enumerate_lower_dismantlable, rooted_tree_codes
+from tests.reference import brute_lattice_iso_all as reference_brute_lattice_iso_all
 from tests.reference import chain_lattice
 
 # number of rooted-tree isomorphism classes by node count, OEIS A000081
@@ -140,3 +143,46 @@ class TestBruteLatticeIso:
                     cover_iso = True
                     break
             assert order_iso == cover_iso
+
+
+def search_outcome(search, l1, l2, budget):
+    """Every map a search yields, each as its (key, value) list, and whether
+    it then ran out of budget."""
+    maps = []
+    try:
+        for mapping in search(l1, l2, budget):
+            maps.append(list(mapping.items()))
+    except BudgetExceeded:
+        return maps, True
+    return maps, False
+
+
+class TestIndexSearchAgainstLabels:
+    """The index search against the label-level search of `tests/reference.py`."""
+
+    @pytest.fixture(scope="class")
+    def pairs(self):
+        rng = random.Random(11)
+        lats = list(enumerate_lower_dismantlable(8, root_min_children=2))
+        shuffled = []
+        for lat in lats:
+            perm = list(lat.labels)
+            rng.shuffle(perm)
+            shuffled.append(relabel(lat, dict(zip(lat.labels, perm))))
+        return [(l1, l2) for l1 in lats for other in (lats, shuffled) for l2 in other]
+
+    def test_same_maps_in_same_order(self, pairs):
+        found = 0
+        for l1, l2 in pairs:
+            got = search_outcome(brute_lattice_iso_all, l1, l2, 10**9)
+            assert got == search_outcome(reference_brute_lattice_iso_all, l1, l2, 10**9)
+            found += bool(got[0])
+        assert 0 < found < len(pairs)
+
+    def test_same_budget_failures(self, pairs):
+        raised = 0
+        for l1, l2 in pairs:
+            got = search_outcome(brute_lattice_iso_all, l1, l2, 4)
+            assert got == search_outcome(reference_brute_lattice_iso_all, l1, l2, 4)
+            raised += got[1]
+        assert 0 < raised < len(pairs)
