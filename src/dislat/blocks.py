@@ -60,7 +60,11 @@ class ClassPartition:
 
 def _cover_masks(lat: Lattice) -> tuple[list[int], list[int]]:
     """Per element, the masks of its upper covers and of its lower covers."""
-    return [sum(1 << v for v in vs) for vs in lat._uppers], [sum(1 << u for u in us) for us in lat._lowers]
+    uppers, lowers = [0] * lat.n, [0] * lat.n
+    for u, v in lat.covers:
+        uppers[u] |= 1 << v
+        lowers[v] |= 1 << u
+    return uppers, lowers
 
 
 def _deletable(lat: Lattice, uppers: list[int], lowers: list[int], survivors: int) -> list[int]:

@@ -11,6 +11,7 @@ schemas/cli_output.schema.json in the repository.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import random
@@ -29,9 +30,9 @@ from .errors import (
 )
 from .lattice import (
     Lattice,
+    _bits,
     adjunct_representation,
     classify,
-    induced_sublattice,
     is_lower_dismantlable,
     relabel,
 )
@@ -196,190 +197,299 @@ def cmd_recognize(args) -> int:
 
 # -- verification suites --------------------------------------------------------
 #
-# Every suite takes (max_nodes, seed, root_min, dump_dir) and returns a dict
-# with at least "checked", "violations" and "first_counterexample".  root_min
-# is the least number of children of the tree's root (lower covers of the
-# top); suites that need a join-reducible top raise it to 2.  dump_dir is
-# None unless counterexample files are wanted.
+# `cmd_verify` walks the tree enumeration once, size by size, and hands each
+# enumerated lattice to every selected suite.  A suite is built from (seed,
+# root_min, dump_dir); `add` folds one lattice into its running result,
+# `end_size` closes a size, and `result` returns a dict with at least
+# "checked", "violations" and "first_counterexample".  root_min is the least
+# number of children of the tree's root (lower covers of the top), and the
+# walk yields only those trees; suites that need a join-reducible top also
+# skip the trees whose root has fewer than 2 children.  dump_dir is None
+# unless counterexample files are wanted.
 
 
-def _suite_diam(max_nodes: int, _seed: int, root_min: int, _dump_dir: str | None) -> dict:
-    checked = violations = 0
-    first = None
-    for lat in oracle.enumerate_lower_dismantlable(max_nodes, root_min):
-        graph = zdg.zero_divisor_graph(lat)
-        if graph.n == 0:
-            continue
-        checked += 1
-        report = zdg.connectivity_report(graph)
+class _Item:
+    """One enumerated tree.  Its lattice and the lattice's zero-divisor graph
+    are built on first use, once, and shared by every suite."""
+
+    def __init__(self, tree: treeiso.RootedTree):
+        self.tree = tree
+        self.join_reducible_top = len(tree._children[tree.root]) >= 2
+
+    @functools.cached_property
+    def lat(self) -> Lattice:
+        return treeiso.lattice_of_tree(self.tree)
+
+    @functools.cached_property
+    def graph(self) -> zdg.LabeledGraph:
+        return zdg.zero_divisor_graph(self.lat)
+
+
+def _adl(lat: Lattice, name: str = "L") -> str:
+    return dsl.serialize(adjunct_representation(lat, name=name))
+
+
+class _Suite:
+    def __init__(self, _seed: int, _root_min: int, _dump_dir: str | None):
+        self.checked = self.violations = 0
+        self.first: dict | None = None
+
+    def add(self, item: _Item) -> None:
+        raise NotImplementedError
+
+    def end_size(self) -> None:
+        pass
+
+    def result(self) -> dict:
+        return {"checked": self.checked, "violations": self.violations, "first_counterexample": self.first}
+
+
+class _Diam(_Suite):
+    def add(self, item: _Item) -> None:
+        if item.graph.n == 0:
+            return
+        self.checked += 1
+        report = zdg.connectivity_report(item.graph)
         if not report["connected"] or report["diameter"] > 3:
-            violations += 1
-            first = first or {"lattice": dsl.serialize(adjunct_representation(lat)), "report": report}
-    return {"checked": checked, "violations": violations, "first_counterexample": first}
+            self.violations += 1
+            self.first = self.first or {"lattice": _adl(item.lat), "report": report}
 
 
-def _suite_lemma400(max_nodes: int, _seed: int, root_min: int, _dump_dir: str | None) -> dict:
-    checked = violations = 0
-    first = None
-    for lat in oracle.enumerate_lower_dismantlable(max_nodes, root_min):
-        checked += 1
-        bottom = lat.bottom_label
-        bad = None
-        for x in lat.labels:
-            for y in lat.labels:
-                if x >= y or x == bottom or y == bottom:
-                    continue
-                if (lat.meet(x, y) == bottom) != lat.incomparable(x, y):
-                    bad = f"meet/incomparability mismatch at ({x}, {y})"
-        if len(lat.lower_covers(lat.top_label)) >= 2:
-            graph = zdg.zero_divisor_graph(lat)
-            if graph.n != lat.n - 2:
-                bad = f"|V| = {graph.n} but |L| - 2 = {lat.n - 2}"
+def _meet_mismatch(lat: Lattice) -> str | None:
+    """The first pair (x, y) of nonzero elements, x < y by label, in index
+    order, whose meet is the bottom exactly when they are comparable."""
+    labels, up, bottom = lat.labels, lat._up, lat.bottom
+    for x in range(lat.n):
+        for y in range(lat.n):
+            if x == bottom or y == bottom or labels[x] >= labels[y]:
+                continue
+            incomparable = not (up[x] >> y & 1 or up[y] >> x & 1)
+            if (lat._meet_idx(x, y) == bottom) != incomparable:
+                return f"meet/incomparability mismatch at ({labels[x]}, {labels[y]})"
+    return None
+
+
+class _Lemma400(_Suite):
+    def add(self, item: _Item) -> None:
+        lat = item.lat
+        self.checked += 1
+        bad = _meet_mismatch(lat)
+        if bad is None and item.join_reducible_top and item.graph.n != lat.n - 2:
+            bad = f"|V| = {item.graph.n} but |L| - 2 = {lat.n - 2}"
         if bad:
-            violations += 1
-            first = first or {"lattice": dsl.serialize(adjunct_representation(lat)), "reason": bad}
-    return {"checked": checked, "violations": violations, "first_counterexample": first}
+            self.violations += 1
+            self.first = self.first or {"lattice": _adl(lat), "reason": bad}
 
 
-def _suite_thm704(max_nodes: int, _seed: int, root_min: int, _dump_dir: str | None) -> dict:
-    checked = violations = 0
-    first = None
-    sizes_pool = []
-    for k in range(2, 5):
-        sizes_pool.extend(itertools.combinations_with_replacement(range(1, 5), k))
-    for sizes in sizes_pool:
-        checked += 1
-        want = sorted(sizes, reverse=True)
-        lat = zdg.lattice_from_complete_multipartite(sizes)
-        got = zdg.complete_multipartite_parts(zdg.zero_divisor_graph(lat))
-        if got != want:
-            violations += 1
-            first = first or {"sizes": list(sizes), "got": got}
-    # forward direction: top-only adjunct element implies complete multipartite
-    for lat in oracle.enumerate_lower_dismantlable(max_nodes, max(root_min, 2)):
-        adjuncts = classify(lat).adjunct_elements
-        if adjuncts != {lat.top_label}:
-            continue
-        checked += 1
-        if zdg.complete_multipartite_parts(zdg.zero_divisor_graph(lat)) is None:
-            violations += 1
-            first = first or {"lattice": dsl.serialize(adjunct_representation(lat))}
-    return {"checked": checked, "violations": violations, "first_counterexample": first}
+class _Thm704(_Suite):
+    def __init__(self, seed: int, root_min: int, dump_dir: str | None):
+        super().__init__(seed, root_min, dump_dir)
+        # backward direction, once: the lattice made for part sizes has the
+        # complete multipartite graph with those parts
+        for k in range(2, 5):
+            for sizes in itertools.combinations_with_replacement(range(1, 5), k):
+                self.checked += 1
+                lat = zdg.lattice_from_complete_multipartite(sizes)
+                got = zdg.complete_multipartite_parts(zdg.zero_divisor_graph(lat))
+                if got != sorted(sizes, reverse=True):
+                    self.violations += 1
+                    self.first = self.first or {"sizes": list(sizes), "got": got}
+
+    def add(self, item: _Item) -> None:
+        # forward direction: top-only adjunct element implies complete multipartite
+        if not item.join_reducible_top or classify(item.lat).adjunct_elements != {item.lat.top_label}:
+            return
+        self.checked += 1
+        if zdg.complete_multipartite_parts(item.graph) is None:
+            self.violations += 1
+            self.first = self.first or {"lattice": _adl(item.lat)}
 
 
-def _suite_ssc(max_nodes: int, _seed: int, root_min: int, _dump_dir: str | None) -> dict:
-    checked = violations = 0
-    first = None
-    for lat in oracle.enumerate_lower_dismantlable(max_nodes, max(root_min, 2)):
-        checked += 1
-        report = blocks.ssc_equivalence_report(lat, blocks.basic_block(lat), zdg.zero_divisor_graph(lat))
+class _Ssc(_Suite):
+    def add(self, item: _Item) -> None:
+        if not item.join_reducible_top:
+            return
+        lat = item.lat
+        self.checked += 1
+        report = blocks.ssc_equivalence_report(lat, blocks.basic_block(lat), item.graph)
         if len(set(report.values())) != 1:
-            violations += 1
-            first = first or {"lattice": dsl.serialize(adjunct_representation(lat)), "report": report}
-    return {"checked": checked, "violations": violations, "first_counterexample": first}
+            self.violations += 1
+            self.first = self.first or {"lattice": _adl(lat), "report": report}
 
 
-def _bucket_ids(lats: list[Lattice]) -> list[int]:
-    """A small int per lattice, equal exactly when `oracle.lattice_iso_key`
-    is: brute force finds no isomorphism between lattices whose ids differ."""
-    ids: dict[tuple, int] = {}
-    return [ids.setdefault(oracle.lattice_iso_key(lat), len(ids)) for lat in lats]
+class _T1(_Suite):
+    """Every pair (i, j), i <= j, of the lattices with a join-reducible top,
+    numbered in enumeration order: the recognized zero-divisor graphs of
+    lattice i and of a random relabeling of lattice j have equal codes
+    exactly when brute force finds a lattice isomorphism.
 
+    Brute force runs only within a bucket of `oracle.lattice_iso_key` and
+    returns nothing across buckets.  The key holds the size, so it only ever
+    compares lattices of the size at hand, and of earlier sizes only the
+    codes and bucket ids are kept.  The first counterexample is that of the
+    least pair (i, j)."""
 
-def _suite_t1(max_nodes: int, seed: int, root_min: int, _dump_dir: str | None) -> dict:
-    rng = random.Random(seed)
-    lats = list(oracle.enumerate_lower_dismantlable(max_nodes, max(root_min, 2)))
-    relabeled = []
-    for lat in lats:
+    def __init__(self, seed: int, root_min: int, dump_dir: str | None):
+        super().__init__(seed, root_min, dump_dir)
+        self.rng = random.Random(seed)
+        self.root_min = max(root_min, 2)
+        self.codes: list[str] = []
+        self.codes_relab: list[str] = []
+        self.buckets: list[int] = []
+        self.buckets_relab: list[int] = []
+        self.start = 0  # the number of this size's first lattice
+        self.lats: list[Lattice] = []  # this size's lattices and their relabelings
+        self.relabeled: list[Lattice] = []
+        self.ids: dict[tuple, int] = {}  # this size's bucket ids by key
+        self.id_base = 0  # the bucket ids of earlier sizes lie below it
+        self.first_pair: tuple[int, int] | None = None
+
+    def _bucket(self, lat: Lattice) -> int:
+        return self.ids.setdefault(oracle.lattice_iso_key(lat), self.id_base + len(self.ids))
+
+    def add(self, item: _Item) -> None:
+        if not item.join_reducible_top:
+            return
+        lat = item.lat
         perm = list(lat.labels)
-        rng.shuffle(perm)
-        relabeled.append(relabel(lat, dict(zip(lat.labels, perm))))
-    codes = [
-        treeiso.canonical_code(treeiso.recognize(zdg.zero_divisor_graph(lat)))
-        for lat in lats
-    ]
-    codes_relab = [
-        treeiso.canonical_code(treeiso.recognize(zdg.zero_divisor_graph(lat)))
-        for lat in relabeled
-    ]
-    buckets = _bucket_ids(lats + relabeled)
-    buckets_relab = buckets[len(lats):]
-    checked = violations = 0
-    first = None
-    for i, j in itertools.combinations_with_replacement(range(len(lats)), 2):
-        checked += 1
-        fast = codes[i] == codes_relab[j]
-        # Across buckets brute force returns nothing without searching.
-        slow = buckets[i] == buckets_relab[j] and oracle.brute_lattice_iso(lats[i], relabeled[j]) is not None
-        if fast != slow:
-            violations += 1
-            first = first or {
-                "first": dsl.serialize(adjunct_representation(lats[i])),
-                "second": dsl.serialize(adjunct_representation(relabeled[j])),
-                "codes_equal": fast,
-                "brute": slow,
-            }
-    return {"checked": checked, "violations": violations, "first_counterexample": first}
+        self.rng.shuffle(perm)
+        relabeled = relabel(lat, dict(zip(lat.labels, perm)))
+        self.lats.append(lat)
+        self.relabeled.append(relabeled)
+        self.codes.append(treeiso.canonical_code(treeiso.recognize(item.graph)))
+        self.codes_relab.append(treeiso.canonical_code(treeiso.recognize(zdg.zero_divisor_graph(relabeled))))
+        self.buckets.append(self._bucket(lat))
+        self.buckets_relab.append(self._bucket(relabeled))
+
+    def end_size(self) -> None:
+        start, stop = self.start, len(self.codes)
+        lats, relabeled = self.lats, self.relabeled
+        codes_relab, buckets_relab = self.codes_relab, self.buckets_relab
+        for i in range(stop):
+            code, bucket = self.codes[i], self.buckets[i]
+            lo = max(i, start)
+            self.checked += stop - lo
+            for j in range(lo, stop):
+                fast = code == codes_relab[j]
+                # Equal buckets mean one size, so lattice i is of this size.
+                slow = bucket == buckets_relab[j] and (
+                    oracle.brute_lattice_iso(lats[i - start], relabeled[j - start]) is not None
+                )
+                if fast != slow:
+                    self._violation(i, j, fast, slow)
+        self.start = stop
+        self.lats, self.relabeled = [], []
+        self.id_base += len(self.ids)
+        self.ids = {}
+
+    def _violation(self, i: int, j: int, fast: bool, slow: bool) -> None:
+        self.violations += 1
+        if self.first_pair is not None and self.first_pair < (i, j):
+            return
+        self.first_pair = (i, j)
+        second = self.relabeled[j - self.start]
+        if i >= self.start:
+            first = self.lats[i - self.start]
+        else:  # of an earlier size: only a counterexample pays to build it again
+            trees = oracle.enumerate_rooted_trees(second.n - 1, self.root_min)
+            first = treeiso.lattice_of_tree(next(itertools.islice(trees, i, None)))
+        self.first = {
+            "first": _adl(first),
+            "second": _adl(second),
+            "codes_equal": fast,
+            "brute": slow,
+        }
 
 
-def _suite_block_confluence(max_nodes: int, _seed: int, root_min: int, dump_dir: str | None) -> dict:
-    checked = label_confluent = iso_confluent = 0
-    first = None
-    dump_path = None
-    for lat in oracle.enumerate_lower_dismantlable(max_nodes, root_min):
-        checked += 1
+def _fixed_point_code(lat: Lattice, fixed_point: frozenset[str]) -> str:
+    """The canonical code of the tree of the sublattice that the lower
+    dismantlable `lat` induces on `fixed_point`, read off the survivors: the
+    parent of each is its nearest surviving strict ancestor, the lowest
+    element of the chain that survives above it."""
+    nodes = [lat.index(x) for x in fixed_point if x != lat.bottom_label]
+    survivors = sum(1 << x for x in nodes)
+    position = {x: k for k, x in enumerate(nodes)}
+    parent = []
+    for x in nodes:
+        above = lat._up[x] & survivors & ~(1 << x)
+        lowest = next((a for a in _bits(above) if lat._up[a] & above == above), x)  # the top is its own parent
+        parent.append(position[lowest])
+    tree = treeiso.RootedTree(labels=tuple(lat.labels[x] for x in nodes), parent=tuple(parent), root=position[lat.top])
+    return treeiso.canonical_code(tree)
+
+
+class _BlockConfluence(_Suite):
+    def __init__(self, seed: int, root_min: int, dump_dir: str | None):
+        super().__init__(seed, root_min, dump_dir)
+        self.dump_dir = dump_dir
+        self.dump_path: str | None = None
+        self.label_confluent = self.iso_confluent = 0
+
+    def add(self, item: _Item) -> None:
+        lat = item.lat
+        self.checked += 1
         fixed_points = blocks.explore_deletion_orders(lat)
         if len(fixed_points) == 1:
-            label_confluent += 1
-            iso_confluent += 1
-            continue
-        codes = {
-            treeiso.canonical_code(treeiso.tree_of_lattice(induced_sublattice(lat, fp)))
-            for fp in fixed_points
-        }
+            self.label_confluent += 1
+            self.iso_confluent += 1
+            return
+        codes = {_fixed_point_code(lat, fp) for fp in fixed_points}
         if len(codes) == 1:
-            iso_confluent += 1
-        if first is None:
-            adl = dsl.serialize(adjunct_representation(lat, name="counterexample"))
-            first = {
+            self.iso_confluent += 1
+        if self.first is None:
+            adl = _adl(lat, name="counterexample")
+            self.first = {
                 "lattice": adl,
                 "fixed_points": sorted(sorted(fp) for fp in fixed_points),
                 "isomorphic_fixed_points": len(codes) == 1,
             }
-            if dump_dir is not None:
-                dump_path = str(Path(dump_dir) / "block_confluence_counterexample.adl")
-                Path(dump_path).write_text(adl, encoding="utf-8")
-    return {
-        "checked": checked,
-        "violations": checked - label_confluent,
-        "label_confluent": label_confluent,
-        "iso_confluent": iso_confluent,
-        "first_counterexample": first,
-        "counterexample_file": dump_path,
-    }
+            if self.dump_dir is not None:
+                self.dump_path = str(Path(self.dump_dir) / "block_confluence_counterexample.adl")
+                Path(self.dump_path).write_text(adl, encoding="utf-8")
+
+    def result(self) -> dict:
+        return {
+            "checked": self.checked,
+            "violations": self.checked - self.label_confluent,
+            "label_confluent": self.label_confluent,
+            "iso_confluent": self.iso_confluent,
+            "first_counterexample": self.first,
+            "counterexample_file": self.dump_path,
+        }
 
 
 _SUITES = {
-    "diam": _suite_diam,
-    "lemma400": _suite_lemma400,
-    "thm704": _suite_thm704,
-    "ssc": _suite_ssc,
-    "t1": _suite_t1,
-    "block-confluence": _suite_block_confluence,
+    "diam": _Diam,
+    "lemma400": _Lemma400,
+    "thm704": _Thm704,
+    "ssc": _Ssc,
+    "t1": _T1,
+    "block-confluence": _BlockConfluence,
 }
+
+
+def _run_suites(names: list[str], max_nodes: int, seed: int, root_min: int, dump_dir: str | None) -> dict:
+    """The named suites over lattices of at most `max_nodes` elements, from
+    one walk of the tree enumeration in ascending size.  A lattice lives
+    while the suites visit it, and only t1 keeps one past that, to the end of
+    its size."""
+    suites = {name: _SUITES[name](seed, root_min, dump_dir) for name in names}
+    trees = oracle.enumerate_rooted_trees(max_nodes - 1, root_min)
+    for _, same_size in itertools.groupby(trees, key=lambda tree: tree.n):
+        for item in map(_Item, same_size):
+            for suite in suites.values():
+                suite.add(item)
+        for suite in suites.values():
+            suite.end_size()
+    return {name: suite.result() for name, suite in suites.items()}
 
 
 def cmd_verify(args) -> int:
     if args.max_nodes < 2:
         raise BadOption(f"--max-nodes must be at least 2, got {args.max_nodes}")
     names = list(_SUITES) if args.suite == "all" else [args.suite]
-    results = {}
-    worst = EXIT_OK
-    for name in names:
-        result = _SUITES[name](args.max_nodes, args.seed, args.root_min_children, args.dump_dir)
-        results[name] = result
-        if result["violations"]:
-            worst = EXIT_NEGATIVE
+    results = _run_suites(names, args.max_nodes, args.seed, args.root_min_children, args.dump_dir)
+    worst = EXIT_NEGATIVE if any(result["violations"] for result in results.values()) else EXIT_OK
     payload = {"command": "verify", "max_nodes": args.max_nodes, "suites": results}
     lines = []
     for name, result in results.items():
@@ -394,7 +504,9 @@ def cmd_verify(args) -> int:
 # -- entry point -------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: each parse fills a new namespace."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
                         help="emit a single JSON document")

@@ -6,8 +6,9 @@ from __future__ import annotations
 
 from typing import Iterator
 
+from .blocks import _cover_masks
 from .errors import BudgetExceeded
-from .lattice import Lattice
+from .lattice import Lattice, _bits
 from .treeiso import IsoWitness, RootedTree, lattice_of_tree, tree_from_code
 from .zdg import LabeledGraph
 
@@ -123,7 +124,10 @@ def lattice_iso_key(lat: Lattice) -> tuple:
     the cover count, the sorted (lower, upper) cover-count profile, and the
     profiles of the bottom and of the top.  Lattices with different keys are
     not isomorphic."""
-    prof = _cover_profile(lat)
+    return _iso_key(lat, _cover_profile(lat))
+
+
+def _iso_key(lat: Lattice, prof: list[tuple[int, int]]) -> tuple:
     return (lat.n, len(lat.covers), tuple(sorted(prof)), prof[lat.bottom], prof[lat.top])
 
 
@@ -137,19 +141,20 @@ def brute_lattice_iso_all(
     elements of l2 with its (lower, upper) cover counts, in l2's label order,
     that agree with every mapped element on the cover relation both ways;
     each full map is then checked on every ordered pair.  The search runs on
-    indices and upper-cover masks."""
-    if lattice_iso_key(l1) != lattice_iso_key(l2):
-        return
+    indices and cover masks: a candidate agrees with the mapped elements when
+    the mapped elements it covers, and those that cover it, are the images
+    of those of the element it is tried for."""
     prof1, prof2 = _cover_profile(l1), _cover_profile(l2)
-    covers1 = [sum(1 << v for v in up) for up in l1._uppers]  # upper covers of each element
-    covers2 = [sum(1 << v for v in up) for up in l2._uppers]
+    if _iso_key(l1, prof1) != _iso_key(l2, prof2):
+        return
+    (uppers1, lowers1), (uppers2, lowers2) = _cover_masks(l1), _cover_masks(l2)
     up1, up2 = l1._up, l2._up
     labels1, labels2 = l1.labels, l2.labels
     order = [i for i in sorted(range(l1.n), key=labels1.__getitem__) if i not in (l1.bottom, l1.top)]
     candidates = sorted(range(l2.n), key=labels2.__getitem__)
     nodes_visited = 0
 
-    def extend(i: int, mapping: dict[int, int], used: int) -> Iterator[dict[str, str]]:
+    def extend(i: int, mapping: dict[int, int], mapped: int, used: int) -> Iterator[dict[str, str]]:
         nonlocal nodes_visited
         if i == len(order):
             if all(
@@ -160,22 +165,22 @@ def brute_lattice_iso_all(
                 yield {labels1[x]: labels2[fx] for x, fx in mapping.items()}
             return
         v = order[i]
+        below = sum(1 << mapping[u] for u in _bits(lowers1[v] & mapped))
+        above = sum(1 << mapping[u] for u in _bits(uppers1[v] & mapped))
         for w in candidates:
             if used >> w & 1 or prof2[w] != prof1[v]:
                 continue
-            if any(
-                (covers1[u] >> v & 1) != (covers2[fu] >> w & 1) or (covers1[v] >> u & 1) != (covers2[w] >> fu & 1)
-                for u, fu in mapping.items()
-            ):
+            if lowers2[w] & used != below or uppers2[w] & used != above:
                 continue
             nodes_visited += 1
             if nodes_visited > budget:
                 raise BudgetExceeded(f"lattice isomorphism search exceeded {budget} nodes")
             mapping[v] = w
-            yield from extend(i + 1, mapping, used | 1 << w)
+            yield from extend(i + 1, mapping, mapped | 1 << v, used | 1 << w)
             del mapping[v]
 
-    yield from extend(0, {l1.bottom: l2.bottom, l1.top: l2.top}, 1 << l2.bottom | 1 << l2.top)
+    mapping = {l1.bottom: l2.bottom, l1.top: l2.top}
+    yield from extend(0, mapping, 1 << l1.bottom | 1 << l1.top, 1 << l2.bottom | 1 << l2.top)
 
 
 def brute_lattice_iso(l1: Lattice, l2: Lattice, budget: int = DEFAULT_BUDGET) -> IsoWitness | None:

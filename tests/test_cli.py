@@ -10,9 +10,10 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 from dislat import adjunct_representation, canonical_code, serialize, tree_of_lattice, zero_divisor_graph
-from dislat.cli import _SUITES, _bucket_ids, _suite_t1, main
-from dislat.lattice import relabel
-from dislat.oracle import brute_lattice_iso, enumerate_lower_dismantlable
+from dislat import cli
+from dislat.cli import _SUITES, _run_suites, main
+from dislat.lattice import Lattice, relabel
+from dislat.oracle import brute_lattice_iso, enumerate_lower_dismantlable, lattice_iso_key
 from dislat.treeiso import recognize
 
 DATA = Path(__file__).parent / "data"
@@ -370,6 +371,43 @@ class TestVerify:
         assert code == 1  # block-confluence finds label-level violations
         assert out.encode("utf-8") == (DATA / "verify_all_9.json").read_bytes()
 
+    def test_all_suites_at_10_seed_1_match_golden(self, capsys):
+        """The bytes that `dislat --json --seed 1 verify --suite all
+        --max-nodes 10` printed when every suite enumerated on its own."""
+        code, out = run(capsys, "--json", "--seed", "1", "verify", "--suite", "all", "--max-nodes", "10")
+        assert code == 1
+        assert out.encode("utf-8") == (DATA / "verify_all_10_seed1.json").read_bytes()
+
+    @pytest.mark.parametrize("root_min", ["0", "3"])
+    @pytest.mark.parametrize("seed", ["0", "1"])
+    def test_each_suite_alone_prints_its_part_of_all(self, capsys, seed, root_min):
+        common = ("--max-nodes", "8", "--root-min-children", root_min)
+        _, whole = run_json(capsys, "--seed", seed, "verify", "--suite", "all", *common)
+        assert list(whole["suites"]) == sorted(_SUITES)
+        for name in _SUITES:
+            code, alone = run_json(capsys, "--seed", seed, "verify", "--suite", name, *common)
+            assert alone == {**whole, "suites": {name: whole["suites"][name]}}
+            assert code == (1 if alone["suites"][name]["violations"] else 0)
+
+    def test_lemma400_names_the_first_bad_pair(self, capsys, monkeypatch):
+        """A meet that is wrong on two pairs of the 3-leaf star: the
+        counterexample names the first pair, and the lattice counts once."""
+        meet = Lattice._meet_idx
+
+        def wrong(lat, x, y):
+            if {lat.labels[x], lat.labels[y]} in ({"n1", "n2"}, {"n2", "n3"}):
+                return lat.top
+            return meet(lat, x, y)
+
+        monkeypatch.setattr(Lattice, "_meet_idx", wrong)
+        code, payload = run_json(
+            capsys, "verify", "--suite", "lemma400", "--max-nodes", "5", "--root-min-children", "3"
+        )
+        suite = payload["suites"]["lemma400"]
+        assert code == 1
+        assert suite["checked"] == 1 and suite["violations"] == 1
+        assert suite["first_counterexample"]["reason"] == "meet/incomparability mismatch at (n1, n2)"
+
 
 def reference_t1(max_nodes: int, seed: int) -> dict:
     """Suite t1 with brute force on every pair."""
@@ -402,7 +440,28 @@ def reference_t1(max_nodes: int, seed: int) -> dict:
 class TestT1Buckets:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_same_result_as_brute_force_on_every_pair(self, seed):
-        assert _suite_t1(8, seed, 0, None) == reference_t1(8, seed)
+        assert _run_suites(["t1"], 8, seed, 0, None)["t1"] == reference_t1(8, seed)
+
+    def test_least_pair_across_sizes_is_the_counterexample(self, monkeypatch):
+        """Codes made equal within the trees of 4 nodes, and across those of
+        3 and of 5.  The pair (1, 2) of 4-node trees is the first violation
+        found, but the least is (0, 3): the 3-node tree of M2 against the
+        first 5-node one, met a size later.  M2 is built again for the
+        report."""
+        real = canonical_code
+
+        def code(tree):
+            return {3: "A", 4: "B", 5: "A"}.get(tree.n) or real(tree)
+
+        monkeypatch.setattr(cli.treeiso, "canonical_code", code)
+        monkeypatch.setitem(globals(), "canonical_code", code)
+        got = _run_suites(["t1"], 7, 3, 0, None)["t1"]
+        assert got == reference_t1(7, 3)
+        from dislat import elaborate, parse
+
+        first = got["first_counterexample"]
+        assert elaborate(parse(first["first"])).n == 4
+        assert first["codes_equal"] is True and first["brute"] is False
 
     def test_equal_codes_never_cross_buckets(self):
         rng = random.Random(2)
@@ -411,11 +470,11 @@ class TestT1Buckets:
             perm = list(lat.labels)
             rng.shuffle(perm)
             lats.append(relabel(lat, dict(zip(lat.labels, perm))))
-        buckets_of_code: dict = {}
-        for lat, bucket in zip(lats, _bucket_ids(lats)):
-            buckets_of_code.setdefault(canonical_code(tree_of_lattice(lat)), set()).add(bucket)
-        assert len(buckets_of_code) == len(lats) // 2 == 486
-        assert all(len(buckets) == 1 for buckets in buckets_of_code.values())
+        keys_of_code: dict = {}
+        for lat in lats:
+            keys_of_code.setdefault(canonical_code(tree_of_lattice(lat)), set()).add(lattice_iso_key(lat))
+        assert len(keys_of_code) == len(lats) // 2 == 486
+        assert all(len(keys) == 1 for keys in keys_of_code.values())
 
 
 class TestInternalErrors:
@@ -537,3 +596,22 @@ class TestGlobalFlags:
     def test_human_output_default(self, capsys):
         code, out = run(capsys, "build", DATA / "m2.adl")
         assert "lower dismantlable: True" in out
+
+    def test_parser_built_once_and_flags_do_not_leak(self, capsys):
+        assert cli._build_parser() is cli._build_parser()
+        parsed = cli._build_parser().parse_args(["--json", "--seed", "5", "verify", "--max-nodes", "4"])
+        assert parsed.json is True and parsed.seed == 5 and parsed.max_nodes == 4
+        parsed = cli._build_parser().parse_args(["verify"])
+        assert parsed.json is False and parsed.seed == 0 and parsed.max_nodes == 8
+        parsed = cli._build_parser().parse_args(["verify", "--seed", "2", "--json"])
+        assert parsed.json is True and parsed.seed == 2
+        assert cli._build_parser().parse_args(["build", "x.adl"]).seed == 0
+
+        argv = ("verify", "--suite", "t1", "--max-nodes", "7")
+        code, seeded = run_json(capsys, "--seed", "3", *argv)
+        assert code == 0
+        code, out = run(capsys, *argv)
+        assert code == 0 and out == "t1: checked 190, ok\n"
+        code, plain = run_json(capsys, *argv)
+        assert plain == seeded  # t1's verdicts do not depend on the seed
+        assert run(capsys, "--seed", "3", *argv) == (0, out)
