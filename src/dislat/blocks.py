@@ -3,6 +3,7 @@ equivalence classes, and branch peeling of lower dismantlable lattices."""
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -110,18 +111,36 @@ def basic_block(lat: Lattice) -> Lattice:
     conjecture, not an assumption.  Each deletion updates two cover masks, and
     the block is built once, from the survivors and their covers; it is `lat`
     itself when nothing is deletable.
+
+    Deleting x, with covers u < x < v, changes the covers of u and v only, so
+    only u, v and the other upper covers y of u can change deletability.  A
+    y cannot: its test asks whether an upper cover of u other than y lies
+    below the upper cover w of y, and w is above x only if it is above v,
+    the one upper cover of x, so swapping x for v among the upper covers of
+    u keeps the answer.  So u and v are tested again; the deletable elements
+    wait in a list sorted by label, and an entry of one that is no longer
+    deletable is skipped when it comes up.
     """
     if lat.n < 2:
         raise HypothesisViolated("basic block needs at least 2 elements")
+    labels = lat.labels
     uppers, lowers = _cover_masks(lat)
     full = survivors = (1 << lat.n) - 1
-    while deletable := _deletable(lat, uppers, lowers, survivors):
-        x = min(deletable, key=lat.labels.__getitem__)
+    deletable = set(_deletable(lat, uppers, lowers, survivors))
+    queue = sorted((labels[x], x) for x in deletable)
+    while queue:
+        x = queue.pop(0)[1]
+        if x not in deletable:
+            continue
+        u, v = lowers[x].bit_length() - 1, uppers[x].bit_length() - 1
         _delete(uppers, lowers, x)
         survivors &= ~(1 << x)
+        deletable -= {x, u, v}
+        for y in _deletable(lat, uppers, lowers, 1 << u | 1 << v):
+            deletable.add(y)
+            insort(queue, (labels[y], y))
     if survivors == full:
         return lat
-    labels = lat.labels
     return build_from_covers(
         [labels[x] for x in _bits(survivors)],
         [(labels[u], labels[v]) for u in _bits(survivors) for v in _bits(uppers[u])],

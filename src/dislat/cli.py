@@ -18,7 +18,7 @@ import random
 import sys
 from pathlib import Path
 
-from . import blocks, dsl, oracle, treeiso, zdg
+from . import blocks, dsl, jsonout, oracle, treeiso, zdg
 from .errors import (
     BadGraph,
     BadOption,
@@ -49,8 +49,9 @@ def _load_lattice(path: str) -> Lattice:
 
 
 def _write_json(payload: dict) -> None:
-    """The document in one write: `json.dump` would write each token apart."""
-    sys.stdout.write(json.dumps(payload, indent=2, ensure_ascii=False, sort_keys=True) + "\n")
+    """The document in one write, with sorted keys: the bytes of
+    `json.dumps(payload, indent=2, ensure_ascii=False, sort_keys=True)`."""
+    sys.stdout.write(jsonout.dumps(payload, sort_keys=True) + "\n")
 
 
 def _emit(payload: dict, args, text: str | None = None) -> None:
@@ -95,10 +96,13 @@ def cmd_zdg(args) -> int:
     if args.dot and not args.json:
         sys.stdout.write(graph.to_dot())
         return EXIT_OK
-    payload: dict = {"command": "zdg", **graph.to_json_obj()}
+    if not args.json:
+        sys.stdout.write(graph.to_json())
+        return EXIT_OK
+    payload: dict = {"command": "zdg", "vertices": graph.vertices, "edges": graph.edges}  # printed as lists
     if graph.n == 0:
         payload["warning"] = "zero-divisor graph is empty (the lattice is a chain)"
-    _emit(payload, args, None if args.json else graph.to_json())
+    _write_json(payload)
     return EXIT_OK
 
 
@@ -190,8 +194,17 @@ def cmd_recognize(args) -> int:
     lat = treeiso.lattice_of_tree(tree)
     expr = adjunct_representation(lat, name="recognized")
     adl = dsl.serialize(expr)
-    payload = {"command": "recognize", "in_class": True, "adl": adl}
-    _emit(payload, args, adl)
+    # An isolated vertex is comparable to every other: it lies on the path
+    # from the root down to the first branching node, and the printed
+    # lattice's zero-divisor graph leaves it out.
+    zdg_of_output = all(graph.masks)
+    payload = {"command": "recognize", "in_class": True, "adl": adl, "zdg_of_output": zdg_of_output}
+    note = (
+        "# zdg_of_output: true (the input is the zero-divisor graph of this lattice)\n"
+        if zdg_of_output
+        else "# zdg_of_output: false (the input has isolated vertices, which this lattice's zero-divisor graph drops)\n"
+    )
+    _emit(payload, args, note + adl)
     return EXIT_OK
 
 

@@ -20,7 +20,7 @@ from .errors import (
     NotLowerDismantlable,
 )
 from .lattice import Lattice, build_from_covers, classify, is_lower_dismantlable
-from .zdg import LabeledGraph, neighborhood_partition
+from .zdg import LabeledGraph, _select_bits, neighborhood_partition
 
 FRESH_ROOT = "⊤"
 
@@ -144,13 +144,15 @@ class IsoWitness:
 def check_graph_iso(g1: LabeledGraph, g2: LabeledGraph, mapping: Mapping[str, str]) -> bool:
     """Whether `mapping` is a bijection from the vertices of g1 onto those of
     g2 that carries the edge set of g1 onto that of g2, which is to say that
-    it preserves adjacency both ways."""
+    it preserves adjacency both ways: the masks of g1, renumbered so that
+    position r holds the vertex that goes to the r-th vertex of g2, are
+    those of g2."""
     if set(mapping) != set(g1.vertices) or set(mapping.values()) != set(g2.vertices):
         return False
     if len(set(mapping.values())) != len(mapping):
         return False
-    image = {(a, b) if a < b else (b, a) for a, b in ((mapping[u], mapping[v]) for u, v in g1.edges)}
-    return image == set(g2.edges)
+    source = {w: g1.index(v) for v, w in mapping.items()}
+    return _select_bits(g1.masks, [source[w] for w in g2.vertices], g1.n) == list(g2.masks)
 
 
 def check_lattice_iso(l1: Lattice, l2: Lattice, mapping: Mapping[str, str]) -> bool:
@@ -197,11 +199,19 @@ def lattice_of_tree(tree: RootedTree) -> Lattice:
 
 def non_ancestor_graph(tree: RootedTree) -> LabeledGraph:
     """Vertices: every node but the root; edges: pairs where neither is an
-    ancestor of the other.  Each such pair is listed once, from the node
-    earlier in preorder to each node after its subtree."""
-    pre, labels = tree._preorder, tree.labels
-    edges = [(labels[u], labels[w]) for u in pre for w in pre[tree._tout[u] :]]
-    return LabeledGraph((v for v in labels if v != tree.root_label), edges)
+    ancestor of the other.  Over preorder positions, the non-neighbours of a
+    node are its subtree, an interval, and its ancestors, which are those of
+    its parent and the parent."""
+    pre, labels, tin, tout = tree._preorder, tree.labels, tree._tin, tree._tout
+    everyone = (1 << tree.n) - 1
+    ancestors = [0] * tree.n  # by preorder position
+    nbr = [0] * tree.n
+    for pos, v in enumerate(pre[1:], start=1):
+        above = tin[tree.parent[v]]
+        ancestors[pos] = ancestors[above] | 1 << above
+        nbr[pos] = everyone ^ ancestors[pos] ^ (1 << tout[v]) - (1 << pos)
+    order = sorted(range(1, tree.n), key=lambda pos: labels[pre[pos]])  # the root is at position 0
+    return LabeledGraph._of_masks(tuple(labels[pre[pos]] for pos in order), _select_bits(nbr, order, tree.n))
 
 
 # -- canonical codes ---------------------------------------------------------------
@@ -264,35 +274,38 @@ def recognize(graph: LabeledGraph) -> RootedTree | None:
     smaller neighborhood; equal-neighborhood vertices form path segments,
     ordered here by label.  So with the vertices ranked by (degree, label),
     the parent of v is its highest-ranked non-neighbor below it, or a fresh
-    root above the maximal vertices when there is none.
+    root above the maximal vertices when there is none.  On the neighbour
+    masks renumbered by rank, that is the highest bit of ~nbr & ranked_below.
 
     The result is verified in full.  The non-edges of a non-ancestor graph are
     exactly its ancestor pairs, so the input is the tree's non-ancestor graph
-    when no edge joins an ancestor pair and the edge count is C(m, 2) minus
-    the ancestor pairs among the m vertices.
+    when no vertex is adjacent to one of its ancestors and the edge count is
+    C(m, 2) minus the ancestor pairs among the m vertices.
     """
     root = FRESH_ROOT
     while root in set(graph.vertices):
         root += "'"
 
-    ranked = sorted(graph.vertices, key=lambda v: (graph.degree(v), v))
-    bit = {v: 1 << r for r, v in enumerate(ranked)}
-    parents: dict[str, str | None] = {root: None}
-    for r, v in enumerate(ranked):
-        below = ((1 << r) - 1) & ~sum(map(bit.__getitem__, graph.neighbors(v)))
-        parents[v] = ranked[below.bit_length() - 1] if below else root
-    tree = RootedTree.from_parents(parents)
-
-    index, tin, tout = tree._index, tree._tin, tree._tout
-    for u, v in graph.edges:
-        a, b = index[u], index[v]
-        if tin[a] < tin[b] < tout[a] or tin[b] < tin[a] < tout[b]:
-            return None
-    m = graph.n
-    ancestor_pairs = sum(tout[i] - tin[i] - 1 for i in range(tree.n) if i != tree.root)
-    if len(graph.edges) != m * (m - 1) // 2 - ancestor_pairs:
+    vs, m = graph.vertices, graph.n
+    ranked = sorted(range(m), key=lambda i: (graph.masks[i].bit_count(), i))  # vertex order is label order
+    ancestors = [0] * m  # by rank
+    parent_rank = []
+    ancestor_pairs = 0
+    for r, nbr in enumerate(_select_bits(graph.masks, ranked, m)):
+        below = (1 << r) - 1 & ~nbr
+        p = below.bit_length() - 1  # -1: the fresh root
+        if p >= 0:
+            ancestors[r] = ancestors[p] | 1 << p
+            if nbr & ancestors[r]:
+                return None
+            ancestor_pairs += ancestors[r].bit_count()
+        parent_rank.append(p)
+    if graph.m != m * (m - 1) // 2 - ancestor_pairs:
         return None
-    return tree
+    parents: dict[str, str | None] = {root: None}
+    for i, p in zip(ranked, parent_rank):
+        parents[vs[i]] = vs[ranked[p]] if p >= 0 else root
+    return RootedTree.from_parents(parents)
 
 
 def graph_iso(g1: LabeledGraph, g2: LabeledGraph) -> IsoWitness | None:
@@ -354,7 +367,8 @@ def align_adjuncts(
         if not misaligned:
             break
         x1 = misaligned[0]
-        mates = [y for y in g1.vertices if g1.neighbors(y) == g1.neighbors(x1)]
+        nbr = g1.masks[g1.index(x1)]
+        mates = [y for y, mask in zip(g1.vertices, g1.masks) if mask == nbr]
         swap_with = next((y for y in mates if phi[y] in adj2), None)
         if swap_with is None:
             raise InternalInconsistency(

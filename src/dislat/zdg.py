@@ -2,78 +2,134 @@
 
 The zero-divisor graph of a bounded lattice has the nonzero elements with a
 nonzero meet-zero partner as vertices, joined when their meet is the bottom.
-Since the down-set of x meet y is the intersection of the down-sets of x and
-y, the meet is the bottom exactly when those down-sets share only the bottom:
-one AND of two order bitmasks per pair, for any lattice.  The tests check this
-against meets computed from the order alone.
+A graph is its sorted vertices and one neighbour bitmask per vertex, and
+every consumer here reads the masks: neighbourhood classes bucket them,
+breadth-first search ORs them, and the edge list is built from them only
+when it is printed.  The tests check the graphs against meets computed from
+the order alone, and the kernels against a set-based graph and `networkx`.
 """
 
 from __future__ import annotations
 
-import json
-from collections import deque
-from typing import Iterable
+from functools import reduce
+from itertools import chain, compress, repeat
+from operator import itemgetter, or_
+from typing import Iterable, Iterator, Sequence
 
+from . import jsonout
 from .dsl import elaborate
 from .errors import BadGraph, BadPartition, EmptyGraph, NoSuchElement
 from .lattice import Adjunction, AdjunctExpr, Lattice
 
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _members(items: Sequence, mask: int) -> Iterator:
+    """The items whose bits are set in `mask`: bit j stands for items[j]."""
+    return compress(items, format(mask, "b")[::-1].encode().translate(_BIT_BYTES))
+
+
+def _select_bits(masks: Sequence[int], order: Sequence[int], width: int) -> list[int]:
+    """Rows order[0], order[1], ... of `masks` (each below 2**width), cut
+    down to the bits in `order` and renumbered by it: bit r of row k is bit
+    order[r] of masks[order[k]].  One pass over the binary digits per row."""
+    if not order:
+        return []
+    pick = itemgetter(*[width - 1 - j for j in reversed(order)])
+    digits = f"0{width}b"
+    return [int("".join(pick(format(masks[i], digits))), 2) for i in order]
+
 
 class LabeledGraph:
-    """Simple undirected graph over string vertex labels."""
+    """Simple undirected graph over string vertex labels.
 
-    __slots__ = ("vertices", "edges", "_adj")
+    `vertices` are sorted, and `masks[i]` holds the neighbours of
+    vertices[i] as bits over vertex positions: bit j is set exactly when
+    vertices[i] and vertices[j] are adjacent.  `edges` is built from the
+    masks on first use.
+    """
+
+    __slots__ = ("vertices", "masks", "_index", "_edges")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str]]):
-        self.vertices: tuple[str, ...] = tuple(sorted(set(vertices)))
-        adj: dict[str, set[str]] = {v: set() for v in self.vertices}
+        labels = tuple(sorted(set(vertices)))
+        index = {v: i for i, v in enumerate(labels)}
+        masks = [0] * len(labels)
         for u, v in edges:
             if u == v:
                 raise BadGraph(f"loop on {u!r}; graphs here are simple")
-            if u not in adj or v not in adj:
-                missing = u if u not in adj else v
-                raise NoSuchElement(f"edge endpoint {missing!r} is not a vertex")
-            adj[u].add(v)
-            adj[v].add(u)
-        # each edge once, smaller endpoint first, in sorted order
-        self.edges: tuple[tuple[str, str], ...] = tuple(
-            (u, v) for u in self.vertices for v in sorted(adj[u]) if u < v
-        )
-        self._adj: dict[str, frozenset[str]] = {v: frozenset(s) for v, s in adj.items()}
+            try:
+                i, j = index[u], index[v]
+            except KeyError:
+                missing = u if u not in index else v
+                raise NoSuchElement(f"edge endpoint {missing!r} is not a vertex") from None
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
+        self._fill(labels, masks, index)
+
+    @classmethod
+    def _of_masks(cls, vertices: tuple[str, ...], masks: Sequence[int]) -> "LabeledGraph":
+        """The graph on the sorted, distinct `vertices` with neighbour masks
+        `masks`, which are trusted to be symmetric and free of loops."""
+        graph = cls.__new__(cls)
+        graph._fill(vertices, masks, {v: i for i, v in enumerate(vertices)})
+        return graph
+
+    def _fill(self, vertices: tuple[str, ...], masks: Sequence[int], index: dict[str, int]) -> None:
+        self.vertices: tuple[str, ...] = vertices
+        self.masks: tuple[int, ...] = tuple(masks)
+        self._index = index
+        self._edges: tuple[tuple[str, str], ...] | None = None
 
     @property
     def n(self) -> int:
         return len(self.vertices)
 
-    def neighbors(self, v: str) -> frozenset[str]:
+    @property
+    def m(self) -> int:
+        """The number of edges."""
+        return sum(mask.bit_count() for mask in self.masks) // 2
+
+    @property
+    def edges(self) -> tuple[tuple[str, str], ...]:
+        """Each edge once, smaller endpoint first, in sorted order."""
+        if self._edges is None:
+            vs, masks = self.vertices, self.masks
+            rows = (zip(repeat(u), _members(vs[i + 1 :], masks[i] >> i + 1)) for i, u in enumerate(vs))
+            self._edges = tuple(chain.from_iterable(rows))
+        return self._edges
+
+    def index(self, v: str) -> int:
         try:
-            return self._adj[v]
+            return self._index[v]
         except KeyError:
             raise NoSuchElement(f"no vertex {v!r}") from None
 
+    def neighbors(self, v: str) -> frozenset[str]:
+        return frozenset(_members(self.vertices, self.masks[self.index(v)]))
+
     def degree(self, v: str) -> int:
-        return len(self.neighbors(v))
+        return self.masks[self.index(v)].bit_count()
 
     def adjacent(self, u: str, v: str) -> bool:
-        return v in self.neighbors(u)
+        mask = self.masks[self.index(u)]
+        return v in self._index and mask >> self._index[v] & 1 == 1
 
     def induced(self, keep: Iterable[str]) -> "LabeledGraph":
         keep_set = set(keep)
-        return LabeledGraph(
-            (v for v in self.vertices if v in keep_set),
-            (e for e in self.edges if e[0] in keep_set and e[1] in keep_set),
-        )
+        order = [i for i, v in enumerate(self.vertices) if v in keep_set]
+        return LabeledGraph._of_masks(tuple(self.vertices[i] for i in order), _select_bits(self.masks, order, self.n))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LabeledGraph):
             return NotImplemented
-        return self.vertices == other.vertices and self.edges == other.edges
+        return self.vertices == other.vertices and self.masks == other.masks
 
     def __hash__(self) -> int:
-        return hash((self.vertices, self.edges))
+        return hash((self.vertices, self.masks))
 
     def __repr__(self) -> str:
-        return f"LabeledGraph(n={self.n}, m={len(self.edges)})"
+        return f"LabeledGraph(n={self.n}, m={self.m})"
 
     # -- stable exports ------------------------------------------------------
 
@@ -81,7 +137,8 @@ class LabeledGraph:
         return {"vertices": list(self.vertices), "edges": [list(e) for e in self.edges]}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2, ensure_ascii=False) + "\n"
+        """The text of `to_json_obj()`; the writer prints tuples as lists."""
+        return jsonout.dumps({"vertices": self.vertices, "edges": self.edges}) + "\n"
 
     def to_dot(self) -> str:
         lines = ["graph G {"]
@@ -96,15 +153,17 @@ class LabeledGraph:
     def from_json_obj(cls, obj: object) -> "LabeledGraph":
         """Read {"vertices": [str, ...], "edges": [[str, str], ...]}."""
 
+        def only(kind: type, items: Iterable) -> bool:  # one pass in C, then one test per distinct type
+            return all(issubclass(t, kind) for t in set(map(type, items)))
+
         if not (
             isinstance(obj, dict)
             and isinstance(obj.get("vertices"), list)
-            and all(isinstance(v, str) for v in obj["vertices"])
+            and only(str, obj["vertices"])
             and isinstance(obj.get("edges"), list)
-            and all(
-                isinstance(e, list) and len(e) == 2 and isinstance(e[0], str) and isinstance(e[1], str)
-                for e in obj["edges"]
-            )
+            and only(list, obj["edges"])
+            and set(map(len, obj["edges"])) <= {2}
+            and only(str, chain.from_iterable(obj["edges"]))
         ):
             raise BadGraph('graph JSON must be {"vertices": [string, ...], "edges": [[string, string], ...]}')
         return cls(obj["vertices"], [tuple(e) for e in obj["edges"]])
@@ -112,48 +171,70 @@ class LabeledGraph:
 
 def zero_divisor_graph(lat: Lattice) -> LabeledGraph:
     """Vertices: nonzero x with some nonzero y such that x meet y = bottom;
-    edges: the meet-zero pairs, that is, the pairs whose down-sets meet only
-    in the bottom.  Chains yield the empty graph."""
-    zero = 1 << lat.bottom
-    nonzero = [(x, lat._down[i]) for i, x in enumerate(lat.labels) if i != lat.bottom]
-    edges = [
-        (x, y)
-        for k, (x, down_x) in enumerate(nonzero)
-        for y, down_y in nonzero[k + 1 :]
-        if down_x & down_y == zero
-    ]
-    touched = {v for e in edges for v in e}
-    return LabeledGraph(touched, edges)
+    edges: the meet-zero pairs.  Chains yield the empty graph.
+
+    Every nonzero element lies above an atom, so x meet y is the bottom
+    exactly when no atom lies below both.  So x is a vertex when some atom
+    is not below it, and the vertices that meet x above the bottom are those
+    above the atoms below x: above x itself when x is an atom, else above
+    the atoms below its lower covers.  Both sets are built over the covers,
+    one OR per cover, straight in the bits of the label-sorted vertices; the
+    neighbours of x are the vertices outside the second.
+    """
+    bottom, down, labels = lat.bottom, lat._down, lat.labels
+    atoms = sum(1 << x for x in range(lat.n) if lat._lowers[x] == (bottom,))
+    vertices = sorted(
+        (x for x in range(lat.n) if x != bottom and down[x] & atoms != atoms), key=labels.__getitem__
+    )
+    bit = [0] * lat.n
+    for k, x in enumerate(vertices):
+        bit[x] = 1 << k
+    order = sorted(range(lat.n), key=lambda i: down[i].bit_count())  # lower covers first
+    above = [0] * lat.n  # above[x]: the vertices at or above x
+    for x in reversed(order):
+        above[x] = reduce(or_, map(above.__getitem__, lat._uppers[x]), bit[x])
+    meets = [0] * lat.n  # meets[x]: the vertices whose meet with x is not the bottom
+    for x in order:
+        if x != bottom:
+            lowers = lat._lowers[x]
+            meets[x] = above[x] if lowers == (bottom,) else reduce(or_, map(meets.__getitem__, lowers))
+    everyone = (1 << len(vertices)) - 1
+    return LabeledGraph._of_masks(tuple(labels[x] for x in vertices), [everyone & ~meets[x] for x in vertices])
 
 
 def connectivity_report(graph: LabeledGraph) -> dict:
-    """BFS-exact connectivity and diameter; diameter is inf when disconnected."""
+    """Connectivity and diameter by breadth-first search from every vertex,
+    one level at a time: the next level is the OR of the masks of the
+    current one, less what was seen.  The diameter is inf when the graph is
+    disconnected."""
     if graph.n == 0:
         raise EmptyGraph("connectivity is undefined on the empty graph")
+    masks, everyone = graph.masks, (1 << graph.n) - 1
     ecc = 0
-    for src in graph.vertices:
-        dist = {src: 0}
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
-            for w in graph.neighbors(u):
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        if len(dist) < graph.n:
+    for src in range(graph.n):
+        seen = level = 1 << src
+        depth = 0
+        while level := reduce(or_, _members(masks, level), 0) & ~seen:
+            seen |= level
+            depth += 1
+        if seen != everyone:
             return {"connected": False, "diameter": float("inf")}
-        ecc = max(ecc, max(dist.values()))
+        ecc = max(ecc, depth)
     return {"connected": True, "diameter": ecc}
+
+
+def _classes(graph: LabeledGraph) -> dict[int, list[str]]:
+    """The vertices bucketed by their neighbour masks, in vertex order."""
+    buckets: dict[int, list[str]] = {}
+    for v, mask in zip(graph.vertices, graph.masks):
+        buckets.setdefault(mask, []).append(v)
+    return buckets
 
 
 def neighborhood_partition(graph: LabeledGraph) -> list[tuple[str, ...]]:
     """Group vertices by identical open neighborhoods; blocks sorted by their
     smallest member, members sorted."""
-    buckets: dict[frozenset[str], list[str]] = {}
-    for v in graph.vertices:
-        buckets.setdefault(graph.neighbors(v), []).append(v)
-    blocks = [tuple(sorted(b)) for b in buckets.values()]
-    return sorted(blocks, key=lambda b: b[0])
+    return [tuple(block) for block in _classes(graph).values()]
 
 
 def complement_clique_parts(graph: LabeledGraph) -> list[tuple[str, ...]] | None:
@@ -164,10 +245,10 @@ def complement_clique_parts(graph: LabeledGraph) -> list[tuple[str, ...]] | None
     has no loops); the parts are then the classes, returned sorted by
     (descending size, smallest member).
     """
-    parts = neighborhood_partition(graph)
-    if any(len(graph.neighbors(p[0])) + len(p) != graph.n for p in parts):
+    classes = _classes(graph)
+    if any(mask.bit_count() + len(block) != graph.n for mask, block in classes.items()):
         return None
-    return sorted(parts, key=lambda p: (-len(p), p))
+    return sorted(map(tuple, classes.values()), key=lambda p: (-len(p), p))
 
 
 def complete_multipartite_parts(graph: LabeledGraph) -> list[int] | None:

@@ -12,7 +12,12 @@ independent references:
 - `reference_lift`: the recursive lift of an adjunct-preserving isomorphism
   of zero-divisor graphs, peeling one class from both lattices per level;
 - `brute_lattice_iso_all`: the backtracking lattice-isomorphism search on
-  labels, through the public order predicates.
+  labels, through the public order predicates;
+- `SetGraph` and `edge_walking_recognize`: the graph as sets of neighbour
+  labels, and recognition that reads its edge list, next to the package's
+  neighbour masks;
+- `rescan_basic_block`: the basic block found by testing every survivor
+  again after each deletion.
 """
 
 from __future__ import annotations
@@ -21,8 +26,20 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from dislat import DislatError, Lattice, build_from_covers, classify, induced_sublattice, is_lower_dismantlable
-from dislat.errors import BudgetExceeded, InternalInconsistency, LabelClash, NotLowerDismantlable, PairNotAdjunctable
+from dislat.blocks import _cover_masks, _deletable, _delete
+from dislat.errors import (
+    BadGraph,
+    BudgetExceeded,
+    HypothesisViolated,
+    InternalInconsistency,
+    LabelClash,
+    NoSuchElement,
+    NotLowerDismantlable,
+    PairNotAdjunctable,
+)
+from dislat.lattice import _bits
 from dislat.oracle import DEFAULT_BUDGET
+from dislat.treeiso import FRESH_ROOT, RootedTree
 from dislat.zdg import LabeledGraph, complement_clique_parts, neighborhood_partition, zero_divisor_graph
 
 
@@ -245,3 +262,105 @@ def brute_lattice_iso_all(l1: Lattice, l2: Lattice, budget: int = DEFAULT_BUDGET
             used.remove(w)
 
     yield from extend(0, dict(base), set(base.values()))
+
+
+# -- graphs as neighbour sets ---------------------------------------------------------
+
+
+class SetGraph:
+    """Simple undirected graph over string labels, kept as a set of
+    neighbour labels per vertex and a sorted edge list."""
+
+    def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str]]):
+        self.vertices: tuple[str, ...] = tuple(sorted(set(vertices)))
+        adj: dict[str, set[str]] = {v: set() for v in self.vertices}
+        for u, v in edges:
+            if u == v:
+                raise BadGraph(f"loop on {u!r}; graphs here are simple")
+            if u not in adj or v not in adj:
+                missing = u if u not in adj else v
+                raise NoSuchElement(f"edge endpoint {missing!r} is not a vertex")
+            adj[u].add(v)
+            adj[v].add(u)
+        self.edges: tuple[tuple[str, str], ...] = tuple(
+            (u, v) for u in self.vertices for v in sorted(adj[u]) if u < v
+        )
+        self._adj: dict[str, frozenset[str]] = {v: frozenset(s) for v, s in adj.items()}
+
+    @property
+    def n(self) -> int:
+        return len(self.vertices)
+
+    def neighbors(self, v: str) -> frozenset[str]:
+        try:
+            return self._adj[v]
+        except KeyError:
+            raise NoSuchElement(f"no vertex {v!r}") from None
+
+    def degree(self, v: str) -> int:
+        return len(self.neighbors(v))
+
+    def adjacent(self, u: str, v: str) -> bool:
+        return v in self.neighbors(u)
+
+    def induced(self, keep: Iterable[str]) -> "SetGraph":
+        keep_set = set(keep)
+        return SetGraph(
+            (v for v in self.vertices if v in keep_set),
+            (e for e in self.edges if e[0] in keep_set and e[1] in keep_set),
+        )
+
+    def to_json_obj(self) -> dict:
+        return {"vertices": list(self.vertices), "edges": [list(e) for e in self.edges]}
+
+
+def edge_walking_recognize(graph) -> RootedTree | None:
+    """Recognition that ranks vertices by (degree, label), takes each parent
+    as the highest-ranked non-neighbour below, and verifies by walking the
+    edge list: no edge joins an ancestor pair, and the edge count is C(m, 2)
+    minus the ancestor pairs."""
+    root = FRESH_ROOT
+    while root in set(graph.vertices):
+        root += "'"
+
+    ranked = sorted(graph.vertices, key=lambda v: (graph.degree(v), v))
+    bit = {v: 1 << r for r, v in enumerate(ranked)}
+    parents: dict[str, str | None] = {root: None}
+    for r, v in enumerate(ranked):
+        below = ((1 << r) - 1) & ~sum(map(bit.__getitem__, graph.neighbors(v)))
+        parents[v] = ranked[below.bit_length() - 1] if below else root
+    tree = RootedTree.from_parents(parents)
+
+    index, tin, tout = tree._index, tree._tin, tree._tout
+    for u, v in graph.edges:
+        a, b = index[u], index[v]
+        if tin[a] < tin[b] < tout[a] or tin[b] < tin[a] < tout[b]:
+            return None
+    m = graph.n
+    ancestor_pairs = sum(tout[i] - tin[i] - 1 for i in range(tree.n) if i != tree.root)
+    if len(graph.edges) != m * (m - 1) // 2 - ancestor_pairs:
+        return None
+    return tree
+
+
+# -- the basic block by full rescans ---------------------------------------------------
+
+
+def rescan_basic_block(lat: Lattice) -> Lattice:
+    """Delete the smallest-label deletable element until none is left,
+    finding the deletable ones among all survivors every time."""
+    if lat.n < 2:
+        raise HypothesisViolated("basic block needs at least 2 elements")
+    uppers, lowers = _cover_masks(lat)
+    full = survivors = (1 << lat.n) - 1
+    while deletable := _deletable(lat, uppers, lowers, survivors):
+        x = min(deletable, key=lat.labels.__getitem__)
+        _delete(uppers, lowers, x)
+        survivors &= ~(1 << x)
+    if survivors == full:
+        return lat
+    labels = lat.labels
+    return build_from_covers(
+        [labels[x] for x in _bits(survivors)],
+        [(labels[u], labels[v]) for u in _bits(survivors) for v in _bits(uppers[u])],
+    )

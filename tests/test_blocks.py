@@ -28,7 +28,14 @@ from dislat.treeiso import RootedTree
 from dislat.zdg import neighborhood_partition
 from dislat.treeiso import lattice_of_tree
 from tests.conftest import leq_meet
-from tests.reference import ClassHasAdjunct, class_has_adjunct, neighborhood_classes, peel_decomposition, reassemble
+from tests.reference import (
+    ClassHasAdjunct,
+    class_has_adjunct,
+    neighborhood_classes,
+    peel_decomposition,
+    reassemble,
+    rescan_basic_block,
+)
 from tests.test_treeiso import random_parents, tree_of_parents
 
 
@@ -467,4 +474,21 @@ class TestClosedFormBlocks:
             for fp in explore_deletion_orders(lat):
                 want = canonical_code(tree_of_lattice(induced_sublattice(lat, fp)))
                 assert _fixed_point_code(lat, fp) == want
+
+
+class TestBlockAgainstRescan:
+    """`basic_block` tests again only the elements a deletion can affect; the
+    reference tests every survivor after each deletion."""
+
+    def test_small_and_random_tree_lattices(self):
+        lattices = [*enumerate_lower_dismantlable(10), *random_tree_lattices(50, 300, seed=11)]
+        assert len(lattices) == 486 + 50
+        for lat in lattices:
+            got, want = basic_block(lat), rescan_basic_block(lat)
+            assert got.labels == want.labels and got == want
+
+    def test_general_dismantlable(self, sample_lattices):
+        for lat in sample_lattices:
+            got, want = basic_block(lat), rescan_basic_block(lat)
+            assert got.labels == want.labels and got == want
 

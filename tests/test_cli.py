@@ -261,6 +261,40 @@ class TestRecognize:
         rebuilt = elaborate(parse(payload["adl"]))
         assert zero_divisor_graph(rebuilt) == g
 
+    def test_isolated_vertex_is_not_a_zdg_of_the_output(self, capsys, tmp_path):
+        """{a, b, c} with the one edge b-c is the non-ancestor graph of the
+        path tree with a above the leaves b and c; the printed lattice's
+        zero-divisor graph has no vertex a."""
+        from dislat import elaborate, parse, zero_divisor_graph
+
+        graph_file = tmp_path / "abc.json"
+        graph_file.write_text(json.dumps({"vertices": ["a", "b", "c"], "edges": [["b", "c"]]}))
+        code, payload = run_json(capsys, "recognize", graph_file)
+        assert code == 0 and payload["in_class"] is True
+        assert payload["zdg_of_output"] is False
+        assert zero_divisor_graph(elaborate(parse(payload["adl"]))).vertices == ("b", "c")
+        code, out = run(capsys, "recognize", graph_file)
+        assert code == 0 and out.startswith("# zdg_of_output: false")
+        assert zero_divisor_graph(elaborate(parse(out))).vertices == ("b", "c")
+
+    def test_zdg_of_output_iff_no_isolated_vertex(self, capsys, tmp_path):
+        from dislat import elaborate, parse, zero_divisor_graph
+        from dislat.oracle import enumerate_rooted_trees
+        from dislat.treeiso import non_ancestor_graph
+
+        seen = set()
+        for k, tree in enumerate(enumerate_rooted_trees(6)):
+            graph = non_ancestor_graph(tree)
+            graph_file = tmp_path / f"g{k}.json"
+            graph_file.write_text(json.dumps(graph.to_json_obj()))
+            code, payload = run_json(capsys, "recognize", graph_file)
+            assert code == 0
+            isolated = any(graph.degree(v) == 0 for v in graph.vertices)
+            assert payload["zdg_of_output"] is not isolated
+            assert (zero_divisor_graph(elaborate(parse(payload["adl"]))) == graph) is not isolated
+            seen.add(isolated)
+        assert seen == {True, False}
+
     def test_bad_json_exit_2(self, capsys, tmp_path):
         graph_file = tmp_path / "junk.json"
         graph_file.write_text("{not json")

@@ -37,7 +37,7 @@ from dislat.oracle import (
 )
 from dislat.treeiso import FRESH_ROOT, _canonical, check_graph_iso, check_lattice_iso, tree_from_code, tree_match_iso
 from tests.conftest import random_dismantlable, shuffled_copy
-from tests.reference import chain_lattice, reference_lift
+from tests.reference import SetGraph, chain_lattice, edge_walking_recognize, reference_lift
 
 
 def relabel_graph(g: LabeledGraph, mapping) -> LabeledGraph:
@@ -373,35 +373,65 @@ class TestTreeFromCode:
         assert tree.n == 3000 and tree.leaves() == ("n2999",)
 
 
+def mutated_graphs():
+    """Non-ancestor graphs of random trees and their one-step mutations."""
+    rng = random.Random(17)
+    for n in [*range(1, 9), *(rng.randrange(9, 30) for _ in range(40))]:
+        tree = tree_of_parents(random_parents(rng, n), "t")
+        yield from mutations(rng, non_ancestor_graph(tree))
+
+
+def random_graphs():
+    """500 random graphs on up to 7 vertices."""
+    rng = random.Random(23)
+    for _ in range(500):
+        verts = [f"v{i}" for i in range(rng.randrange(1, 8))]
+        p = rng.random()
+        yield LabeledGraph(verts, [e for e in itertools.combinations(verts, 2) if rng.random() < p])
+
+
 class TestRecognizeAgainstRebuild:
     def test_mutated_non_ancestor_graphs(self):
         """Accept exactly when the rebuild-and-compare check accepts, with
         the same tree, on non-ancestor graphs and one-step mutations."""
-        import random
-
-        rng = random.Random(17)
         verdicts = []
-        for n in [*range(1, 9), *(rng.randrange(9, 30) for _ in range(40))]:
-            tree = tree_of_parents(random_parents(rng, n), "t")
-            for g in mutations(rng, non_ancestor_graph(tree)):
-                got, want = recognize(g), reference_recognize(g)
-                assert (got is None) == (want is None)
-                if got is not None:
-                    assert got.parent_map() == want.parent_map()
-                verdicts.append(got is not None)
+        for g in mutated_graphs():
+            got, want = recognize(g), reference_recognize(g)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got.parent_map() == want.parent_map()
+            verdicts.append(got is not None)
         assert 0 < sum(verdicts) < len(verdicts)
 
     def test_random_graphs(self):
-        import random
-
-        rng = random.Random(23)
-        for _ in range(500):
-            verts = [f"v{i}" for i in range(rng.randrange(1, 8))]
-            p = rng.random()
-            g = LabeledGraph(verts, [e for e in itertools.combinations(verts, 2) if rng.random() < p])
+        for g in random_graphs():
             got, want = recognize(g), reference_recognize(g)
             assert (got is None) == (want is None)
             assert got is None or got.parent_map() == want.parent_map()
+
+
+class TestRecognizeAgainstEdgeWalking:
+    """Recognition on the neighbour masks against the edge-walking one on a
+    set-based copy of each graph: the same verdict and the same tree."""
+
+    @pytest.mark.parametrize("graphs", [mutated_graphs, random_graphs], ids=["mutated", "random"])
+    def test_same_trees(self, graphs):
+        verdicts = []
+        for g in graphs():
+            got, want = recognize(g), edge_walking_recognize(SetGraph(g.vertices, g.edges))
+            assert (got is None) == (want is None)
+            assert got is None or got.parent_map() == want.parent_map()
+            verdicts.append(got is not None)
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    def test_larger_trees(self):
+        rng = random.Random(47)
+        for n in (60, 200, 400):
+            tree = tree_of_parents(random_parents(rng, n), "t")
+            for g in mutations(rng, non_ancestor_graph(tree)):
+                got, want = recognize(g), edge_walking_recognize(SetGraph(g.vertices, g.edges))
+                assert (got is None) == (want is None)
+                assert got is None or got.parent_map() == want.parent_map()
 
 
 class TestIsoChecks:

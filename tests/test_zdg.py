@@ -18,9 +18,10 @@ from dislat import (
     zero_divisor_graph,
 )
 from dislat.oracle import enumerate_lower_dismantlable
-from dislat.zdg import complement_clique_parts
+from dislat.errors import DislatError, NoSuchElement
+from dislat.zdg import complement_clique_parts, neighborhood_partition
 from tests.conftest import leq_meet
-from tests.reference import adjunct, chain_lattice
+from tests.reference import SetGraph, adjunct, chain_lattice, neighborhood_classes
 
 
 def k(n: int) -> LabeledGraph:
@@ -245,3 +246,99 @@ class TestExports:
     def test_loops_rejected(self):
         with pytest.raises(BadGraph):
             LabeledGraph(["a"], [("a", "a")])
+
+
+def random_edge_list(rng: random.Random) -> tuple[list[str], list[tuple[str, str]]]:
+    """Up to 12 labels, some repeated, and edges among them in either
+    orientation, repeated at times; now and then a loop, or an endpoint that
+    is not a vertex."""
+    labels = [f"v{i}" for i in range(rng.randrange(13))] + ["é", "a b", ""][: rng.randrange(4)]
+    vertices = [rng.choice(labels) for _ in labels] if labels and rng.random() < 0.2 else list(labels)
+    p = rng.random()
+    edges = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in itertools.combinations(vertices, 2) if u != v and rng.random() < p]
+    edges += rng.sample(edges, min(len(edges), rng.randrange(3)))
+    if vertices and rng.random() < 0.1:
+        edges.insert(rng.randrange(len(edges) + 1), (rng.choice(vertices),) * 2)
+    if rng.random() < 0.1:
+        stranger = rng.choice([*vertices, "zz"]) if vertices else "zz"
+        edges.insert(rng.randrange(len(edges) + 1), (stranger, "zz") if rng.random() < 0.5 else ("zz", stranger))
+    return vertices, edges
+
+
+class TestMasksAgainstSets:
+    """The neighbour-mask graph against the set-based reference."""
+
+    def test_random_edge_lists(self):
+        rng = random.Random(41)
+        failures = graphs = 0
+        for _ in range(500):
+            vertices, edges = random_edge_list(rng)
+            try:
+                want = SetGraph(vertices, edges)
+            except DislatError as exc:
+                failures += 1
+                with pytest.raises(type(exc)) as info:
+                    LabeledGraph(vertices, edges)
+                assert str(info.value) == str(exc)
+                continue
+            graphs += 1
+            got = LabeledGraph(vertices, edges)
+            assert got.vertices == want.vertices and got.n == want.n
+            assert got.edges == want.edges and got.m == len(want.edges)
+            assert got.to_json_obj() == want.to_json_obj()
+            for v in got.vertices:
+                assert got.neighbors(v) == want.neighbors(v) and got.degree(v) == want.degree(v)
+                for w in [*got.vertices, "zz"]:
+                    assert got.adjacent(v, w) == want.adjacent(v, w)
+            keep = [v for v in got.vertices if rng.random() < 0.6] + ["zz"]
+            assert got.induced(keep).edges == want.induced(keep).edges
+            assert got.induced(keep).vertices == want.induced(keep).vertices
+            blocks = neighborhood_partition(got)
+            assert set(map(frozenset, blocks)) == neighborhood_classes(want)
+            assert blocks == sorted(tuple(sorted(b)) for b in blocks)
+            same = LabeledGraph(reversed(vertices), [e[::-1] for e in edges])
+            assert same == got and hash(same) == hash(got)
+        assert failures > 50 and graphs > 300
+
+    def test_unknown_vertex(self):
+        g = LabeledGraph(["a", "b"], [("a", "b")])
+        for query in (g.neighbors, g.degree, g.index):
+            with pytest.raises(NoSuchElement, match="no vertex 'c'"):
+                query("c")
+
+
+class TestConnectivityAgainstNetworkx:
+    """The bitset breadth-first search against networkx's connectivity and
+    diameter."""
+
+    @staticmethod
+    def expected(g: LabeledGraph) -> dict:
+        nx = pytest.importorskip("networkx")
+        h = nx.Graph()
+        h.add_nodes_from(g.vertices)
+        h.add_edges_from(g.edges)
+        if not nx.is_connected(h):
+            return {"connected": False, "diameter": float("inf")}
+        return {"connected": True, "diameter": nx.diameter(h)}
+
+    def test_every_zdg_up_to_ten_elements(self):
+        checked = 0
+        for lat in enumerate_lower_dismantlable(10):
+            g = zero_divisor_graph(lat)
+            if g.n:
+                checked += 1
+                assert connectivity_report(g) == self.expected(g)
+        assert checked > 400
+
+    def test_random_graphs(self):
+        rng = random.Random(43)
+        disconnected = 0
+        for _ in range(300):
+            verts = [f"v{i}" for i in range(1, rng.randrange(2, 30))]
+            p = rng.random() ** 2
+            g = LabeledGraph(verts, [e for e in itertools.combinations(verts, 2) if rng.random() < p])
+            want = self.expected(g)
+            disconnected += not want["connected"]
+            assert connectivity_report(g) == want
+        assert 30 < disconnected < 270
+
