@@ -255,7 +255,8 @@ def random_edge_list(rng: random.Random) -> tuple[list[str], list[tuple[str, str
     labels = [f"v{i}" for i in range(rng.randrange(13))] + ["é", "a b", ""][: rng.randrange(4)]
     vertices = [rng.choice(labels) for _ in labels] if labels and rng.random() < 0.2 else list(labels)
     p = rng.random()
-    edges = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in itertools.combinations(vertices, 2) if u != v and rng.random() < p]
+    pairs = [(u, v) for u, v in itertools.combinations(vertices, 2) if u != v and rng.random() < p]
+    edges = [e if rng.random() < 0.5 else e[::-1] for e in pairs]
     edges += rng.sample(edges, min(len(edges), rng.randrange(3)))
     if vertices and rng.random() < 0.1:
         edges.insert(rng.randrange(len(edges) + 1), (rng.choice(vertices),) * 2)
