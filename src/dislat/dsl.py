@@ -16,158 +16,130 @@ UTF-8 and newline-insensitive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from itertools import islice
+from typing import NoReturn
 
-from .errors import DslSyntaxError, DuplicateElement, LabelClash, PairNotAdjunctable, UnknownElement
-from .lattice import Adjunction, AdjunctExpr, Lattice, build_from_covers
+from .errors import DslError, DslSyntaxError, DuplicateElement, LabelClash, PairNotAdjunctable, UnknownElement
+from .lattice import Adjunction, AdjunctExpr, Lattice, _bits, build_from_covers
 
-_KEYWORDS = {"lattice", "chain", "adjoin"}
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | set("0123456789")
+_KEYWORDS = frozenset(("lattice", "chain", "adjoin"))
+_PUNCT = frozenset("{}(),:;")
+_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# Every lexeme, in a row: the match ends at the first character that starts
+# none.  Blanks are " \t\r\n", a comment runs to the end of its line, and
+# "0" followed by an identifier character is no token.
+_LEXEMES = re.compile(r"(?:[ \t\r\n]+|#[^\n]*|[{}(),:;⊤]|[A-Za-z_][A-Za-z0-9_]*|0(?![A-Za-z0-9_]))*")
+# The same lexemes, matching at every position of a checked text; only the
+# tokens are captured, so findall yields '' for blanks and comments.
+_TOKEN = re.compile(r"[ \t\r\n]+|#[^\n]*|([{}(),:;⊤]|[A-Za-z_][A-Za-z0-9_]*|0)")
 
 
 def is_element_name(label: str) -> bool:
     """True when `label` can name an element other than the extremes in
     ``.adl``: an identifier that is not a keyword (``0`` and ``⊤`` are not)."""
-    return label[:1] in _IDENT_START and set(label) <= _IDENT_CONT and label not in _KEYWORDS
+    return _IDENT.fullmatch(label) is not None and label not in _KEYWORDS
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # IDENT ZERO LBRACE RBRACE LPAREN RPAREN COMMA COLON SEMI EOF
-    text: str
-    line: int
-    col: int
-
-
-_PUNCT = {"{": "LBRACE", "}": "RBRACE", "(": "LPAREN", ")": "RPAREN", ",": "COMMA", ":": "COLON", ";": "SEMI"}
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token(_PUNCT[ch], ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch == "⊤":
-            tokens.append(_Token("IDENT", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch in _IDENT_START:
-            start = i
-            while i < n and text[i] in _IDENT_CONT:
-                i += 1
-            word = text[start:i]
-            tokens.append(_Token("IDENT", word, line, col))
-            col += i - start
-            continue
-        if ch == "0" and not (i + 1 < n and text[i + 1] in _IDENT_CONT):
-            tokens.append(_Token("ZERO", "0", line, col))
-            i += 1
-            col += 1
-            continue
-        raise DslSyntaxError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("EOF", "", line, col))
-    return tokens
+def _line_col(text: str, pos: int) -> tuple[int, int]:
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
 
 class _Parser:
+    """Recursive descent over the tokens as strings; ``''`` ends the input.
+
+    Positions are found again only for a diagnostic: token k is the k-th
+    captured match of `_TOKEN`, and the end of input after a trailing
+    comment is reported at the comment's ``#``.
+    """
+
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        end = _LEXEMES.match(text).end()
+        if end < len(text):
+            raise DslSyntaxError(f"unexpected character {text[end]!r}", *_line_col(text, end))
+        self.text = text
+        self.tokens = [*filter(None, _TOKEN.findall(text)), ""]
         self.pos = 0
 
-    def peek(self) -> _Token:
+    def fail(self, error: type[DslError], message: str) -> NoReturn:
+        """Raise `error` at the token just read."""
+        k, text = self.pos - 1, self.text
+        if k < len(self.tokens) - 1:
+            tokens = (m for m in _TOKEN.finditer(text) if m.group(1))
+            pos = next(islice(tokens, k, None)).start()
+        else:  # the end of input, or the '#' of a comment on the last line
+            pos = text.find("#", text.rfind("\n") + 1)
+            if pos < 0:
+                pos = len(text)
+        raise error(message, *_line_col(text, pos))
+
+    def peek(self) -> str:
         return self.tokens[self.pos]
 
-    def next(self) -> _Token:
+    def next(self) -> str:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def expect(self, kind: str, what: str) -> _Token:
+    def expect(self, want: str, what: str) -> None:
         tok = self.next()
-        if tok.kind != kind:
-            raise DslSyntaxError(f"expected {what}, found {tok.text or 'end of input'!r}", tok.line, tok.col)
+        if tok != want:
+            self.fail(DslSyntaxError, f"expected {what}, found {tok or 'end of input'!r}")
+
+    def element(self, defined: set[str], declare: bool, allow_zero: bool) -> str:
+        tok = self.next()
+        if tok == "0":
+            if not allow_zero:
+                self.fail(DslSyntaxError, "'0' is only allowed as the bottom of the chain or first in a pair")
+        elif tok in _KEYWORDS:
+            self.fail(DslSyntaxError, f"{tok!r} is a reserved word")
+        elif not tok or tok in _PUNCT:
+            self.fail(DslSyntaxError, f"expected an element name, found {tok or 'end of input'!r}")
+        if declare:
+            if tok in defined:
+                self.fail(DuplicateElement, f"element {tok!r} already defined")
+            defined.add(tok)
+        elif tok not in defined:
+            self.fail(UnknownElement, f"unknown element {tok!r} in pair")
         return tok
 
-    def keyword(self, word: str) -> None:
-        tok = self.next()
-        if tok.kind != "IDENT" or tok.text != word:
-            raise DslSyntaxError(f"expected {word!r}, found {tok.text or 'end of input'!r}", tok.line, tok.col)
-
-    def element(self, defined: dict[str, _Token], declare: bool, allow_zero: bool) -> str:
-        tok = self.next()
-        if tok.kind == "ZERO":
-            if not allow_zero:
-                raise DslSyntaxError("'0' is only allowed as the bottom of the chain or first in a pair", tok.line, tok.col)
-            name = "0"
-        elif tok.kind == "IDENT":
-            if tok.text in _KEYWORDS:
-                raise DslSyntaxError(f"{tok.text!r} is a reserved word", tok.line, tok.col)
-            name = tok.text
-        else:
-            raise DslSyntaxError(f"expected an element name, found {tok.text or 'end of input'!r}", tok.line, tok.col)
-        if declare:
-            if name in defined:
-                raise DuplicateElement(f"element {name!r} already defined", tok.line, tok.col)
-            defined[name] = tok
-        else:
-            if name not in defined:
-                raise UnknownElement(f"unknown element {name!r} in pair", tok.line, tok.col)
-        return name
+    def elements(self, defined: set[str], first_may_be_zero: bool) -> tuple[str, ...]:
+        """One element or more, up to the next punctuation or the end."""
+        out = [self.element(defined, declare=True, allow_zero=first_may_be_zero)]
+        while self.peek() and self.peek() not in _PUNCT:
+            out.append(self.element(defined, declare=True, allow_zero=False))
+        return tuple(out)
 
     def document(self) -> AdjunctExpr:
-        self.keyword("lattice")
-        name_tok = self.expect("IDENT", "a lattice name")
-        if name_tok.text in _KEYWORDS:
-            raise DslSyntaxError(f"{name_tok.text!r} is a reserved word", name_tok.line, name_tok.col)
-        self.expect("LBRACE", "'{'")
+        self.expect("lattice", "'lattice'")
+        name = self.next()
+        if not name or name in _PUNCT or name == "0":
+            self.fail(DslSyntaxError, f"expected a lattice name, found {name or 'end of input'!r}")
+        if name in _KEYWORDS:
+            self.fail(DslSyntaxError, f"{name!r} is a reserved word")
+        self.expect("{", "'{'")
 
-        defined: dict[str, _Token] = {}
-        self.keyword("chain")
-        base = [self.element(defined, declare=True, allow_zero=True)]
-        while self.peek().kind in ("IDENT", "ZERO"):
-            base.append(self.element(defined, declare=True, allow_zero=False))
-        self.expect("SEMI", "';'")
+        defined: set[str] = set()
+        self.expect("chain", "'chain'")
+        base = self.elements(defined, first_may_be_zero=True)
+        self.expect(";", "';'")
 
         adjunctions: list[Adjunction] = []
-        while self.peek().kind == "IDENT" and self.peek().text == "adjoin":
+        while self.peek() == "adjoin":
             self.next()
-            self.expect("LPAREN", "'('")
+            self.expect("(", "'('")
             a = self.element(defined, declare=False, allow_zero=True)
-            self.expect("COMMA", "','")
+            self.expect(",", "','")
             b = self.element(defined, declare=False, allow_zero=False)
-            self.expect("RPAREN", "')'")
-            self.expect("COLON", "':'")
-            chain = [self.element(defined, declare=True, allow_zero=False)]
-            while self.peek().kind in ("IDENT", "ZERO"):
-                chain.append(self.element(defined, declare=True, allow_zero=False))
-            self.expect("SEMI", "';'")
-            adjunctions.append(Adjunction(pair=(a, b), chain=tuple(chain)))
+            self.expect(")", "')'")
+            self.expect(":", "':'")
+            chain = self.elements(defined, first_may_be_zero=False)
+            self.expect(";", "';'")
+            adjunctions.append(Adjunction(pair=(a, b), chain=chain))
 
-        self.expect("RBRACE", "'}'")
-        self.expect("EOF", "end of input")
-        return AdjunctExpr(base=tuple(base), adjunctions=tuple(adjunctions), name=name_tok.text)
+        self.expect("}", "'}'")
+        self.expect("", "end of input")
+        return AdjunctExpr(base=base, adjunctions=tuple(adjunctions), name=name)
 
 
 def parse(text: str) -> AdjunctExpr:
@@ -198,10 +170,13 @@ def elaborate(expr: AdjunctExpr) -> Lattice:
 
     Adjoining a chain between a < b relates no two elements already present
     and keeps every cover, so the pairs are checked against up-sets kept while
-    reading; the lattice is built and validated once, at the end.
+    reading; the lattice is built and validated once, at the end.  A down-set
+    is kept beside each up-set, so an adjoin touches only the up-sets of the
+    elements <= a and the down-sets of the elements >= b.
     """
     index: dict[str, int] = {}
     up: list[int] = []  # up[i]: bitmask of the elements >= element i
+    down: list[int] = []  # down[i]: bitmask of the elements <= element i
     covers: set[tuple[str, str]] = set()
     for pair, chain in [((), expr.base), *((adj.pair, adj.chain) for adj in expr.adjunctions)]:
         missing = [x for x in pair if x not in index]
@@ -209,6 +184,7 @@ def elaborate(expr: AdjunctExpr) -> Lattice:
             raise PairNotAdjunctable(f"pair references element {missing[0]!r} not yet introduced")
         if not chain or len(set(chain)) < len(chain):
             build_from_covers(chain, ())  # raises LabelClash or NotALattice, as for the chain alone
+        above = below = 0
         if pair:
             a, b = pair
             ia, ib = index[a], index[b]
@@ -220,12 +196,17 @@ def elaborate(expr: AdjunctExpr) -> Lattice:
             if clash:
                 raise LabelClash(f"labels occur on both sides: {sorted(clash)}")
             new = ((1 << len(chain)) - 1) << len(up)
-            up = [mask | new if mask >> ia & 1 else mask for mask in up]  # the chain lies above all x <= a
+            above, below = up[ib], down[ia]
+            for x in _bits(below):  # the chain lies above all x <= a
+                up[x] |= new
+            for y in _bits(above):  # and below all y >= b
+                down[y] |= new
             covers |= {(a, chain[0]), (chain[-1], b)}
-        above = up[index[pair[1]]] if pair else 0
         for k, lab in enumerate(chain):
-            index[lab] = len(up)
-            up.append(((1 << (len(chain) - k)) - 1) << len(up) | above)  # chain[k:] and the up-set of b
+            i = len(up)
+            index[lab] = i
+            up.append(((1 << (len(chain) - k)) - 1) << i | above)  # chain[k:] and the up-set of b
+            down.append(((1 << (k + 1)) - 1) << (i - k) | below)  # chain[:k + 1] and the down-set of a
         covers.update(zip(chain, chain[1:]))
     return build_from_covers(expr.all_labels(), covers)
 

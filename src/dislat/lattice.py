@@ -286,7 +286,14 @@ def build_from_covers(labels: Sequence[str], cover_pairs: Iterable[tuple[str, st
     if len(maximal) != 1 or down[maximal[0]] != full:
         raise NotALattice(f"{len(maximal)} maximal elements; need a unique top")
 
-    lat = Lattice(labels, frozenset(covers), tuple(up), tuple(down), minimal[0], maximal[0])
+    bottom, top = minimal[0], maximal[0]
+    lat = Lattice(labels, frozenset(covers), tuple(up), tuple(down), bottom, top)
+    # A tree under the top with a bottom below it (every lower dismantlable
+    # lattice) is a lattice: each up-set is a chain to the top, so two meet
+    # in the up-set of the least common ancestor, and the down-sets of two
+    # incomparable elements share only the bottom.
+    if all(len(uppers[i]) == 1 for i in range(n) if i != bottom and i != top):
+        return lat
     meets, joins = lat._down_index, lat._up_index
     for xi in range(n):
         down_x, up_x = down[xi], up[xi]

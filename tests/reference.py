@@ -4,6 +4,8 @@ The package builds each lattice once and lifts an isomorphism in one pass;
 the paper proceeds one step at a time.  These are those steps, kept as
 independent references:
 
+- `reference_parse`: the `.adl` reader that walks the text one character
+  at a time into position-carrying token objects;
 - `chain_lattice` and `adjunct`: the adjunct operation, one validated
   lattice per step, and `reference_elaborate`, the fold of an `.adl`
   expression through them;
@@ -25,17 +27,29 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from dislat import DislatError, Lattice, build_from_covers, classify, induced_sublattice, is_lower_dismantlable
+from dislat import (
+    Adjunction,
+    AdjunctExpr,
+    DislatError,
+    Lattice,
+    build_from_covers,
+    classify,
+    induced_sublattice,
+    is_lower_dismantlable,
+)
 from dislat.blocks import _cover_masks, _deletable, _delete
 from dislat.errors import (
     BadGraph,
     BudgetExceeded,
+    DslSyntaxError,
+    DuplicateElement,
     HypothesisViolated,
     InternalInconsistency,
     LabelClash,
     NoSuchElement,
     NotLowerDismantlable,
     PairNotAdjunctable,
+    UnknownElement,
 )
 from dislat.lattice import _bits
 from dislat.oracle import DEFAULT_BUDGET
@@ -45,6 +59,157 @@ from dislat.zdg import LabeledGraph, complement_clique_parts, neighborhood_parti
 
 class ClassHasAdjunct(DislatError):
     """The neighborhood class contains an adjunct element and cannot be peeled."""
+
+
+# -- the character-by-character parser ----------------------------------------------
+
+_KEYWORDS = {"lattice", "chain", "adjoin"}
+_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
+_IDENT_CONT = _IDENT_START | set("0123456789")
+
+
+@dataclass(frozen=True)
+class _Token:
+    kind: str  # IDENT ZERO LBRACE RBRACE LPAREN RPAREN COMMA COLON SEMI EOF
+    text: str
+    line: int
+    col: int
+
+
+_PUNCT = {"{": "LBRACE", "}": "RBRACE", "(": "LPAREN", ")": "RPAREN", ",": "COMMA", ":": "COLON", ";": "SEMI"}
+
+
+def _tokenize(text: str) -> list[_Token]:
+    tokens: list[_Token] = []
+    line, col = 1, 1
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if ch in _PUNCT:
+            tokens.append(_Token(_PUNCT[ch], ch, line, col))
+            i += 1
+            col += 1
+            continue
+        if ch == "⊤":
+            tokens.append(_Token("IDENT", ch, line, col))
+            i += 1
+            col += 1
+            continue
+        if ch in _IDENT_START:
+            start = i
+            while i < n and text[i] in _IDENT_CONT:
+                i += 1
+            word = text[start:i]
+            tokens.append(_Token("IDENT", word, line, col))
+            col += i - start
+            continue
+        if ch == "0" and not (i + 1 < n and text[i + 1] in _IDENT_CONT):
+            tokens.append(_Token("ZERO", "0", line, col))
+            i += 1
+            col += 1
+            continue
+        raise DslSyntaxError(f"unexpected character {ch!r}", line, col)
+    tokens.append(_Token("EOF", "", line, col))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, text: str):
+        self.tokens = _tokenize(text)
+        self.pos = 0
+
+    def peek(self) -> _Token:
+        return self.tokens[self.pos]
+
+    def next(self) -> _Token:
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, kind: str, what: str) -> _Token:
+        tok = self.next()
+        if tok.kind != kind:
+            raise DslSyntaxError(f"expected {what}, found {tok.text or 'end of input'!r}", tok.line, tok.col)
+        return tok
+
+    def keyword(self, word: str) -> None:
+        tok = self.next()
+        if tok.kind != "IDENT" or tok.text != word:
+            raise DslSyntaxError(f"expected {word!r}, found {tok.text or 'end of input'!r}", tok.line, tok.col)
+
+    def element(self, defined: dict[str, _Token], declare: bool, allow_zero: bool) -> str:
+        tok = self.next()
+        if tok.kind == "ZERO":
+            if not allow_zero:
+                raise DslSyntaxError("'0' is only allowed as the bottom of the chain or first in a pair", tok.line, tok.col)
+            name = "0"
+        elif tok.kind == "IDENT":
+            if tok.text in _KEYWORDS:
+                raise DslSyntaxError(f"{tok.text!r} is a reserved word", tok.line, tok.col)
+            name = tok.text
+        else:
+            raise DslSyntaxError(f"expected an element name, found {tok.text or 'end of input'!r}", tok.line, tok.col)
+        if declare:
+            if name in defined:
+                raise DuplicateElement(f"element {name!r} already defined", tok.line, tok.col)
+            defined[name] = tok
+        else:
+            if name not in defined:
+                raise UnknownElement(f"unknown element {name!r} in pair", tok.line, tok.col)
+        return name
+
+    def document(self) -> AdjunctExpr:
+        self.keyword("lattice")
+        name_tok = self.expect("IDENT", "a lattice name")
+        if name_tok.text in _KEYWORDS:
+            raise DslSyntaxError(f"{name_tok.text!r} is a reserved word", name_tok.line, name_tok.col)
+        self.expect("LBRACE", "'{'")
+
+        defined: dict[str, _Token] = {}
+        self.keyword("chain")
+        base = [self.element(defined, declare=True, allow_zero=True)]
+        while self.peek().kind in ("IDENT", "ZERO"):
+            base.append(self.element(defined, declare=True, allow_zero=False))
+        self.expect("SEMI", "';'")
+
+        adjunctions: list[Adjunction] = []
+        while self.peek().kind == "IDENT" and self.peek().text == "adjoin":
+            self.next()
+            self.expect("LPAREN", "'('")
+            a = self.element(defined, declare=False, allow_zero=True)
+            self.expect("COMMA", "','")
+            b = self.element(defined, declare=False, allow_zero=False)
+            self.expect("RPAREN", "')'")
+            self.expect("COLON", "':'")
+            chain = [self.element(defined, declare=True, allow_zero=False)]
+            while self.peek().kind in ("IDENT", "ZERO"):
+                chain.append(self.element(defined, declare=True, allow_zero=False))
+            self.expect("SEMI", "';'")
+            adjunctions.append(Adjunction(pair=(a, b), chain=tuple(chain)))
+
+        self.expect("RBRACE", "'}'")
+        self.expect("EOF", "end of input")
+        return AdjunctExpr(base=tuple(base), adjunctions=tuple(adjunctions), name=name_tok.text)
+
+
+def reference_parse(text: str) -> AdjunctExpr:
+    """Parse ``.adl`` source as `dislat.parse` does: same expression, or the
+    same exception with the same message, line and column."""
+    return _Parser(text).document()
 
 
 # -- the adjunct operation -----------------------------------------------------

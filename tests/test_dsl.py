@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +9,7 @@ from dislat import (
     AdjunctExpr,
     Adjunction,
     DislatError,
+    DslError,
     DslSyntaxError,
     DuplicateElement,
     NotALattice,
@@ -19,12 +21,39 @@ from dislat import (
     serialize,
     zero_divisor_graph,
 )
-from tests.reference import reference_elaborate
+from dislat.lattice import _bits
+from tests.reference import adjunct, chain_lattice, reference_elaborate, reference_parse
 
 EX2_SRC = (
     "lattice ex2 { chain 0 a3 a5 a8 one; adjoin (0, a8): a2 a6; "
     "adjoin (0, a6): a1 a7; adjoin (0, a5): a4; }"
 )
+
+DATA = Path(__file__).parent / "data"
+PIECES = ["#", "0", "1", "7", "⊤", "é", "\f", "\r", "\n", " ", *"{}(),:;", "lattice", "chain", "adjoin"]
+
+
+def mutate(rng, text):
+    """One to three edits: a truncation, an inserted piece, or a deleted run
+    of one to three characters."""
+    for _ in range(rng.randrange(1, 4)):
+        r = rng.random()
+        if r < 0.25:
+            text = text[: rng.randrange(len(text) + 1)]
+        elif r < 0.65:
+            i = rng.randrange(len(text) + 1)
+            text = text[:i] + rng.choice(PIECES) + text[i:]
+        elif text:
+            i = rng.randrange(len(text))
+            text = text[:i] + text[i + rng.randrange(1, 4) :]
+    return text
+
+
+def parse_outcome(fn, text):
+    try:
+        return fn(text)
+    except DslError as exc:
+        return type(exc), exc.message, exc.line, exc.col
 
 
 class TestParse:
@@ -82,7 +111,26 @@ class TestParse:
     def test_unexpected_character(self):
         with pytest.raises(DslSyntaxError) as err:
             parse("lattice bad { chain 0 a$; }")
-        assert err.value.col > 0
+        assert (err.value.message, err.value.line, err.value.col) == ("unexpected character '$'", 1, 24)
+
+    def test_end_after_trailing_comment_is_at_the_hash(self):
+        with pytest.raises(DslSyntaxError) as err:
+            parse("lattice t {\n  chain 0 a one  # no ';'")
+        assert (err.value.message, err.value.line, err.value.col) == ("expected ';', found 'end of input'", 2, 18)
+
+    def test_matches_reference_parser_on_mutated_texts(self):
+        """Truncations, insertions and deletions of seed texts: both parsers
+        return the same expression or raise the same error at the same place."""
+        seeds = [path.read_text(encoding="utf-8") for path in sorted(DATA.glob("*.adl"))]
+        seeds += [EX2_SRC, "lattice t { chain 0 x ⊤; adjoin (0, ⊤): y; } # end"]
+        kinds = set()
+        for seed in range(6000):
+            rng = random.Random(seed)
+            text = mutate(rng, rng.choice(seeds))
+            got = parse_outcome(parse, text)
+            assert got == parse_outcome(reference_parse, text), text
+            kinds.add(got[0] if isinstance(got, tuple) else "ok")
+        assert kinds == {"ok", DslSyntaxError, DuplicateElement, UnknownElement}
 
 
 class TestSerialize:
@@ -134,6 +182,26 @@ def random_expr(rng):
     return AdjunctExpr(base=base, adjunctions=tuple(adjunctions))
 
 
+def comparable_pairs_expr(rng):
+    """A valid expression: a base chain of three to five elements, then 3-11
+    adjoins, each at a pair a < b that is not a cover of the lattice so far."""
+    base = tuple(f"c{i}" for i in range(rng.randrange(3, 6)))
+    lat = chain_lattice(base)
+    adjunctions = []
+    for step in range(rng.randrange(3, 12)):
+        labels = lat.labels
+        pairs = [
+            (labels[x], labels[y])
+            for x in range(lat.n)
+            for y in _bits(lat._up[x])
+            if y != x and (x, y) not in lat.covers
+        ]
+        adj = Adjunction(pair=rng.choice(pairs), chain=tuple(f"d{step}_{k}" for k in range(rng.randrange(1, 4))))
+        lat = adjunct(lat, chain_lattice(adj.chain), *adj.pair)
+        adjunctions.append(adj)
+    return AdjunctExpr(base=base, adjunctions=tuple(adjunctions))
+
+
 def outcome(fn, expr):
     try:
         lat = fn(expr)
@@ -182,6 +250,19 @@ class TestElaborate:
             assert got == outcome(reference_elaborate, expr), expr
             kinds.add(got[0] if isinstance(got[0], type) else "ok")
         assert len(kinds) == 4  # valid, PairNotAdjunctable, LabelClash, NotALattice
+
+    def test_matches_per_step_fold_on_comparable_pairs(self):
+        """Adjoins at pairs a < b anywhere in the order, not only at the bottom."""
+        for seed in range(1000):
+            expr = comparable_pairs_expr(random.Random(seed))
+            assert outcome(elaborate, expr) == outcome(reference_elaborate, expr), expr
+
+    def test_pair_above_a_chain_adjoined_below(self):
+        # x < q < y: the last pair needs the up-sets below a and the down-sets above b
+        src = "lattice t { chain 0 p q r s; adjoin (0, q): x; adjoin (q, s): y; adjoin (x, y): z; }"
+        lat = elaborate(parse(src))
+        assert lat == reference_elaborate(parse(src))
+        assert lat.lt("x", "z") and lat.lt("z", "y")
 
     def test_full_round_trip_on_enumeration(self):
         from dislat.oracle import enumerate_lower_dismantlable

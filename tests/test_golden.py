@@ -1,18 +1,25 @@
 """Byte tests of the CLI against committed outputs.
 
-The files under tests/data/golden/ hold the exact stdout of one command each
-(every one exits 0).  They were written by the version before graphs became
-neighbour masks and the JSON writer became flat, so they pin the bytes those
-changes must keep:
+The files under tests/data/golden/ hold the exact stdout of one command each.
+They were written by earlier versions, so they pin the bytes later changes
+must keep: the graph and JSON outputs come from the version before graphs
+became neighbour masks and the JSON writer became flat, and the `build`
+outputs from the version before the `.adl` reader matched regular
+expressions and tree-shaped lattices skipped the pair scan:
 
     dislat --json zdg F.adl                  > F.zdg.json
     dislat zdg F.adl                         > F.zdg.txt
     dislat --json analyze F.adl              > F.analyze.json
     dislat --json recognize F.zdg.json       > F.recognize.json
     dislat --json iso F.adl F.adl --witness  > F.iso_witness.json
+    dislat --json build F.adl                > F.build.json
+    dislat build F.adl                       > F.build.txt
 
-for F in fig2 and ex2, plus `iso --witness` of k22 against itself (the
-zdg-lift route; fig2 and ex2 have join-irreducible tops).
+for F in fig2 and ex2, plus `iso --witness` and both `build` outputs of k22
+(the zdg-lift route; fig2 and ex2 have join-irreducible tops).  These exit 0.
+Two `--json build` outputs pin DSL diagnostics and exit 2: bad_char.adl has
+a character no token starts with, and trailing_comment.adl ends in a comment
+where ';' is expected, which is reported at the comment's '#'.
 """
 
 from __future__ import annotations
@@ -38,11 +45,18 @@ COMMANDS = {
     }.items()
 }
 COMMANDS["k22.iso_witness.json"] = ["--json", "iso", DATA / "k22.adl", DATA / "k22.adl", "--witness"]
+for name in ("fig2", "ex2", "k22"):
+    COMMANDS[f"{name}.build.json"] = ["--json", "build", DATA / f"{name}.adl"]
+    COMMANDS[f"{name}.build.txt"] = ["build", DATA / f"{name}.adl"]
+EXIT_CODES = {}
+for name in ("bad_char", "trailing_comment"):
+    COMMANDS[f"{name}.build.json"] = ["--json", "build", DATA / f"{name}.adl"]
+    EXIT_CODES[f"{name}.build.json"] = 2
 
 
 @pytest.mark.parametrize("golden", sorted(COMMANDS))
 def test_output_bytes(capsys, golden):
     code = main([str(a) for a in COMMANDS[golden]])
     out = capsys.readouterr().out
-    assert code == 0
+    assert code == EXIT_CODES.get(golden, 0)
     assert out.encode("utf-8") == (GOLDEN / golden).read_bytes()

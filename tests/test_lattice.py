@@ -80,23 +80,34 @@ class TestBuildFromCovers:
         assert lat.n == 1 and lat.bottom_label == lat.top_label == "x"
 
     def test_first_missing_bound_named(self):
-        """On 2,000 seeded bounded posets, build_from_covers either succeeds
-        or names the first pair in label order without a meet, or failing
-        that a join, as a scan of every pair on the closure of the covers
-        finds it."""
-        rng = random.Random(11)
-        failures = 0
-        for _ in range(2000):
-            labels, covers = random_bounded_poset(rng)
+        """On 2,000 seeded bounded posets and 500 trees with a bottom under
+        their leaves, build_from_covers either succeeds or names the first
+        pair in label order without a meet, or failing that a join, as a scan
+        of every pair on the closure of the covers finds it.  Tree-shaped
+        input skips the pair scan, so there every meet and join is checked
+        against the closure."""
+        rng, tree_rng = random.Random(11), random.Random(12)
+        inputs = [random_bounded_poset(rng) for _ in range(2000)]
+        inputs += [random_tree_poset(tree_rng) for _ in range(500)]
+        failures = trees = 0
+        for labels, covers in inputs:
             want = reference_first_missing_bound(labels, covers)
             try:
-                build_from_covers(labels, covers)
+                lat = build_from_covers(labels, covers)
                 got = None
             except NotALattice as exc:
                 got = str(exc)
             assert got == want
             failures += got is not None
+            if all(sum(a == x for a, _ in covers) == 1 for x in labels if x not in ("bot", "top")):
+                trees += 1
+                below, above = order_closure(labels, covers)
+                for x, y in itertools.combinations(labels, 2):
+                    lower, upper = below[x] & below[y], above[x] & above[y]
+                    assert lower <= below[lat.meet(x, y)] and lat.meet(x, y) in lower
+                    assert upper <= above[lat.join(x, y)] and lat.join(x, y) in upper
         assert 0 < failures < 2000
+        assert trees >= 500  # the tree inputs, and any bounded poset that is a tree
 
 
 def random_bounded_poset(rng):
@@ -120,15 +131,36 @@ def random_bounded_poset(rng):
     return labels, covers
 
 
-def reference_first_missing_bound(labels, covers):
-    """The message for the first pair (x, y), in label order, whose common
-    lower bounds have no greatest element (checked first) or whose common
-    upper bounds have no least one; None for a lattice."""
+def random_tree_poset(rng):
+    """The cover relation of a random rooted tree (node i > 0 hangs under a
+    node before it, node 0 is the top) with a bottom under its leaves,
+    labels and covers shuffled."""
+    n = rng.randrange(1, 9)
+    parent = [rng.randrange(i) for i in range(1, n)]
+    labels = ["top", *(f"t{i}" for i in range(1, n))]
+    covers = [(labels[i], labels[p]) for i, p in enumerate(parent, 1)]
+    covers += [("bot", labels[i]) for i in range(n) if i not in parent]
+    labels.append("bot")
+    rng.shuffle(labels)
+    rng.shuffle(covers)
+    return labels, covers
+
+
+def order_closure(labels, covers):
+    """below[x] and above[x]: the labels <= x and >= x."""
     below = {x: {x} for x in labels}
     for _ in labels:  # the closure settles within len(labels) rounds
         for a, b in covers:
             below[b] |= below[a]
     above = {x: {y for y in labels if x in below[y]} for x in labels}
+    return below, above
+
+
+def reference_first_missing_bound(labels, covers):
+    """The message for the first pair (x, y), in label order, whose common
+    lower bounds have no greatest element (checked first) or whose common
+    upper bounds have no least one; None for a lattice."""
+    below, above = order_closure(labels, covers)
     for i, x in enumerate(labels):
         for y in labels[i + 1 :]:
             lower = below[x] & below[y]
