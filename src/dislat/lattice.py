@@ -328,15 +328,18 @@ def classify(lat: Lattice) -> ElementClassification:
 
     In a finite lattice, x is join-reducible iff it has >= 2 lower covers and
     meet-reducible iff it has >= 2 upper covers; doubly irreducible means
-    exactly one of each (the extremes never qualify).
+    exactly one of each (the extremes never qualify).  The cover counts are
+    the lengths of the index lists ``_lowers`` and ``_uppers``, and the atoms
+    are the upper covers of the bottom.
     """
-    lower_count = {x: len(lat.lower_covers(x)) for x in lat.labels}
-    upper_count = {x: len(lat.upper_covers(x)) for x in lat.labels}
-    join_irr = frozenset(x for x in lat.labels if lower_count[x] <= 1)
-    meet_irr = frozenset(x for x in lat.labels if upper_count[x] <= 1)
-    doubly = frozenset(x for x in lat.labels if lower_count[x] == 1 and upper_count[x] == 1)
-    atoms = frozenset(lat.upper_covers(lat.bottom_label))
-    adjuncts = frozenset(x for x in lat.labels if lower_count[x] >= 2)
+    labels = lat.labels
+    lower_count = {x: len(low) for x, low in zip(labels, lat._lowers)}
+    upper_count = {x: len(up) for x, up in zip(labels, lat._uppers)}
+    join_irr = frozenset(x for x in labels if lower_count[x] <= 1)
+    meet_irr = frozenset(x for x in labels if upper_count[x] <= 1)
+    doubly = frozenset(x for x in labels if lower_count[x] == 1 and upper_count[x] == 1)
+    atoms = frozenset(labels[i] for i in lat._uppers[lat.bottom])
+    adjuncts = frozenset(x for x in labels if lower_count[x] >= 2)
     return ElementClassification(
         join_irreducible=join_irr,
         meet_irreducible=meet_irr,
@@ -350,10 +353,15 @@ def classify(lat: Lattice) -> ElementClassification:
 
 def is_lower_dismantlable(lat: Lattice) -> bool:
     """True iff the cover graph restricted to the nonzero elements is a tree,
-    i.e. every element other than bottom and top has exactly one upper cover."""
+    i.e. every element other than bottom and top has exactly one upper cover.
+
+    Each of those n - 2 elements lies below the top, so it has at least one
+    upper cover; they have exactly one each when the covers that do not
+    start at the bottom number n - 2.
+    """
     if lat.n < 2:
         raise HypothesisViolated("lower dismantlability needs at least 2 elements")
-    return all(len(ups) == 1 for i, ups in enumerate(lat._uppers) if i != lat.top and i != lat.bottom)
+    return len(lat.covers) - len(lat._uppers[lat.bottom]) == lat.n - 2
 
 
 def _induced_covers(lat: Lattice, keep: Iterable[str]) -> list[tuple[str, str]]:
@@ -430,12 +438,13 @@ def adjunct_representation(lat: Lattice, name: str = "L") -> AdjunctExpr:
     order.  A class whose hinge (the parent of its top member) has no child
     yet extends the hinge's chain downward; otherwise it is adjoined at
     (bottom, hinge).  Deterministic; the pair multiset is order-independent,
-    which tests verify.
+    which tests verify.  The parent of each nonzero element is the one entry
+    of its ``_uppers`` list.
     """
     if not is_lower_dismantlable(lat):
         raise NotLowerDismantlable("adjunct representation needs a lower dismantlable lattice")
-    bottom, top = lat.bottom_label, lat.top_label
-    parent = {x: lat.upper_covers(x)[0] if x != top else None for x in lat.labels if x != bottom}
+    labels, bottom, top = lat.labels, lat.bottom_label, lat.top_label
+    parent = {labels[i]: labels[ups[0]] if ups else None for i, ups in enumerate(lat._uppers) if i != lat.bottom}
     base = [top]  # chains are built top-down and reversed at the end
     chain_of = {top: base}
     adjoined: list[tuple[str, list[str]]] = []

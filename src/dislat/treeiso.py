@@ -7,6 +7,7 @@ two lattices' trees instead."""
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -19,7 +20,7 @@ from .errors import (
     NotInClass,
     NotLowerDismantlable,
 )
-from .lattice import Lattice, build_from_covers, classify, is_lower_dismantlable
+from .lattice import Lattice, build_from_covers, is_lower_dismantlable
 from .zdg import LabeledGraph, _select_bits, neighborhood_partition
 
 FRESH_ROOT = "⊤"
@@ -123,11 +124,6 @@ class RootedTree:
         ui, vi = self.index(u), self.index(v)
         return self._tin[ui] < self._tin[vi] < self._tout[ui]
 
-    def relabeled(self, mapping: Mapping[str, str]) -> "RootedTree":
-        return RootedTree.from_parents(
-            {mapping[lab]: (None if p is None else mapping[p]) for lab, p in self.parent_map().items()}
-        )
-
 
 @dataclass
 class IsoWitness:
@@ -159,12 +155,14 @@ def check_lattice_iso(l1: Lattice, l2: Lattice, mapping: Mapping[str, str]) -> b
     """Whether `mapping` is a bijection from l1 onto l2 that carries the
     cover relation of l1 onto that of l2.  The order is the reflexive and
     transitive closure of the covers, so this is exactly an order
-    isomorphism."""
+    isomorphism.  The covers are compared as index pairs: `image[i]` is the
+    index in l2 of the image of element i of l1."""
     if set(mapping) != set(l1.labels) or set(mapping.values()) != set(l2.labels):
         return False
     if len(set(mapping.values())) != len(mapping):
         return False
-    return {(mapping[a], mapping[b]) for a, b in l1.cover_pairs()} == l2.cover_pairs()
+    image = [l2.index(mapping[x]) for x in l1.labels]
+    return {(image[u], image[v]) for u, v in l1.covers} == l2.covers
 
 
 # -- lattice <-> tree ------------------------------------------------------------
@@ -172,19 +170,19 @@ def check_lattice_iso(l1: Lattice, l2: Lattice, mapping: Mapping[str, str]) -> b
 
 def tree_of_lattice(lat: Lattice) -> RootedTree:
     """The nonzero elements under the unique-upper-cover parent relation,
-    rooted at the top."""
+    rooted at the top.  Nodes are the nonzero labels in sorted order, and
+    the parent of a node is the position of the one entry of its
+    ``_uppers`` list."""
     if not is_lower_dismantlable(lat):
         raise NotLowerDismantlable("only lower dismantlable lattices correspond to rooted trees")
-    parents: dict[str, str | None] = {}
-    for x in lat.labels:
-        if x == lat.bottom_label:
-            continue
-        if x == lat.top_label:
-            parents[x] = None
-        else:
-            (up,) = lat.upper_covers(x)
-            parents[x] = up
-    return RootedTree.from_parents(parents)
+    labels, uppers = lat.labels, lat._uppers
+    nodes = sorted((i for i in range(lat.n) if i != lat.bottom), key=labels.__getitem__)
+    position = {i: pos for pos, i in enumerate(nodes)}
+    return RootedTree(
+        labels=tuple(labels[i] for i in nodes),
+        parent=tuple(position[uppers[i][0] if uppers[i] else i] for i in nodes),
+        root=position[lat.top],
+    )
 
 
 def lattice_of_tree(tree: RootedTree) -> Lattice:
@@ -222,11 +220,12 @@ def _canonical(tree: RootedTree) -> tuple[CanonicalCode, tuple[str, ...]]:
     children in code order.  For two trees with equal codes, zipping their
     preorders gives a rooted tree isomorphism: both walks trace the same
     code, one parenthesis per node."""
-    children = [list(kids) for kids in tree._children]
-    code: list[str] = [""] * tree.n
+    children = list(tree._children)
+    code: list[str] = ["()"] * tree.n  # the code of a leaf
     for v in reversed(tree._preorder):
-        children[v].sort(key=code.__getitem__)
-        code[v] = "(" + "".join(code[c] for c in children[v]) + ")"
+        if children[v]:
+            children[v] = sorted(children[v], key=code.__getitem__)
+            code[v] = "(" + "".join(map(code.__getitem__, children[v])) + ")"
     preorder = []
     stack = [tree.root]
     while stack:
@@ -287,7 +286,8 @@ def recognize(graph: LabeledGraph) -> RootedTree | None:
         root += "'"
 
     vs, m = graph.vertices, graph.n
-    ranked = sorted(range(m), key=lambda i: (graph.masks[i].bit_count(), i))  # vertex order is label order
+    degree = [mask.bit_count() for mask in graph.masks]
+    ranked = sorted(range(m), key=degree.__getitem__)  # a stable sort: ties stay in label order
     ancestors = [0] * m  # by rank
     parent_rank = []
     ancestor_pairs = 0
@@ -302,10 +302,14 @@ def recognize(graph: LabeledGraph) -> RootedTree | None:
         parent_rank.append(p)
     if graph.m != m * (m - 1) // 2 - ancestor_pairs:
         return None
-    parents: dict[str, str | None] = {root: None}
+    # The tree's nodes are the sorted vertices with the fresh root slotted in.
+    at = bisect_left(vs, root)
+    node = [i + (i >= at) for i in range(m)]
+    parent = [at] * (m + 1)
     for i, p in zip(ranked, parent_rank):
-        parents[vs[i]] = vs[ranked[p]] if p >= 0 else root
-    return RootedTree.from_parents(parents)
+        if p >= 0:
+            parent[node[i]] = node[ranked[p]]
+    return RootedTree(labels=(*vs[:at], root, *vs[at:]), parent=tuple(parent), root=at)
 
 
 def graph_iso(g1: LabeledGraph, g2: LabeledGraph) -> IsoWitness | None:
@@ -329,13 +333,14 @@ def graph_iso(g1: LabeledGraph, g2: LabeledGraph) -> IsoWitness | None:
 
 
 def _adjunct_vertices(lat: Lattice, graph: LabeledGraph) -> set[str]:
-    return set(classify(lat).adjunct_elements) & set(graph.vertices)
+    """The vertices of `graph` with at least two lower covers in `lat`."""
+    return {lat.labels[i] for i, low in enumerate(lat._lowers) if len(low) >= 2} & set(graph.vertices)
 
 
 def _require_top_adjunct(lat: Lattice, side: str) -> None:
     if not is_lower_dismantlable(lat):
         raise HypothesisViolated(f"{side} lattice is not lower dismantlable")
-    if len(lat.lower_covers(lat.top_label)) < 2:
+    if len(lat._lowers[lat.top]) < 2:
         raise HypothesisViolated(f"{side} lattice's top is not an adjunct element")
 
 
@@ -391,7 +396,9 @@ def lift_to_lattice_iso(
     class from both sides matches one class chain bottom to bottom.  A class
     that merges with its hinge's class after a peel is matched just as its
     two pieces are, because the image hinge is the image of the hinge: the
-    image of the lower piece lies below it in the merged image chain.
+    image of the lower piece lies below it in the merged image chain.  A
+    chain is ordered by the size of each member's down-set, the bit count
+    of its ``_down`` mask.
     """
     if phi.kind != "graph-iso":
         raise HypothesisViolated("lift needs a graph isomorphism witness")
@@ -406,8 +413,8 @@ def lift_to_lattice_iso(
 
     psi = {l1.bottom_label: l2.bottom_label, l1.top_label: l2.top_label}
     for block in neighborhood_partition(g1):
-        chain1 = sorted(block, key=lambda v: len(l1.down_set(v)))
-        chain2 = sorted((mapping[v] for v in block), key=lambda v: len(l2.down_set(v)))
+        chain1 = sorted(block, key=lambda v: l1._down[l1.index(v)].bit_count())
+        chain2 = sorted((mapping[v] for v in block), key=lambda v: l2._down[l2.index(v)].bit_count())
         psi.update(zip(chain1, chain2))
     if not check_lattice_iso(l1, l2, psi):
         raise InternalInconsistency("lifted map is not an order isomorphism")

@@ -19,7 +19,13 @@ independent references:
   labels, and recognition that reads its edge list, next to the package's
   neighbour masks;
 - `rescan_basic_block`: the basic block found by testing every survivor
-  again after each deletion.
+  again after each deletion;
+- `label_is_lower_dismantlable`, `label_classify`, `label_tree_of_lattice`
+  and `down_set_lift`: the class test, the census, the tree and the
+  one-pass lift read through the label-level accessors (`lower_covers`,
+  `upper_covers`, `down_set`) and `RootedTree.from_parents`, next to the
+  package's readers of the index lists; and `relabeled_tree`, a tree with
+  its labels replaced.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from dislat import (
     Adjunction,
     AdjunctExpr,
     DislatError,
+    ElementClassification,
     Lattice,
     build_from_covers,
     classify,
@@ -376,6 +383,67 @@ def reference_lift(l1: Lattice, l2: Lattice, phi: dict[str, str]) -> dict[str, s
     psi.update(zip(chain1, chain2))
     return psi
 
+
+# -- label-level readers ------------------------------------------------------------
+
+
+def label_is_lower_dismantlable(lat: Lattice) -> bool:
+    """`is_lower_dismantlable` as one `upper_covers` tuple per element other
+    than the bottom and the top, each of which must have length 1."""
+    if lat.n < 2:
+        raise HypothesisViolated("lower dismantlability needs at least 2 elements")
+    extremes = (lat.bottom_label, lat.top_label)
+    return all(len(lat.upper_covers(x)) == 1 for x in lat.labels if x not in extremes)
+
+
+def label_classify(lat: Lattice) -> ElementClassification:
+    """`classify` through the label accessors: one `lower_covers` and one
+    `upper_covers` tuple per element."""
+    lower_count = {x: len(lat.lower_covers(x)) for x in lat.labels}
+    upper_count = {x: len(lat.upper_covers(x)) for x in lat.labels}
+    return ElementClassification(
+        join_irreducible=frozenset(x for x in lat.labels if lower_count[x] <= 1),
+        meet_irreducible=frozenset(x for x in lat.labels if upper_count[x] <= 1),
+        doubly_irreducible=frozenset(x for x in lat.labels if lower_count[x] == 1 and upper_count[x] == 1),
+        atoms=frozenset(lat.upper_covers(lat.bottom_label)),
+        adjunct_elements=frozenset(x for x in lat.labels if lower_count[x] >= 2),
+        upper_cover_count=upper_count,
+        lower_cover_count=lower_count,
+    )
+
+
+def label_tree_of_lattice(lat: Lattice) -> RootedTree:
+    """`tree_of_lattice` as a label -> label parent dict that
+    `RootedTree.from_parents` sorts and indexes."""
+    if not label_is_lower_dismantlable(lat):
+        raise NotLowerDismantlable("only lower dismantlable lattices correspond to rooted trees")
+    parents: dict[str, str | None] = {}
+    for x in lat.labels:
+        if x == lat.bottom_label:
+            continue
+        if x == lat.top_label:
+            parents[x] = None
+        else:
+            (up,) = lat.upper_covers(x)
+            parents[x] = up
+    return RootedTree.from_parents(parents)
+
+
+def down_set_lift(l1: Lattice, l2: Lattice, g1: LabeledGraph, phi: dict[str, str]) -> dict[str, str]:
+    """The map of `lift_to_lattice_iso` without its checks: each
+    neighbourhood class of g1 and its phi-image, both ordered by the length
+    of each member's `down_set`, matched bottom to bottom."""
+    psi = {l1.bottom_label: l2.bottom_label, l1.top_label: l2.top_label}
+    for block in neighborhood_partition(g1):
+        psi.update(zip(_by_height(l1, block), _by_height(l2, (phi[v] for v in block))))
+    return psi
+
+
+def relabeled_tree(tree: RootedTree, mapping: dict[str, str]) -> RootedTree:
+    """`tree` with every label replaced via `mapping`."""
+    return RootedTree.from_parents(
+        {mapping[lab]: (None if p is None else mapping[p]) for lab, p in tree.parent_map().items()}
+    )
 
 
 # -- the label-level lattice-isomorphism search -------------------------------------

@@ -34,6 +34,7 @@ from tests.reference import (
     neighborhood_classes,
     peel_decomposition,
     reassemble,
+    relabeled_tree,
     rescan_basic_block,
 )
 from tests.test_treeiso import random_parents, tree_of_parents
@@ -440,7 +441,7 @@ def random_tree_lattices(count, max_nodes, seed):
         tree = tree_of_parents(random_parents(rng, n), "v")
         image = list(tree.labels)
         rng.shuffle(image)
-        yield lattice_of_tree(tree.relabeled(dict(zip(tree.labels, image))))
+        yield lattice_of_tree(relabeled_tree(tree, dict(zip(tree.labels, image))))
 
 
 class TestClosedFormBlocks:

@@ -15,6 +15,7 @@ from dislat.cli import _SUITES, _run_suites, main
 from dislat.lattice import Lattice, relabel
 from dislat.oracle import brute_lattice_iso, enumerate_lower_dismantlable, lattice_iso_key
 from dislat.treeiso import recognize
+from tests.reference import relabeled_tree
 
 DATA = Path(__file__).parent / "data"
 SCHEMA = json.loads((Path(__file__).parent.parent / "schemas" / "cli_output.schema.json").read_text())
@@ -202,7 +203,7 @@ class TestIso:
         tree = RootedTree.from_parents({f"e{i}": None if i == 1 else f"e{i // 2}" for i in range(1, 128)})
         names = list(tree.labels)
         random.Random(3).shuffle(names)
-        copy = tree.relabeled({lab: f"w{name[1:]}" for lab, name in zip(tree.labels, names)})
+        copy = relabeled_tree(tree, {lab: f"w{name[1:]}" for lab, name in zip(tree.labels, names)})
         files = []
         for name, t in (("a", tree), ("b", copy)):
             path = tmp_path / f"{name}.adl"
@@ -577,7 +578,7 @@ def random_513(tmp_path_factory):
     tree = RootedTree.from_parents({f"r{i}": None if i == 0 else f"r{rng.randrange(i)}" for i in range(512)})
     folder = tmp_path_factory.mktemp("random513")
     files = {}
-    for name, t in (("a", tree), ("b", tree.relabeled({x: f"w{x}" for x in tree.labels}))):
+    for name, t in (("a", tree), ("b", relabeled_tree(tree, {x: f"w{x}" for x in tree.labels}))):
         files[name] = folder / f"{name}.adl"
         files[name].write_text(serialize(adjunct_representation(lattice_of_tree(t), name=name)))
     graph = zero_divisor_graph(lattice_of_tree(tree))

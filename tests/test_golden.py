@@ -17,6 +17,19 @@ expressions and tree-shaped lattices skipped the pair scan:
 
 for F in fig2 and ex2, plus `iso --witness` and both `build` outputs of k22
 (the zdg-lift route; fig2 and ex2 have join-irreducible tops).  These exit 0.
+A file against itself gives the identity map, so two witnesses pin pairs
+of files whose labels differ, where the map shows how images are picked:
+
+    dislat --json iso cbt15.adl cbt15_shuffled.adl --witness > cbt15.shuffled.iso_witness.json
+    dislat --json iso fig2.adl fig2_shuffled.adl --witness   > fig2.shuffled.iso_witness.json
+
+cbt15.adl is the 16-element lattice of the complete binary tree on e1..e15
+(e1 the root, e(2i) and e(2i+1) the children of ei), so its top is
+join-reducible and the witness takes the zdg-lift route; fig2's top is
+join-irreducible and its witness takes the tree-match route.  Each
+`_shuffled` file is the same lattice with the nonzero labels permuted
+among themselves (`random.Random(15)` and `random.Random(2)` shuffles of
+the nonzero labels in lattice order).
 Two `--json build` outputs pin DSL diagnostics and exit 2: bad_char.adl has
 a character no token starts with, and trailing_comment.adl ends in a comment
 where ';' is expected, which is reported at the comment's '#'.
@@ -45,6 +58,10 @@ COMMANDS = {
     }.items()
 }
 COMMANDS["k22.iso_witness.json"] = ["--json", "iso", DATA / "k22.adl", DATA / "k22.adl", "--witness"]
+for name in ("cbt15", "fig2"):
+    COMMANDS[f"{name}.shuffled.iso_witness.json"] = [
+        "--json", "iso", DATA / f"{name}.adl", DATA / f"{name}_shuffled.adl", "--witness"
+    ]
 for name in ("fig2", "ex2", "k22"):
     COMMANDS[f"{name}.build.json"] = ["--json", "build", DATA / f"{name}.adl"]
     COMMANDS[f"{name}.build.txt"] = ["build", DATA / f"{name}.adl"]

@@ -23,6 +23,7 @@ from dislat import (
     zero_divisor_graph,
 )
 from dislat.treeiso import RootedTree
+from tests.reference import relabeled_tree
 
 
 @st.composite
@@ -64,7 +65,7 @@ def test_canonical_code_relabel_invariant(tree, rng):
     labels = list(tree.labels)
     shuffled = labels[:]
     rng.shuffle(shuffled)
-    relabeled = tree.relabeled(dict(zip(labels, shuffled)))
+    relabeled = relabeled_tree(tree, dict(zip(labels, shuffled)))
     assert canonical_code(relabeled) == canonical_code(tree)
 
 
