@@ -38,7 +38,6 @@ from .lattice import (
     adjunct_representation,
     build_from_covers,
     classify,
-    induced_sublattice,
     is_lower_dismantlable,
     relabel,
 )
@@ -64,7 +63,6 @@ from .treeiso import (
     CanonicalCode,
     IsoWitness,
     RootedTree,
-    align_adjuncts,
     canonical_code,
     graph_iso,
     lattice_of_tree,
@@ -74,8 +72,6 @@ from .treeiso import (
     tree_of_lattice,
 )
 from .oracle import (
-    brute_graph_iso,
-    brute_graph_iso_all,
     brute_lattice_iso,
     enumerate_lower_dismantlable,
     enumerate_rooted_trees,

@@ -159,8 +159,7 @@ def cmd_iso(args) -> int:
     payload: dict = {"command": "iso", "isomorphic": isomorphic, "zdg_isomorphic": zdg_isomorphic}
     if isomorphic and args.witness:
         if tops_join_reducible:  # the theorem's route, from the graph isomorphism
-            phi = treeiso.align_adjuncts(lat1, lat2, g1, g2, f)
-            psi = treeiso.lift_to_lattice_iso(lat1, lat2, g1, g2, phi)
+            psi = treeiso.lift_to_lattice_iso(lat1, lat2, g1, g2, f)
             payload["witness_route"] = "zdg-lift"
         else:
             psi = treeiso.tree_match_iso(lat1, lat2, order1, order2)

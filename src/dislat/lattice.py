@@ -311,15 +311,6 @@ def relabel(lat: Lattice, mapping: Mapping[str, str]) -> Lattice:
     return build_from_covers(new_labels, new_covers)
 
 
-def induced_sublattice(lat: Lattice, keep: Iterable[str]) -> Lattice:
-    """Restrict to `keep` with the induced order; covers are re-derived.
-
-    Raises NotALattice when the restriction is not a lattice.
-    """
-    keep_set = set(keep)
-    return build_from_covers([lab for lab in lat.labels if lab in keep_set], _induced_covers(lat, keep_set))
-
-
 # -- classification -------------------------------------------------------------
 
 
@@ -362,22 +353,6 @@ def is_lower_dismantlable(lat: Lattice) -> bool:
     if lat.n < 2:
         raise HypothesisViolated("lower dismantlability needs at least 2 elements")
     return len(lat.covers) - len(lat._uppers[lat.bottom]) == lat.n - 2
-
-
-def _induced_covers(lat: Lattice, keep: Iterable[str]) -> list[tuple[str, str]]:
-    """Cover pairs (u, v) of the order `lat` induces on `keep`: v is a minimal
-    element of what `keep` holds strictly above u.  O(|keep|^2) mask
-    operations; raises NoSuchElement for a label not in `lat`."""
-    mask = 0
-    for x in keep:
-        mask |= 1 << lat.index(x)
-    out = []
-    for u in _bits(mask):
-        above = lat._up[u] & mask & ~(1 << u)
-        for v in _bits(above):
-            if above & lat._down[v] == 1 << v:
-                out.append((lat.labels[u], lat.labels[v]))
-    return out
 
 
 # -- branch peeling and the adjunct representation ------------------------------

@@ -1,6 +1,7 @@
 """Enumeration of rooted trees (one representative per isomorphism class)
-and brute-force ground truth: backtracking graph / lattice isomorphism
-search.  Every property suite checks the fast paths against these."""
+and brute-force ground truth: backtracking lattice isomorphism search, which
+`verify`'s t1 suite runs against the canonical codes.  The backtracking
+graph isomorphism search is a test oracle only (tests/reference.py)."""
 
 from __future__ import annotations
 
@@ -10,7 +11,6 @@ from .blocks import _cover_masks
 from .errors import BudgetExceeded
 from .lattice import Lattice, _bits
 from .treeiso import IsoWitness, RootedTree, lattice_of_tree, tree_from_code
-from .zdg import LabeledGraph
 
 DEFAULT_BUDGET = 2_000_000
 
@@ -59,56 +59,6 @@ def enumerate_lower_dismantlable(max_size: int, root_min_children: int = 0) -> I
     whose top has at least `root_min_children` lower covers."""
     for tree in enumerate_rooted_trees(max_size - 1, root_min_children):
         yield lattice_of_tree(tree)
-
-
-# -- brute-force graph isomorphism ---------------------------------------------
-
-
-def brute_graph_iso_all(
-    g1: LabeledGraph, g2: LabeledGraph, budget: int = DEFAULT_BUDGET
-) -> Iterator[dict[str, str]]:
-    """Yield every isomorphism g1 -> g2, lexicographic in g1's label order.
-
-    Backtracking with degree and neighbor-degree pruning; raises
-    BudgetExceeded rather than silently giving up.
-    """
-    if g1.n != g2.n or len(g1.edges) != len(g2.edges):
-        return
-    deg_profile1 = {v: (g1.degree(v), sorted(g1.degree(w) for w in g1.neighbors(v))) for v in g1.vertices}
-    deg_profile2 = {v: (g2.degree(v), sorted(g2.degree(w) for w in g2.neighbors(v))) for v in g2.vertices}
-    if sorted(deg_profile1.values()) != sorted(deg_profile2.values()):
-        return
-
-    order = list(g1.vertices)
-    nodes_visited = 0
-
-    def extend(i: int, mapping: dict[str, str], used: set[str]) -> Iterator[dict[str, str]]:
-        nonlocal nodes_visited
-        if i == len(order):
-            yield dict(mapping)
-            return
-        v = order[i]
-        for w in g2.vertices:
-            if w in used or deg_profile2[w] != deg_profile1[v]:
-                continue
-            if any(g1.adjacent(v, u) != g2.adjacent(w, mapping[u]) for u in mapping):
-                continue
-            nodes_visited += 1
-            if nodes_visited > budget:
-                raise BudgetExceeded(f"graph isomorphism search exceeded {budget} nodes")
-            mapping[v] = w
-            used.add(w)
-            yield from extend(i + 1, mapping, used)
-            del mapping[v]
-            used.remove(w)
-
-    yield from extend(0, {}, set())
-
-
-def brute_graph_iso(g1: LabeledGraph, g2: LabeledGraph, budget: int = DEFAULT_BUDGET) -> IsoWitness | None:
-    for mapping in brute_graph_iso_all(g1, g2, budget):
-        return IsoWitness(kind="graph-iso", mapping=mapping)
-    return None
 
 
 # -- brute-force lattice isomorphism ----------------------------------------------

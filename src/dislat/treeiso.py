@@ -1,9 +1,9 @@
 """Rooted trees, non-ancestor graphs, canonical codes, recognition of
 non-ancestor graphs, and the constructive isomorphism pipeline: a graph
-isomorphism between zero-divisor graphs is realigned to preserve adjunct
-elements and then lifted to a full lattice isomorphism.  Without the
-hypothesis of a join-reducible top, a lattice isomorphism is read off the
-two lattices' trees instead."""
+isomorphism between zero-divisor graphs is lifted, one neighborhood class
+at a time, to a full lattice isomorphism.  Without the hypothesis of a
+join-reducible top, a lattice isomorphism is read off the two lattices'
+trees instead."""
 
 from __future__ import annotations
 
@@ -329,12 +329,7 @@ def graph_iso(g1: LabeledGraph, g2: LabeledGraph) -> IsoWitness | None:
     return IsoWitness(kind="graph-iso", mapping=dict(zip(order1[1:], order2[1:])))
 
 
-# -- adjunct realignment and lifting ---------------------------------------------
-
-
-def _adjunct_vertices(lat: Lattice, graph: LabeledGraph) -> set[str]:
-    """The vertices of `graph` with at least two lower covers in `lat`."""
-    return {lat.labels[i] for i, low in enumerate(lat._lowers) if len(low) >= 2} & set(graph.vertices)
+# -- lifting -----------------------------------------------------------------------
 
 
 def _require_top_adjunct(lat: Lattice, side: str) -> None:
@@ -344,51 +339,11 @@ def _require_top_adjunct(lat: Lattice, side: str) -> None:
         raise HypothesisViolated(f"{side} lattice's top is not an adjunct element")
 
 
-def align_adjuncts(
-    l1: Lattice, l2: Lattice, g1: LabeledGraph, g2: LabeledGraph, f: IsoWitness
-) -> IsoWitness:
-    """Turn an isomorphism f from the zero-divisor graph g1 of l1 to the
-    zero-divisor graph g2 of l2 into one that maps adjunct elements to
-    adjunct elements, by swapping images of class-mates.
-
-    The count of misaligned adjunct elements drops by one per swap; class
-    structure is untouched (the result maps every class exactly as f does).
-    """
-    if f.kind != "graph-iso":
-        raise HypothesisViolated("align_adjuncts needs a graph isomorphism witness")
-    _require_top_adjunct(l1, "first")
-    _require_top_adjunct(l2, "second")
-    phi = dict(f.mapping)
-    if not check_graph_iso(g1, g2, phi):
-        raise InternalInconsistency("f is not an isomorphism of the zero-divisor graphs")
-
-    adj1, adj2 = _adjunct_vertices(l1, g1), _adjunct_vertices(l2, g2)
-    prev = None
-    while True:
-        misaligned = sorted(x for x in adj1 if phi[x] not in adj2)
-        if prev is not None and len(misaligned) >= prev:
-            raise InternalInconsistency("misaligned-adjunct count failed to decrease")
-        prev = len(misaligned)
-        if not misaligned:
-            break
-        x1 = misaligned[0]
-        nbr = g1.masks[g1.index(x1)]
-        mates = [y for y, mask in zip(g1.vertices, g1.masks) if mask == nbr]
-        swap_with = next((y for y in mates if phi[y] in adj2), None)
-        if swap_with is None:
-            raise InternalInconsistency(
-                f"class of {x1!r} maps to a class without an adjunct element"
-            )
-        phi[x1], phi[swap_with] = phi[swap_with], phi[x1]
-    return IsoWitness(kind="graph-iso", mapping=phi)
-
-
 def lift_to_lattice_iso(
     l1: Lattice, l2: Lattice, g1: LabeledGraph, g2: LabeledGraph, phi: IsoWitness
 ) -> IsoWitness:
-    """Lift an adjunct-preserving isomorphism phi from the zero-divisor graph
-    g1 of l1 to the zero-divisor graph g2 of l2 to a lattice isomorphism that
-    agrees with it on the adjunct elements below the top.
+    """Lift an isomorphism phi from the zero-divisor graph g1 of l1 to the
+    zero-divisor graph g2 of l2 to a lattice isomorphism.
 
     Every neighborhood class of the first graph is a chain.  It is matched
     to its phi-image bottom to bottom, and the extremes to the extremes, in
@@ -399,6 +354,16 @@ def lift_to_lattice_iso(
     image of the lower piece lies below it in the merged image chain.  A
     chain is ordered by the size of each member's down-set, the bit count
     of its ``_down`` mask.
+
+    phi need not map adjunct elements to adjunct elements.  Every member of
+    a class but its lowest has one lower cover, the class-mate below it, so
+    a class's adjunct element, if it has one, is the bottom of its chain.
+    The paper first swaps images of class-mates until adjuncts go to
+    adjuncts.  The swaps leave the image of every class as it was, and the
+    lift reads phi only through those images, so it returns the same map
+    with or without them.  It agrees with the swapped map on the adjunct
+    elements below the top: both send the bottom of a class to the bottom
+    of its image.
     """
     if phi.kind != "graph-iso":
         raise HypothesisViolated("lift needs a graph isomorphism witness")
@@ -407,9 +372,6 @@ def lift_to_lattice_iso(
     mapping = dict(phi.mapping)
     if not check_graph_iso(g1, g2, mapping):
         raise InternalInconsistency("phi is not an isomorphism of the zero-divisor graphs")
-    adj1, adj2 = _adjunct_vertices(l1, g1), _adjunct_vertices(l2, g2)
-    if {mapping[x] for x in adj1} != adj2:
-        raise HypothesisViolated("phi does not preserve adjunct elements")
 
     psi = {l1.bottom_label: l2.bottom_label, l1.top_label: l2.top_label}
     for block in neighborhood_partition(g1):

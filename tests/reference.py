@@ -10,9 +10,15 @@ independent references:
   lattice per step, and `reference_elaborate`, the fold of an `.adl`
   expression through them;
 - `peel_decomposition` and `reassemble`: part I's decomposition
-  L = L1 ](0,a) C, which splits off one neighborhood class as a pendant chain;
+  L = L1 ](0,a) C, which splits off one neighborhood class as a pendant chain,
+  on `induced_sublattice`, the restriction to a subset with the induced order;
+- `align_adjuncts`: the paper's alignment lemma, which swaps images of
+  class-mates until an isomorphism of zero-divisor graphs maps adjunct
+  elements (`adjunct_vertices`) to adjunct elements;
 - `reference_lift`: the recursive lift of an adjunct-preserving isomorphism
   of zero-divisor graphs, peeling one class from both lattices per level;
+- `brute_graph_iso_all` and `brute_graph_iso`: the backtracking
+  graph-isomorphism search;
 - `brute_lattice_iso_all`: the backtracking lattice-isomorphism search on
   labels, through the public order predicates;
 - `SetGraph` and `edge_walking_recognize`: the graph as sets of neighbour
@@ -38,10 +44,10 @@ from dislat import (
     AdjunctExpr,
     DislatError,
     ElementClassification,
+    IsoWitness,
     Lattice,
     build_from_covers,
     classify,
-    induced_sublattice,
     is_lower_dismantlable,
 )
 from dislat.blocks import _cover_masks, _deletable, _delete
@@ -60,7 +66,7 @@ from dislat.errors import (
 )
 from dislat.lattice import _bits
 from dislat.oracle import DEFAULT_BUDGET
-from dislat.treeiso import FRESH_ROOT, RootedTree
+from dislat.treeiso import FRESH_ROOT, RootedTree, _require_top_adjunct, check_graph_iso
 from dislat.zdg import LabeledGraph, complement_clique_parts, neighborhood_partition, zero_divisor_graph
 
 
@@ -280,6 +286,31 @@ def class_has_adjunct(graph: LabeledGraph, x: str) -> bool:
     return False
 
 
+def induced_sublattice(lat: Lattice, keep: Iterable[str]) -> Lattice:
+    """Restrict to `keep` with the induced order; covers are re-derived.
+
+    Raises NotALattice when the restriction is not a lattice.
+    """
+    keep_set = set(keep)
+    return build_from_covers([lab for lab in lat.labels if lab in keep_set], _induced_covers(lat, keep_set))
+
+
+def _induced_covers(lat: Lattice, keep: Iterable[str]) -> list[tuple[str, str]]:
+    """Cover pairs (u, v) of the order `lat` induces on `keep`: v is a minimal
+    element of what `keep` holds strictly above u.  O(|keep|^2) mask
+    operations; raises NoSuchElement for a label not in `lat`."""
+    mask = 0
+    for x in keep:
+        mask |= 1 << lat.index(x)
+    out = []
+    for u in _bits(mask):
+        above = lat._up[u] & mask & ~(1 << u)
+        for v in _bits(above):
+            if above & lat._down[v] == 1 << v:
+                out.append((lat.labels[u], lat.labels[v]))
+    return out
+
+
 def _by_height(lat: Lattice, labels: Iterable[str]) -> list[str]:
     return sorted(labels, key=lambda v: len(lat.down_set(v)))
 
@@ -329,6 +360,53 @@ def peel_decomposition(lat: Lattice, x: str) -> PeelStep:
 def reassemble(step: PeelStep) -> Lattice:
     """Inverse of peel_decomposition: glue the chain back at (bottom, hinge)."""
     return adjunct(step.sublattice, chain_lattice(step.chain), step.sublattice.bottom_label, step.hinge)
+
+
+# -- the alignment lemma -----------------------------------------------------------
+
+
+def adjunct_vertices(lat: Lattice, graph: LabeledGraph) -> set[str]:
+    """The vertices of `graph` with at least two lower covers in `lat`."""
+    return {lat.labels[i] for i, low in enumerate(lat._lowers) if len(low) >= 2} & set(graph.vertices)
+
+
+def align_adjuncts(
+    l1: Lattice, l2: Lattice, g1: LabeledGraph, g2: LabeledGraph, f: IsoWitness
+) -> IsoWitness:
+    """Turn an isomorphism f from the zero-divisor graph g1 of l1 to the
+    zero-divisor graph g2 of l2 into one that maps adjunct elements to
+    adjunct elements, by swapping images of class-mates.
+
+    The count of misaligned adjunct elements drops by one per swap; class
+    structure is untouched (the result maps every class exactly as f does).
+    """
+    if f.kind != "graph-iso":
+        raise HypothesisViolated("align_adjuncts needs a graph isomorphism witness")
+    _require_top_adjunct(l1, "first")
+    _require_top_adjunct(l2, "second")
+    phi = dict(f.mapping)
+    if not check_graph_iso(g1, g2, phi):
+        raise InternalInconsistency("f is not an isomorphism of the zero-divisor graphs")
+
+    adj1, adj2 = adjunct_vertices(l1, g1), adjunct_vertices(l2, g2)
+    prev = None
+    while True:
+        misaligned = sorted(x for x in adj1 if phi[x] not in adj2)
+        if prev is not None and len(misaligned) >= prev:
+            raise InternalInconsistency("misaligned-adjunct count failed to decrease")
+        prev = len(misaligned)
+        if not misaligned:
+            break
+        x1 = misaligned[0]
+        nbr = g1.masks[g1.index(x1)]
+        mates = [y for y, mask in zip(g1.vertices, g1.masks) if mask == nbr]
+        swap_with = next((y for y in mates if phi[y] in adj2), None)
+        if swap_with is None:
+            raise InternalInconsistency(
+                f"class of {x1!r} maps to a class without an adjunct element"
+            )
+        phi[x1], phi[swap_with] = phi[swap_with], phi[x1]
+    return IsoWitness(kind="graph-iso", mapping=phi)
 
 
 # -- the recursive lift ------------------------------------------------------------
@@ -444,6 +522,56 @@ def relabeled_tree(tree: RootedTree, mapping: dict[str, str]) -> RootedTree:
     return RootedTree.from_parents(
         {mapping[lab]: (None if p is None else mapping[p]) for lab, p in tree.parent_map().items()}
     )
+
+
+# -- the graph-isomorphism search ----------------------------------------------------
+
+
+def brute_graph_iso_all(
+    g1: LabeledGraph, g2: LabeledGraph, budget: int = DEFAULT_BUDGET
+) -> Iterator[dict[str, str]]:
+    """Yield every isomorphism g1 -> g2, lexicographic in g1's label order.
+
+    Backtracking with degree and neighbor-degree pruning; raises
+    BudgetExceeded rather than silently giving up.
+    """
+    if g1.n != g2.n or len(g1.edges) != len(g2.edges):
+        return
+    deg_profile1 = {v: (g1.degree(v), sorted(g1.degree(w) for w in g1.neighbors(v))) for v in g1.vertices}
+    deg_profile2 = {v: (g2.degree(v), sorted(g2.degree(w) for w in g2.neighbors(v))) for v in g2.vertices}
+    if sorted(deg_profile1.values()) != sorted(deg_profile2.values()):
+        return
+
+    order = list(g1.vertices)
+    nodes_visited = 0
+
+    def extend(i: int, mapping: dict[str, str], used: set[str]) -> Iterator[dict[str, str]]:
+        nonlocal nodes_visited
+        if i == len(order):
+            yield dict(mapping)
+            return
+        v = order[i]
+        for w in g2.vertices:
+            if w in used or deg_profile2[w] != deg_profile1[v]:
+                continue
+            if any(g1.adjacent(v, u) != g2.adjacent(w, mapping[u]) for u in mapping):
+                continue
+            nodes_visited += 1
+            if nodes_visited > budget:
+                raise BudgetExceeded(f"graph isomorphism search exceeded {budget} nodes")
+            mapping[v] = w
+            used.add(w)
+            yield from extend(i + 1, mapping, used)
+            del mapping[v]
+            used.remove(w)
+
+    yield from extend(0, {}, set())
+
+
+def brute_graph_iso(g1: LabeledGraph, g2: LabeledGraph, budget: int = DEFAULT_BUDGET) -> IsoWitness | None:
+    for mapping in brute_graph_iso_all(g1, g2, budget):
+        return IsoWitness(kind="graph-iso", mapping=mapping)
+    return None
 
 
 # -- the label-level lattice-isomorphism search -------------------------------------

@@ -24,16 +24,16 @@ from dislat import (
     zero_divisor_graph,
 )
 from dislat.dsl import elaborate, parse, parse_file, serialize
-from dislat.lattice import adjunct_representation, induced_sublattice
-from dislat.oracle import (
+from dislat.lattice import adjunct_representation
+from dislat.oracle import brute_lattice_iso, enumerate_lower_dismantlable, enumerate_rooted_trees
+from dislat.treeiso import IsoWitness, check_lattice_iso, lift_to_lattice_iso
+from tests.reference import (
+    align_adjuncts,
     brute_graph_iso,
     brute_graph_iso_all,
-    brute_lattice_iso,
-    enumerate_lower_dismantlable,
-    enumerate_rooted_trees,
+    induced_sublattice,
+    neighborhood_classes,
 )
-from dislat.treeiso import IsoWitness, align_adjuncts, check_lattice_iso, lift_to_lattice_iso
-from tests.reference import neighborhood_classes
 
 DATA = Path(__file__).parent / "data"
 
@@ -189,19 +189,22 @@ def test_criterion_09_align_and_lift():
         x_set = set(classify(lat).adjunct_elements) - {lat.top_label}
         for mapping in brute_graph_iso_all(graph, graph):
             iso_count += 1
-            phi = align_adjuncts(lat, lat, graph, graph, IsoWitness("graph-iso", mapping))
+            f = IsoWitness("graph-iso", mapping)
+            phi = align_adjuncts(lat, lat, graph, graph, f)
             if {phi.mapping[x] for x in adjunct_vertices} != adjunct_vertices:
                 failures += 1
                 continue
-            psi = lift_to_lattice_iso(lat, lat, graph, graph, phi)
+            psi = lift_to_lattice_iso(lat, lat, graph, graph, f)
             if not check_lattice_iso(lat, lat, psi.mapping):
+                failures += 1
+            elif psi.mapping != lift_to_lattice_iso(lat, lat, graph, graph, phi).mapping:
                 failures += 1
             elif any(psi.mapping[x] != phi.mapping[x] for x in x_set):
                 failures += 1
     elapsed = time.perf_counter() - start
     ok = failures == 0
-    _report(9, "every graph isomorphism aligns to adjunct-preserving and lifts to a lattice isomorphism", ok,
-            f"{iso_count} isomorphisms, {failures} failures, {elapsed:.1f}s")
+    _report(9, "every graph isomorphism lifts to a lattice isomorphism, the one its adjunct-preserving "
+            "alignment lifts to", ok, f"{iso_count} isomorphisms, {failures} failures, {elapsed:.1f}s")
 
 
 def test_criterion_10_block_confluence_reported(tmp_path):

@@ -12,7 +12,6 @@ from dislat import (
     build_from_covers,
     classify,
     explore_deletion_orders,
-    induced_sublattice,
     is_ssc,
     is_structurally_deletable,
     non_ancestor_graph,
@@ -31,6 +30,7 @@ from tests.conftest import leq_meet
 from tests.reference import (
     ClassHasAdjunct,
     class_has_adjunct,
+    induced_sublattice,
     neighborhood_classes,
     peel_decomposition,
     reassemble,
@@ -375,8 +375,6 @@ class TestConfluence:
         }
 
     def test_fixed_points_are_fixed(self, negssc, fig2):
-        from dislat.lattice import induced_sublattice
-
         for lat in (negssc, fig2):
             for fp in explore_deletion_orders(lat):
                 sub = induced_sublattice(lat, fp)

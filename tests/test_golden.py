@@ -22,6 +22,7 @@ of files whose labels differ, where the map shows how images are picked:
 
     dislat --json iso cbt15.adl cbt15_shuffled.adl --witness > cbt15.shuffled.iso_witness.json
     dislat --json iso fig2.adl fig2_shuffled.adl --witness   > fig2.shuffled.iso_witness.json
+    dislat --json iso swap7.adl swap7_shuffled.adl --witness > swap7.shuffled.iso_witness.json
 
 cbt15.adl is the 16-element lattice of the complete binary tree on e1..e15
 (e1 the root, e(2i) and e(2i+1) the children of ei), so its top is
@@ -29,7 +30,12 @@ join-reducible and the witness takes the zdg-lift route; fig2's top is
 join-irreducible and its witness takes the tree-match route.  Each
 `_shuffled` file is the same lattice with the nonzero labels permuted
 among themselves (`random.Random(15)` and `random.Random(2)` shuffles of
-the nonzero labels in lattice order).
+the nonzero labels in lattice order).  swap7 is a pair for the zdg-lift
+route whose graph isomorphism does not map adjunct elements to adjunct
+elements: `graph_iso` sends the adjunct element n2 to w3, the top of its
+image class {w1, w3}, whose adjunct element is w1.  The swap7 witness was
+written while `iso --witness` still swapped n2's and n1's images before
+lifting, so it pins that the lift needs no such swap.
 Two `--json build` outputs pin DSL diagnostics and exit 2: bad_char.adl has
 a character no token starts with, and trailing_comment.adl ends in a comment
 where ';' is expected, which is reported at the comment's '#'.
@@ -58,7 +64,7 @@ COMMANDS = {
     }.items()
 }
 COMMANDS["k22.iso_witness.json"] = ["--json", "iso", DATA / "k22.adl", DATA / "k22.adl", "--witness"]
-for name in ("cbt15", "fig2"):
+for name in ("cbt15", "fig2", "swap7"):
     COMMANDS[f"{name}.shuffled.iso_witness.json"] = [
         "--json", "iso", DATA / f"{name}.adl", DATA / f"{name}_shuffled.adl", "--witness"
     ]

@@ -19,9 +19,9 @@ from dislat import (
     elaborate,
     is_lower_dismantlable,
 )
-from dislat.lattice import induced_sublattice, relabel
+from dislat.lattice import relabel
 from dislat.oracle import enumerate_lower_dismantlable
-from tests.reference import adjunct, chain_lattice
+from tests.reference import adjunct, chain_lattice, induced_sublattice
 
 M2_COVERS = [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")]
 

@@ -9,7 +9,6 @@ from dislat import (
     BudgetExceeded,
     LabeledGraph,
     RootedTree,
-    brute_graph_iso,
     brute_lattice_iso,
     canonical_code,
     enumerate_rooted_trees,
@@ -19,7 +18,7 @@ from dislat import (
 from dislat.lattice import relabel
 from dislat.oracle import brute_lattice_iso_all, enumerate_lower_dismantlable, rooted_tree_codes
 from tests.reference import brute_lattice_iso_all as reference_brute_lattice_iso_all
-from tests.reference import chain_lattice
+from tests.reference import brute_graph_iso, brute_graph_iso_all, chain_lattice
 
 # number of rooted-tree isomorphism classes by node count, OEIS A000081
 TREE_COUNTS = [None, 1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842, 4766]
@@ -133,8 +132,6 @@ class TestBruteLatticeIso:
             cover1 = LabeledGraph(l1.labels, l1.cover_pairs())
             cover2 = LabeledGraph(l2.labels, l2.cover_pairs())
             cover_iso = False
-            from dislat.oracle import brute_graph_iso_all
-
             for mapping in brute_graph_iso_all(cover1, cover2):
                 if (
                     mapping[l1.bottom_label] == l2.bottom_label

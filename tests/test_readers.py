@@ -1,10 +1,11 @@
 """The index readers of a lattice against their label-level references.
 
-`is_lower_dismantlable`, `classify`, `tree_of_lattice`, the adjunct vertices
-of the iso witness, the chain order of `lift_to_lattice_iso` and the parent
-map of `adjunct_representation` read the cover lists and down-set masks of
-`Lattice` by index.  `tests.reference` keeps the readers that go through
-`lower_covers`, `upper_covers`, `down_set` and `RootedTree.from_parents`.
+`is_lower_dismantlable`, `classify`, `tree_of_lattice`, the chain order of
+`lift_to_lattice_iso` and the parent map of `adjunct_representation` read
+the cover lists and down-set masks of `Lattice` by index, and so does
+`adjunct_vertices` of the alignment lemma in `tests.reference`, which also
+keeps the readers that go through `lower_covers`, `upper_covers`,
+`down_set` and `RootedTree.from_parents`.
 Both must give the same results on every lattice of at most 10 elements, on
 seeded random trees of up to 500 nodes, and on general dismantlable
 lattices outside the class, and raise the same errors where the input is
@@ -21,7 +22,6 @@ from dislat import (
     HypothesisViolated,
     NotLowerDismantlable,
     adjunct_representation,
-    align_adjuncts,
     build_from_covers,
     classify,
     elaborate,
@@ -33,10 +33,16 @@ from dislat import (
     zero_divisor_graph,
 )
 from dislat.oracle import enumerate_lower_dismantlable
-from dislat.treeiso import _adjunct_vertices
 from tests.conftest import load, random_dismantlable, shuffled_copy
-from tests.reference import down_set_lift, label_classify, label_is_lower_dismantlable, label_tree_of_lattice
-from tests.test_treeiso import random_parents, tree_of_parents
+from tests.reference import (
+    adjunct_vertices,
+    align_adjuncts,
+    down_set_lift,
+    label_classify,
+    label_is_lower_dismantlable,
+    label_tree_of_lattice,
+)
+from tests.test_treeiso import lift_ignoring_alignment, random_parents, tree_of_parents
 
 ENUMERATED = list(enumerate_lower_dismantlable(10))
 
@@ -132,23 +138,24 @@ def test_adjunct_vertices():
     for lat in [*SMALL, *RANDOM, *OUTSIDE]:
         graph = zero_divisor_graph(lat)
         want = set(label_classify(lat).adjunct_elements) & set(graph.vertices)
-        assert _adjunct_vertices(lat, graph) == want
+        assert adjunct_vertices(lat, graph) == want
 
 
 @pytest.mark.parametrize("sample", ["small", "random"])
 def test_lift_orders_chains_as_down_set_lengths(sample):
     """On every pair with join-reducible tops, a lattice against a shuffled
-    copy, the lift returns the map that orders each class by the length of
-    its members' down-sets."""
+    copy, the lift of `graph_iso`'s map returns the map that orders each
+    class by the length of its members' down-sets, which is also the lift
+    of its alignment."""
     rng = random.Random(21)
     lats = [lat for lat in {"small": SMALL, "random": RANDOM}[sample] if len(lat.lower_covers(lat.top_label)) >= 2]
     assert len(lats) > 5
     for lat in lats:
         other = shuffled_copy(lat, rng)
         g1, g2 = zero_divisor_graph(lat), zero_divisor_graph(other)
-        phi = align_adjuncts(lat, other, g1, g2, graph_iso(g1, g2))
-        psi = lift_to_lattice_iso(lat, other, g1, g2, phi)
-        assert psi.mapping == down_set_lift(lat, other, g1, phi.mapping)
+        f = graph_iso(g1, g2)
+        psi = lift_ignoring_alignment(lat, other, g1, g2, f)
+        assert psi.mapping == down_set_lift(lat, other, g1, f.mapping)
 
 
 def test_lift_outside_the_class_raises_the_same(ex2):
