@@ -191,8 +191,7 @@ def cmd_recognize(args) -> int:
     if bad:
         raise BadGraph(f"vertex label {bad[0]!r} is not an .adl element name (an identifier, not a keyword)")
     lat = treeiso.lattice_of_tree(tree)
-    expr = adjunct_representation(lat, name="recognized")
-    adl = dsl.serialize(expr)
+    adl = _adl(lat, name="recognized")
     # An isolated vertex is comparable to every other: it lies on the path
     # from the root down to the first branching node, and the printed
     # lattice's zero-divisor graph leaves it out.
@@ -209,15 +208,14 @@ def cmd_recognize(args) -> int:
 
 # -- verification suites --------------------------------------------------------
 #
-# `cmd_verify` walks the tree enumeration once, size by size, and hands each
-# enumerated lattice to every selected suite.  A suite is built from (seed,
-# root_min, dump_dir); `add` folds one lattice into its running result,
-# `end_size` closes a size, and `result` returns a dict with at least
-# "checked", "violations" and "first_counterexample".  root_min is the least
-# number of children of the tree's root (lower covers of the top), and the
-# walk yields only those trees; suites that need a join-reducible top also
-# skip the trees whose root has fewer than 2 children.  dump_dir is None
-# unless counterexample files are wanted.
+# `cmd_verify` walks the tree enumeration once, in ascending size, and hands
+# each lattice to every selected suite.  A suite is built from (seed,
+# root_min, dump_dir); `add` folds one lattice into its running result, and
+# `result` returns a dict with at least "checked", "violations" and
+# "first_counterexample".  The walk yields only trees whose root has at least
+# root_min children (lower covers of the top); suites that need a
+# join-reducible top skip those with fewer than 2.  dump_dir is None unless
+# counterexample files are wanted.
 
 
 class _Item:
@@ -245,12 +243,6 @@ class _Suite:
     def __init__(self, _seed: int, _root_min: int, _dump_dir: str | None):
         self.checked = self.violations = 0
         self.first: dict | None = None
-
-    def add(self, item: _Item) -> None:
-        raise NotImplementedError
-
-    def end_size(self) -> None:
-        pass
 
     def result(self) -> dict:
         return {"checked": self.checked, "violations": self.violations, "first_counterexample": self.first}
@@ -335,82 +327,53 @@ class _T1(_Suite):
     lattice i and of a random relabeling of lattice j have equal codes
     exactly when brute force finds a lattice isomorphism.
 
-    Brute force runs only within a bucket of `oracle.lattice_iso_key` and
-    returns nothing across buckets.  The key holds the size, so it only ever
-    compares lattices of the size at hand, and of earlier sizes only the
-    codes and bucket ids are kept.  The first counterexample is that of the
-    least pair (i, j)."""
+    Brute force runs only within a bucket of `oracle.lattice_iso_key`, which
+    holds the size, so a pair across buckets whose codes differ agrees by
+    construction: it is counted, not visited.  Only this size's lattices are
+    kept, and of earlier sizes only the codes.  The first counterexample is
+    that of the least pair (i, j)."""
 
     def __init__(self, seed: int, root_min: int, dump_dir: str | None):
         super().__init__(seed, root_min, dump_dir)
         self.rng = random.Random(seed)
         self.root_min = max(root_min, 2)
-        self.codes: list[str] = []
-        self.codes_relab: list[str] = []
-        self.buckets: list[int] = []
-        self.buckets_relab: list[int] = []
-        self.start = 0  # the number of this size's first lattice
-        self.lats: list[Lattice] = []  # this size's lattices and their relabelings
-        self.relabeled: list[Lattice] = []
-        self.ids: dict[tuple, int] = {}  # this size's bucket ids by key
-        self.id_base = 0  # the bucket ids of earlier sizes lie below it
+        self.numbers = itertools.count()  # numbers the lattices
+        self.numbers_of_code: dict[str, list[int]] = {}
+        self.buckets: dict[tuple, dict[int, Lattice]] = {}  # this size's lattices by key
         self.first_pair: tuple[int, int] | None = None
-
-    def _bucket(self, lat: Lattice) -> int:
-        return self.ids.setdefault(oracle.lattice_iso_key(lat), self.id_base + len(self.ids))
 
     def add(self, item: _Item) -> None:
         if not item.join_reducible_top:
             return
-        lat = item.lat
+        lat, j = item.lat, next(self.numbers)
+        self.checked += j + 1
         perm = list(lat.labels)
         self.rng.shuffle(perm)
-        relabeled = relabel(lat, dict(zip(lat.labels, perm)))
-        self.lats.append(lat)
-        self.relabeled.append(relabeled)
-        self.codes.append(treeiso.canonical_code(treeiso.recognize(item.graph)))
-        self.codes_relab.append(treeiso.canonical_code(treeiso.recognize(zdg.zero_divisor_graph(relabeled))))
-        self.buckets.append(self._bucket(lat))
-        self.buckets_relab.append(self._bucket(relabeled))
-
-    def end_size(self) -> None:
-        start, stop = self.start, len(self.codes)
-        lats, relabeled = self.lats, self.relabeled
-        codes_relab, buckets_relab = self.codes_relab, self.buckets_relab
-        for i in range(stop):
-            code, bucket = self.codes[i], self.buckets[i]
-            lo = max(i, start)
-            self.checked += stop - lo
-            for j in range(lo, stop):
-                fast = code == codes_relab[j]
-                # Equal buckets mean one size, so lattice i is of this size.
-                slow = bucket == buckets_relab[j] and (
-                    oracle.brute_lattice_iso(lats[i - start], relabeled[j - start]) is not None
-                )
-                if fast != slow:
-                    self._violation(i, j, fast, slow)
-        self.start = stop
-        self.lats, self.relabeled = [], []
-        self.id_base += len(self.ids)
-        self.ids = {}
-
-    def _violation(self, i: int, j: int, fast: bool, slow: bool) -> None:
-        self.violations += 1
+        relab = relabel(lat, dict(zip(lat.labels, perm)))
+        key = oracle.lattice_iso_key(lat)
+        if next(iter(self.buckets), key)[0] != key[0]:  # a new size
+            self.buckets = {}
+        self.buckets.setdefault(key, {})[j] = lat
+        self.numbers_of_code.setdefault(treeiso.canonical_code(treeiso.recognize(item.graph)), []).append(j)
+        code = treeiso.canonical_code(treeiso.recognize(zdg.zero_divisor_graph(relab)))
+        equal = self.numbers_of_code.get(code, [])  # the i whose code is that of relabeled lattice j
+        bucket = self.buckets.get(oracle.lattice_iso_key(relab), {})
+        # a violation has fast != slow: equal codes outside the bucket, or brute force disagreeing within it
+        bad = [i for i in equal if i not in bucket]
+        bad += [i for i, lat_i in bucket.items() if (i in equal) == (oracle.brute_lattice_iso(lat_i, relab) is None)]
+        if not bad:
+            return
+        self.violations += len(bad)
+        i = min(bad)
         if self.first_pair is not None and self.first_pair < (i, j):
             return
         self.first_pair = (i, j)
-        second = self.relabeled[j - self.start]
-        if i >= self.start:
-            first = self.lats[i - self.start]
-        else:  # of an earlier size: only a counterexample pays to build it again
-            trees = oracle.enumerate_rooted_trees(second.n - 1, self.root_min)
+        first = bucket.get(i)
+        if first is None:  # outside the bucket: only a counterexample pays to build it again
+            trees = oracle.enumerate_rooted_trees(lat.n - 1, self.root_min)
             first = treeiso.lattice_of_tree(next(itertools.islice(trees, i, None)))
-        self.first = {
-            "first": _adl(first),
-            "second": _adl(second),
-            "codes_equal": fast,
-            "brute": slow,
-        }
+        fast = i in equal
+        self.first = {"first": _adl(first), "second": _adl(relab), "codes_equal": fast, "brute": not fast}
 
 
 def _fixed_point_code(lat: Lattice, fixed_point: frozenset[str]) -> str:
@@ -482,17 +445,13 @@ _SUITES = {
 
 def _run_suites(names: list[str], max_nodes: int, seed: int, root_min: int, dump_dir: str | None) -> dict:
     """The named suites over lattices of at most `max_nodes` elements, from
-    one walk of the tree enumeration in ascending size.  A lattice lives
-    while the suites visit it, and only t1 keeps one past that, to the end of
-    its size."""
+    one walk of the tree enumeration in ascending size.  Each lattice is
+    handed to every suite in turn; only t1 keeps one past that, to the end
+    of its size."""
     suites = {name: _SUITES[name](seed, root_min, dump_dir) for name in names}
-    trees = oracle.enumerate_rooted_trees(max_nodes - 1, root_min)
-    for _, same_size in itertools.groupby(trees, key=lambda tree: tree.n):
-        for item in map(_Item, same_size):
-            for suite in suites.values():
-                suite.add(item)
+    for item in map(_Item, oracle.enumerate_rooted_trees(max_nodes - 1, root_min)):
         for suite in suites.values():
-            suite.end_size()
+            suite.add(item)
     return {name: suite.result() for name, suite in suites.items()}
 
 
@@ -516,6 +475,18 @@ def cmd_verify(args) -> int:
 # -- entry point -------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """When `main` sets `json`, a usage error is a BadOption, which it prints
+    as one error document; otherwise argparse prints the usage and exits 2."""
+
+    json = False
+
+    def error(self, message: str):
+        if _Parser.json:
+            raise BadOption(message)
+        super().error(message)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process: each parse fills a new namespace."""
@@ -525,7 +496,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="seed for randomized relabeling in verify")
 
-    parser = argparse.ArgumentParser(prog="dislat", description=__doc__)
+    parser = _Parser(prog="dislat", description=__doc__)
     parser.add_argument("--json", action="store_true")
     parser.add_argument("--seed", type=int, default=0)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -571,8 +542,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    options = argv[: argv.index("--")] if "--" in argv else argv
+    _Parser.json = any(len(a) > 2 and "--json".startswith(a) for a in options)  # argparse takes a prefix
+    args = argparse.Namespace(json=_Parser.json)  # for a usage error
     try:
+        args = _build_parser().parse_args(argv)
         return args.fn(args)
     except DslError as exc:
         _fail(args, exc, line=exc.line, col=exc.col)

@@ -413,6 +413,13 @@ class TestVerify:
         assert code == 1
         assert out.encode("utf-8") == (DATA / "verify_all_10_seed1.json").read_bytes()
 
+    def test_all_suites_at_11_seed_2_match_golden(self, capsys):
+        """The bytes that `dislat --json --seed 2 verify --suite all
+        --max-nodes 11` printed when t1 walked every pair of a size."""
+        code, out = run(capsys, "--json", "--seed", "2", "verify", "--suite", "all", "--max-nodes", "11")
+        assert code == 1
+        assert out.encode("utf-8") == (DATA / "verify_all_11_seed2.json").read_bytes()
+
     @pytest.mark.parametrize("root_min", ["0", "3"])
     @pytest.mark.parametrize("seed", ["0", "1"])
     def test_each_suite_alone_prints_its_part_of_all(self, capsys, seed, root_min):
@@ -473,9 +480,10 @@ def reference_t1(max_nodes: int, seed: int) -> dict:
 
 
 class TestT1Buckets:
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_same_result_as_brute_force_on_every_pair(self, seed):
-        assert _run_suites(["t1"], 8, seed, 0, None)["t1"] == reference_t1(8, seed)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("max_nodes", [8, 9])
+    def test_same_result_as_brute_force_on_every_pair(self, max_nodes, seed):
+        assert _run_suites(["t1"], max_nodes, seed, 0, None)["t1"] == reference_t1(max_nodes, seed)
 
     def test_least_pair_across_sizes_is_the_counterexample(self, monkeypatch):
         """Codes made equal within the trees of 4 nodes, and across those of
@@ -496,6 +504,29 @@ class TestT1Buckets:
 
         first = got["first_counterexample"]
         assert elaborate(parse(first["first"])).n == 4
+        assert first["codes_equal"] is True and first["brute"] is False
+
+    def test_least_pair_across_buckets_of_one_size_is_the_counterexample(self, monkeypatch):
+        """Codes made equal within the trees of 4 nodes only.  The least
+        violating pair is (1, 2): two lattices of 5 elements in different
+        buckets, so lattice 1 is not kept in lattice 2's bucket and is built
+        again for the report."""
+        real = canonical_code
+
+        def code(tree):
+            return "B" if tree.n == 4 else real(tree)
+
+        monkeypatch.setattr(cli.treeiso, "canonical_code", code)
+        monkeypatch.setitem(globals(), "canonical_code", code)
+        got = _run_suites(["t1"], 7, 0, 0, None)["t1"]
+        assert got == reference_t1(7, 0)
+        assert got["violations"] == 1
+        from dislat import elaborate, parse
+
+        first = got["first_counterexample"]
+        one, two = (lat for lat in enumerate_lower_dismantlable(7, 2) if lat.n == 5)
+        assert lattice_iso_key(one) != lattice_iso_key(two)
+        assert brute_lattice_iso(elaborate(parse(first["first"])), one) is not None
         assert first["codes_equal"] is True and first["brute"] is False
 
     def test_equal_codes_never_cross_buckets(self):
@@ -539,6 +570,47 @@ class TestInternalErrors:
         captured = capsys.readouterr()
         assert code == 3
         assert captured.out == "" and captured.err == "error: bad value\n"
+
+
+USAGE_ERRORS = [
+    (["iso", "onlyone"], "the following arguments are required: file_b"),
+    (["verify", "--max-nodes", "x"], "argument --max-nodes: invalid int value: 'x'"),
+    (["bogus"], "argument command: invalid choice: 'bogus'"),
+]
+
+
+class TestUsageErrors:
+    """A command line that argparse rejects exits 2: under --json with one
+    BadOption document, otherwise with argparse's usage text on stderr."""
+
+    @pytest.mark.parametrize("argv, message", USAGE_ERRORS)
+    def test_json(self, capsys, argv, message):
+        code, payload = run_json(capsys, *argv)
+        assert code == 2
+        assert payload["error"]["type"] == "BadOption"
+        assert payload["error"]["message"].startswith(message)
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("flag", ["--js", "--json"])
+    def test_json_after_the_command_or_abbreviated(self, capsys, flag):
+        code = main(["verify", flag, "--max-nodes", "x"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 2 and payload["error"]["type"] == "BadOption"
+
+    @pytest.mark.parametrize("argv, message", USAGE_ERRORS)
+    def test_text(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exit_info.value.code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("usage: dislat")
+        assert f"error: {message}" in captured.err
+
+    def test_json_after_double_dash_is_a_file_name(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["iso", "--", "--json"])
+        assert capsys.readouterr().out == ""
 
 
 class TestInputEncoding:

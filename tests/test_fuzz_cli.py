@@ -2,13 +2,19 @@
 
 Whatever a `.adl` file holds, `build`, `zdg`, `analyze` and `iso --witness`
 exit 0, 1, 2 or 3, print no traceback, and under `--json` print exactly one
-document that validates against schemas/cli_output.schema.json.
+document that validates against schemas/cli_output.schema.json.  So does
+`recognize`, whatever its graph file holds.
 
 The inputs are the small `.adl` files of tests/data, and one lattice outside
 the class, after a few random edits: a span deleted, duplicated, or replaced
 by a token of the language or by random characters.  Raw bytes are tried
 too: random ones, and edited files with random bytes spliced in.  An input
 that names more than 12 elements is dropped, so every command stays small.
+
+The graph files are random graphs and the graphs of random trees on at most
+12 vertices, with labels that are not element names among others, duplicate
+vertices and edges, fields of the wrong type, arbitrary JSON, and arrays and
+objects nested thousands deep.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from dislat.cli import main
+from dislat.treeiso import RootedTree, non_ancestor_graph
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -132,3 +139,78 @@ def test_seeds_are_small_and_varied():
             codes.add(run_json(["build", str(path)]))
             codes.add(run_json(["iso", str(path), str(DATA / "k22.adl"), "--witness"]))
     assert codes == {0, 1, 2}
+
+
+NAMES = st.sampled_from([*"abcdefghijkl", "x1", "one", "_"])
+LABELS = ["0", "⊤", "lattice", "chain", "adjoin", "1a", "a-b", "a b", "", "é", "日本", "\x00"]
+label = st.one_of(st.sampled_from(LABELS), st.text(max_size=3))
+json_value = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False), label),
+    lambda inner: st.one_of(st.lists(inner, max_size=3), st.dictionaries(label, inner, max_size=3)),
+    max_leaves=8,
+)
+rarely = st.integers(min_value=0, max_value=3).map(lambda k: k == 0)  # one time in four
+
+
+@st.composite
+def vertex_labels(draw, min_size: int, repeats: bool) -> list[str]:
+    """Up to 12 element names; now and then with a label that is not a name
+    among them, or, if `repeats`, with a label twice."""
+    pool = st.one_of(NAMES, NAMES, NAMES, label) if draw(rarely) else NAMES
+    return draw(st.lists(pool, min_size=min_size, max_size=12, unique=not (repeats and draw(rarely))))
+
+
+@st.composite
+def random_graph(draw) -> dict:
+    """Random edges between the vertices; now and then with loops, or with
+    an endpoint that is not a vertex.  Repeated edges are common."""
+    vertices = draw(vertex_labels(1, repeats=True))
+    end = st.one_of(st.sampled_from(vertices), label) if draw(rarely) else st.sampled_from(vertices)
+    edges = draw(st.lists(st.lists(end, min_size=2, max_size=2), max_size=30))
+    if not draw(rarely):
+        edges = [e for e in edges if e[0] != e[1]]
+    return {"vertices": vertices, "edges": edges}
+
+
+@st.composite
+def tree_graph(draw) -> dict:
+    """The zero-divisor graph of the lattice of a random tree: in class,
+    though its labels need not be names."""
+    labels = draw(vertex_labels(3, repeats=False))
+    parent = [0] + [draw(st.integers(min_value=0, max_value=i - 1)) for i in range(1, len(labels))]
+    return non_ancestor_graph(RootedTree(labels=tuple(labels), parent=tuple(parent), root=0)).to_json_obj()
+
+
+@st.composite
+def broken_graph(draw) -> dict:
+    """A graph document with one field replaced, dropped or added."""
+    doc = draw(st.one_of(random_graph(), tree_graph()))
+    field = draw(st.sampled_from(["vertices", "edges", "extra"]))
+    if draw(st.booleans()):
+        doc[field] = draw(json_value)
+    else:
+        doc.pop(field, None)
+    return doc
+
+
+@st.composite
+def nested(draw) -> str:
+    depth = draw(st.integers(min_value=1, max_value=5000))
+    opening, closing = draw(st.sampled_from([("[", "]"), ('{"vertices": ', "}"), ('{"edges": [', "]}")]))
+    return opening * depth + draw(st.sampled_from(["[]", "{}", "1", '"a"', ""])) + closing * depth
+
+
+graph_files = st.one_of(
+    st.builds(json.dumps, st.one_of(random_graph(), tree_graph(), broken_graph(), json_value), ensure_ascii=st.booleans()),
+    nested(),
+    st.text(max_size=20),
+)
+
+
+@given(graph_files)
+@FUZZ
+def test_recognize(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "graph.json"
+        path.write_text(text, encoding="utf-8", errors="surrogatepass")
+        run_json(["recognize", str(path)])
