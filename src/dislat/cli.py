@@ -324,8 +324,8 @@ class _Ssc(_Suite):
 class _T1(_Suite):
     """Every pair (i, j), i <= j, of the lattices with a join-reducible top,
     numbered in enumeration order: the recognized zero-divisor graphs of
-    lattice i and of a random relabeling of lattice j have equal codes
-    exactly when brute force finds a lattice isomorphism.
+    lattice i and of lattice j with its nonzero labels shuffled have equal
+    codes exactly when brute force finds a lattice isomorphism.
 
     Brute force runs only within a bucket of `oracle.lattice_iso_key`, which
     holds the size, so a pair across buckets whose codes differ agrees by
@@ -347,9 +347,10 @@ class _T1(_Suite):
             return
         lat, j = item.lat, next(self.numbers)
         self.checked += j + 1
-        perm = list(lat.labels)
-        self.rng.shuffle(perm)
-        relab = relabel(lat, dict(zip(lat.labels, perm)))
+        nonzero = [x for x in lat.labels if x != lat.bottom_label]
+        image = nonzero[:]
+        self.rng.shuffle(image)  # the bottom keeps its label, so `second` reads back as .adl
+        relab = relabel(lat, {lat.bottom_label: lat.bottom_label, **dict(zip(nonzero, image))})
         key = oracle.lattice_iso_key(lat)
         if next(iter(self.buckets), key)[0] != key[0]:  # a new size
             self.buckets = {}

@@ -40,7 +40,8 @@ class BadOption(DislatError):
 
 
 class BadGraph(DislatError):
-    """A graph is not simple, or its JSON form is not vertices plus edges."""
+    """A graph is not simple, or its JSON form is not vertices plus edges,
+    each vertex listed once."""
 
 
 class EmptyGraph(DislatError):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -21,7 +22,7 @@ from .errors import (
     NotLowerDismantlable,
 )
 from .lattice import Lattice, build_from_covers, is_lower_dismantlable
-from .zdg import LabeledGraph, _select_bits, neighborhood_partition
+from .zdg import LabeledGraph, neighborhood_partition
 
 FRESH_ROOT = "⊤"
 
@@ -137,6 +138,17 @@ class IsoWitness:
         return {"kind": self.kind, "map": {k: self.mapping[k] for k in sorted(self.mapping)}}
 
 
+def _select_bits(masks: Sequence[int], order: Sequence[int], width: int) -> list[int]:
+    """Rows order[0], order[1], ... of `masks` (each below 2**width), cut
+    down to the bits in `order` and renumbered by it: bit r of row k is bit
+    order[r] of masks[order[k]].  One pass over the binary digits per row."""
+    if not order:
+        return []
+    pick = itemgetter(*[width - 1 - j for j in reversed(order)])
+    digits = f"0{width}b"
+    return [int("".join(pick(format(masks[i], digits))), 2) for i in order]
+
+
 def check_graph_iso(g1: LabeledGraph, g2: LabeledGraph, mapping: Mapping[str, str]) -> bool:
     """Whether `mapping` is a bijection from the vertices of g1 onto those of
     g2 that carries the edge set of g1 onto that of g2, which is to say that
@@ -197,19 +209,24 @@ def lattice_of_tree(tree: RootedTree) -> Lattice:
 
 def non_ancestor_graph(tree: RootedTree) -> LabeledGraph:
     """Vertices: every node but the root; edges: pairs where neither is an
-    ancestor of the other.  Over preorder positions, the non-neighbours of a
-    node are its subtree, an interval, and its ancestors, which are those of
-    its parent and the parent."""
-    pre, labels, tin, tout = tree._preorder, tree.labels, tree._tin, tree._tout
-    everyone = (1 << tree.n) - 1
-    ancestors = [0] * tree.n  # by preorder position
-    nbr = [0] * tree.n
-    for pos, v in enumerate(pre[1:], start=1):
-        above = tin[tree.parent[v]]
-        ancestors[pos] = ancestors[above] | 1 << above
-        nbr[pos] = everyone ^ ancestors[pos] ^ (1 << tout[v]) - (1 << pos)
-    order = sorted(range(1, tree.n), key=lambda pos: labels[pre[pos]])  # the root is at position 0
-    return LabeledGraph._of_masks(tuple(labels[pre[pos]] for pos in order), _select_bits(nbr, order, tree.n))
+    ancestor of the other.  Built in the bits of the label-sorted vertices:
+    the non-neighbours of a node are its proper ancestors, ORed down the
+    preorder, and the rest of its subtree, ORed up it."""
+    nodes = sorted((i for i in range(tree.n) if i != tree.root), key=tree.labels.__getitem__)
+    bit = [0] * tree.n  # the root is no vertex and has no bit
+    for k, i in enumerate(nodes):
+        bit[i] = 1 << k
+    parent, pre = tree.parent, tree._preorder
+    ancestors = [0] * tree.n
+    for v in pre[1:]:
+        ancestors[v] = ancestors[parent[v]] | bit[parent[v]]
+    subtree = bit[:]
+    for v in reversed(pre[1:]):
+        subtree[parent[v]] |= subtree[v]
+    everyone = (1 << len(nodes)) - 1
+    return LabeledGraph._of_masks(
+        tuple(tree.labels[i] for i in nodes), [everyone & ~(ancestors[i] | subtree[i]) for i in nodes]
+    )
 
 
 # -- canonical codes ---------------------------------------------------------------
@@ -271,44 +288,42 @@ def recognize(graph: LabeledGraph) -> RootedTree | None:
 
     Among non-adjacent vertices of a non-ancestor graph the ancestor has the
     smaller neighborhood; equal-neighborhood vertices form path segments,
-    ordered here by label.  So with the vertices ranked by (degree, label),
-    the parent of v is its highest-ranked non-neighbor below it, or a fresh
-    root above the maximal vertices when there is none.  On the neighbour
-    masks renumbered by rank, that is the highest bit of ~nbr & ranked_below.
+    ordered here by label.  So the vertices are placed in (degree, label)
+    order, each by its index, and v's placed non-neighbours ``above`` must
+    be its ancestors: with k of them, exactly one vertex p of depth k - 1,
+    the parent, and p's ancestors.  With none, the parent is a fresh root.
 
-    The result is verified in full.  The non-edges of a non-ancestor graph are
-    exactly its ancestor pairs, so the input is the tree's non-ancestor graph
-    when no vertex is adjacent to one of its ancestors and the edge count is
-    C(m, 2) minus the ancestor pairs among the m vertices.
+    That test is the whole verification.  An ancestor is placed first and is
+    a non-neighbour, and a non-edge {u, v}, u placed first, puts u in v's
+    ``above``, which is v's ancestors: so the non-edges are exactly the
+    ancestor pairs.  Nothing in the class is rejected: once each path
+    segment is reordered by label, which leaves the graph as it is, every
+    vertex comes after its ancestors and before its descendants.
     """
     root = FRESH_ROOT
     while root in set(graph.vertices):
         root += "'"
 
-    vs, m = graph.vertices, graph.n
-    degree = [mask.bit_count() for mask in graph.masks]
-    ranked = sorted(range(m), key=degree.__getitem__)  # a stable sort: ties stay in label order
-    ancestors = [0] * m  # by rank
-    parent_rank = []
-    ancestor_pairs = 0
-    for r, nbr in enumerate(_select_bits(graph.masks, ranked, m)):
-        below = (1 << r) - 1 & ~nbr
-        p = below.bit_length() - 1  # -1: the fresh root
-        if p >= 0:
-            ancestors[r] = ancestors[p] | 1 << p
-            if nbr & ancestors[r]:
-                return None
-            ancestor_pairs += ancestors[r].bit_count()
-        parent_rank.append(p)
-    if graph.m != m * (m - 1) // 2 - ancestor_pairs:
-        return None
+    vs, masks, m = graph.vertices, graph.masks, graph.n
     # The tree's nodes are the sorted vertices with the fresh root slotted in.
     at = bisect_left(vs, root)
-    node = [i + (i >= at) for i in range(m)]
     parent = [at] * (m + 1)
-    for i, p in zip(ranked, parent_rank):
-        if p >= 0:
-            parent[node[i]] = node[ranked[p]]
+    ancestors = [0] * m
+    at_depth = [0] * m  # at_depth[k]: the placed vertices with k ancestors
+    placed = 0
+    degree = [mask.bit_count() for mask in masks]
+    for v in sorted(range(m), key=degree.__getitem__):  # a stable sort: ties stay in label order
+        above = placed & ~masks[v]
+        k = above.bit_count()
+        if k:
+            p_bit = above & at_depth[k - 1]
+            p = p_bit.bit_length() - 1
+            if p_bit.bit_count() != 1 or ancestors[p] | p_bit != above:
+                return None
+            parent[v + (v >= at)] = p + (p >= at)
+        ancestors[v] = above
+        at_depth[k] |= 1 << v
+        placed |= 1 << v
     return RootedTree(labels=(*vs[:at], root, *vs[at:]), parent=tuple(parent), root=at)
 
 

@@ -11,9 +11,10 @@ the order alone, and the kernels against a set-based graph and `networkx`.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import reduce
 from itertools import chain, compress, repeat
-from operator import itemgetter, or_
+from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 from . import jsonout
@@ -27,17 +28,6 @@ _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 def _members(items: Sequence, mask: int) -> Iterator:
     """The items whose bits are set in `mask`: bit j stands for items[j]."""
     return compress(items, format(mask, "b")[::-1].encode().translate(_BIT_BYTES))
-
-
-def _select_bits(masks: Sequence[int], order: Sequence[int], width: int) -> list[int]:
-    """Rows order[0], order[1], ... of `masks` (each below 2**width), cut
-    down to the bits in `order` and renumbered by it: bit r of row k is bit
-    order[r] of masks[order[k]].  One pass over the binary digits per row."""
-    if not order:
-        return []
-    pick = itemgetter(*[width - 1 - j for j in reversed(order)])
-    digits = f"0{width}b"
-    return [int("".join(pick(format(masks[i], digits))), 2) for i in order]
 
 
 class LabeledGraph:
@@ -105,21 +95,6 @@ class LabeledGraph:
         except KeyError:
             raise NoSuchElement(f"no vertex {v!r}") from None
 
-    def neighbors(self, v: str) -> frozenset[str]:
-        return frozenset(_members(self.vertices, self.masks[self.index(v)]))
-
-    def degree(self, v: str) -> int:
-        return self.masks[self.index(v)].bit_count()
-
-    def adjacent(self, u: str, v: str) -> bool:
-        mask = self.masks[self.index(u)]
-        return v in self._index and mask >> self._index[v] & 1 == 1
-
-    def induced(self, keep: Iterable[str]) -> "LabeledGraph":
-        keep_set = set(keep)
-        order = [i for i, v in enumerate(self.vertices) if v in keep_set]
-        return LabeledGraph._of_masks(tuple(self.vertices[i] for i in order), _select_bits(self.masks, order, self.n))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LabeledGraph):
             return NotImplemented
@@ -151,7 +126,8 @@ class LabeledGraph:
 
     @classmethod
     def from_json_obj(cls, obj: object) -> "LabeledGraph":
-        """Read {"vertices": [str, ...], "edges": [[str, str], ...]}."""
+        """Read {"vertices": [str, ...], "edges": [[str, str], ...]}, each
+        vertex listed once."""
 
         def only(kind: type, items: Iterable) -> bool:  # one pass in C, then one test per distinct type
             return all(issubclass(t, kind) for t in set(map(type, items)))
@@ -166,7 +142,11 @@ class LabeledGraph:
             and only(str, chain.from_iterable(obj["edges"]))
         ):
             raise BadGraph('graph JSON must be {"vertices": [string, ...], "edges": [[string, string], ...]}')
-        return cls(obj["vertices"], [tuple(e) for e in obj["edges"]])
+        vertices = obj["vertices"]
+        if len(set(vertices)) < len(vertices):
+            repeated = next(v for v, count in Counter(vertices).items() if count > 1)
+            raise BadGraph(f"vertex {repeated!r} is listed twice")
+        return cls(vertices, [tuple(e) for e in obj["edges"]])
 
 
 def zero_divisor_graph(lat: Lattice) -> LabeledGraph:

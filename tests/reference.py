@@ -22,8 +22,11 @@ independent references:
 - `brute_lattice_iso_all`: the backtracking lattice-isomorphism search on
   labels, through the public order predicates;
 - `SetGraph` and `edge_walking_recognize`: the graph as sets of neighbour
-  labels, and recognition that reads its edge list, next to the package's
-  neighbour masks;
+  labels, and recognition that ranks by degree and reads the edge list,
+  next to the package's neighbour masks.  `LabeledGraph` has no per-label
+  readers, so `SetGraph(g.vertices, g.edges)` is also how every test and
+  every reference here reads a graph by label: neighbours, degree,
+  adjacency and induced subgraphs;
 - `rescan_basic_block`: the basic block found by testing every survivor
   again after each deletion;
 - `label_is_lower_dismantlable`, `label_classify`, `label_tree_of_lattice`
@@ -272,6 +275,7 @@ def reference_elaborate(expr):
 def neighborhood_classes(graph: LabeledGraph) -> set[frozenset[str]]:
     """The classes of equal open neighborhoods, found by comparing every
     pair of vertices."""
+    graph = SetGraph(graph.vertices, graph.edges)
     return {frozenset(w for w in graph.vertices if graph.neighbors(w) == graph.neighbors(v)) for v in graph.vertices}
 
 
@@ -279,7 +283,7 @@ def class_has_adjunct(graph: LabeledGraph, x: str) -> bool:
     """Graph-side adjunct-content test: is there an adjacent pair y, z with x
     adjacent to neither?  For zero-divisor graphs of lower dismantlable
     lattices this detects an adjunct element in [x]."""
-    nbrs = graph.neighbors(x)
+    nbrs = SetGraph(graph.vertices, graph.edges).neighbors(x)
     for y, z in graph.edges:
         if y != x and z != x and y not in nbrs and z not in nbrs:
             return True
@@ -333,7 +337,8 @@ def peel_decomposition(lat: Lattice, x: str) -> PeelStep:
     """
     if not is_lower_dismantlable(lat):
         raise NotLowerDismantlable("peeling needs a lower dismantlable lattice")
-    graph = zero_divisor_graph(lat)
+    zg = zero_divisor_graph(lat)
+    graph = SetGraph(zg.vertices, zg.edges)
     nx = graph.neighbors(x)  # raises NoSuchElement for non-vertices
     if class_has_adjunct(graph, x):
         raise ClassHasAdjunct(f"the class of {x!r} contains an adjunct element")
@@ -421,10 +426,11 @@ def reference_lift(l1: Lattice, l2: Lattice, phi: dict[str, str]) -> dict[str, s
     floor is the complete-multipartite case, where every part is matched to
     its phi-image bottom to bottom.
     """
-    g1 = zero_divisor_graph(l1)
+    zg1 = zero_divisor_graph(l1)
+    g1 = SetGraph(zg1.vertices, zg1.edges)
     adj1 = set(classify(l1).adjunct_elements) & set(g1.vertices)
     if not adj1:
-        parts = complement_clique_parts(g1)
+        parts = complement_clique_parts(zg1)
         if parts is None:
             raise InternalInconsistency("no adjunct vertices but graph is not complete multipartite")
         psi = {l1.bottom_label: l2.bottom_label, l1.top_label: l2.top_label}
@@ -433,7 +439,7 @@ def reference_lift(l1: Lattice, l2: Lattice, phi: dict[str, str]) -> dict[str, s
         return psi
 
     candidates = []  # (hinge, class) for every class without an adjunct element that hinges below the top
-    for block in neighborhood_partition(g1):
+    for block in neighborhood_partition(zg1):
         if set(block) & adj1:
             continue
         nx = g1.neighbors(block[0])
@@ -537,6 +543,7 @@ def brute_graph_iso_all(
     """
     if g1.n != g2.n or len(g1.edges) != len(g2.edges):
         return
+    g1, g2 = SetGraph(g1.vertices, g1.edges), SetGraph(g2.vertices, g2.edges)
     deg_profile1 = {v: (g1.degree(v), sorted(g1.degree(w) for w in g1.neighbors(v))) for v in g1.vertices}
     deg_profile2 = {v: (g2.degree(v), sorted(g2.degree(w) for w in g2.neighbors(v))) for v in g2.vertices}
     if sorted(deg_profile1.values()) != sorted(deg_profile2.values()):

@@ -15,7 +15,8 @@ from dislat.cli import _SUITES, _run_suites, main
 from dislat.lattice import Lattice, relabel
 from dislat.oracle import brute_lattice_iso, enumerate_lower_dismantlable, lattice_iso_key
 from dislat.treeiso import recognize
-from tests.reference import relabeled_tree
+from tests.conftest import shuffled_copy
+from tests.reference import SetGraph, relabeled_tree
 
 DATA = Path(__file__).parent / "data"
 SCHEMA = json.loads((Path(__file__).parent.parent / "schemas" / "cli_output.schema.json").read_text())
@@ -290,7 +291,8 @@ class TestRecognize:
             graph_file.write_text(json.dumps(graph.to_json_obj()))
             code, payload = run_json(capsys, "recognize", graph_file)
             assert code == 0
-            isolated = any(graph.degree(v) == 0 for v in graph.vertices)
+            by_label = SetGraph(graph.vertices, graph.edges)
+            isolated = any(by_label.degree(v) == 0 for v in graph.vertices)
             assert payload["zdg_of_output"] is not isolated
             assert (zero_divisor_graph(elaborate(parse(payload["adl"]))) == graph) is not isolated
             seen.add(isolated)
@@ -315,8 +317,9 @@ class TestRecognize:
             {"vertices": ["a", "b"], "edges": [["a", "a"], ["a", "b"]]},
             [1],
             {"vertices": "ab", "edges": []},
+            {"vertices": ["a", "a", "b", "c"], "edges": [["b", "c"]]},
         ],
-        ids=["self-loop", "bare-list", "string-vertices"],
+        ids=["self-loop", "bare-list", "string-vertices", "repeated-vertex"],
     )
     def test_malformed_graph_exit_2(self, capsys, tmp_path, doc):
         graph_file = tmp_path / "bad.json"
@@ -455,11 +458,7 @@ def reference_t1(max_nodes: int, seed: int) -> dict:
     """Suite t1 with brute force on every pair."""
     rng = random.Random(seed)
     lats = list(enumerate_lower_dismantlable(max_nodes, 2))
-    relabeled = []
-    for lat in lats:
-        perm = list(lat.labels)
-        rng.shuffle(perm)
-        relabeled.append(relabel(lat, dict(zip(lat.labels, perm))))
+    relabeled = [shuffled_copy(lat, rng) for lat in lats]
     codes = [canonical_code(recognize(zero_divisor_graph(lat))) for lat in lats]
     codes_relab = [canonical_code(recognize(zero_divisor_graph(lat))) for lat in relabeled]
     checked = violations = 0
@@ -504,6 +503,8 @@ class TestT1Buckets:
 
         first = got["first_counterexample"]
         assert elaborate(parse(first["first"])).n == 4
+        second = elaborate(parse(first["second"]))  # the relabeled lattice reads back
+        assert second.n == 6 and second.bottom_label == "0"
         assert first["codes_equal"] is True and first["brute"] is False
 
     def test_least_pair_across_buckets_of_one_size_is_the_counterexample(self, monkeypatch):
@@ -527,6 +528,7 @@ class TestT1Buckets:
         one, two = (lat for lat in enumerate_lower_dismantlable(7, 2) if lat.n == 5)
         assert lattice_iso_key(one) != lattice_iso_key(two)
         assert brute_lattice_iso(elaborate(parse(first["first"])), one) is not None
+        assert brute_lattice_iso(elaborate(parse(first["second"])), two) is not None
         assert first["codes_equal"] is True and first["brute"] is False
 
     def test_equal_codes_never_cross_buckets(self):

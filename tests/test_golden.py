@@ -36,6 +36,14 @@ elements: `graph_iso` sends the adjunct element n2 to w3, the top of its
 image class {w1, w3}, whose adjunct element is w1.  The swap7 witness was
 written while `iso --witness` still swapped n2's and n1's images before
 lifting, so it pins that the lift needs no such swap.
+Two graphs with shuffled labels pin `recognize` where degree ties break by
+label in an order unrelated to the tree, written while `recognize` still
+renumbered the masks by rank and counted the edges:
+
+    dislat --json zdg F.adl                  > F.zdg.json
+    dislat --json recognize F.zdg.json       > F.recognize.json
+
+for F in cbt15_shuffled and swap7_shuffled.
 Two `--json build` outputs pin DSL diagnostics and exit 2: bad_char.adl has
 a character no token starts with, and trailing_comment.adl ends in a comment
 where ';' is expected, which is reported at the comment's '#'.
@@ -68,6 +76,9 @@ for name in ("cbt15", "fig2", "swap7"):
     COMMANDS[f"{name}.shuffled.iso_witness.json"] = [
         "--json", "iso", DATA / f"{name}.adl", DATA / f"{name}_shuffled.adl", "--witness"
     ]
+for name in ("cbt15_shuffled", "swap7_shuffled"):
+    COMMANDS[f"{name}.zdg.json"] = ["--json", "zdg", DATA / f"{name}.adl"]
+    COMMANDS[f"{name}.recognize.json"] = ["--json", "recognize", GOLDEN / f"{name}.zdg.json"]
 for name in ("fig2", "ex2", "k22"):
     COMMANDS[f"{name}.build.json"] = ["--json", "build", DATA / f"{name}.adl"]
     COMMANDS[f"{name}.build.txt"] = ["build", DATA / f"{name}.adl"]

@@ -126,8 +126,9 @@ class TestNonAncestorGraph:
         nag = non_ancestor_graph(tree)
         zg = zero_divisor_graph(ex2)
         assert set(nag.vertices) == set(zg.vertices) | {"a8"}
-        assert nag.neighbors("a8") == frozenset()
-        assert nag.induced(zg.vertices) == zg
+        by_label = SetGraph(nag.vertices, nag.edges)
+        assert by_label.neighbors("a8") == frozenset()
+        assert by_label.induced(zg.vertices).to_json_obj() == zg.to_json_obj()
 
     def test_path_tree_edgeless(self):
         tree = RootedTree.from_parents({"r": None, "a": "r", "b": "a"})
@@ -150,18 +151,20 @@ class TestNonAncestorGraph:
             nag = non_ancestor_graph(tree_of_lattice(lat))
             zg = zero_divisor_graph(lat)
             extra = set(nag.vertices) - set(zg.vertices)
-            assert nag.induced(zg.vertices) == zg
+            by_label = SetGraph(nag.vertices, nag.edges)
+            assert by_label.induced(zg.vertices).to_json_obj() == zg.to_json_obj()
             for v in extra:
-                assert nag.neighbors(v) == frozenset()
+                assert by_label.neighbors(v) == frozenset()
                 assert all(lat.comparable(v, w) for w in lat.labels)
 
     def test_neighborhood_monotone_under_ancestry(self):
         for tree in enumerate_rooted_trees(7):
             nag = non_ancestor_graph(tree)
+            by_label = SetGraph(nag.vertices, nag.edges)
             for u in nag.vertices:
                 for v in nag.vertices:
                     if u != v and tree.is_ancestor(u, v):
-                        assert nag.neighbors(u) <= nag.neighbors(v)
+                        assert by_label.neighbors(u) <= by_label.neighbors(v)
 
 
 class TestCanonicalCode:
@@ -286,7 +289,8 @@ def reference_recognize(graph: LabeledGraph) -> RootedTree | None:
     root = FRESH_ROOT
     while root in graph.vertices:
         root += "'"
-    nbrs = {v: graph.neighbors(v) for v in graph.vertices}
+    by_label = SetGraph(graph.vertices, graph.edges)
+    nbrs = {v: by_label.neighbors(v) for v in graph.vertices}
 
     def is_proper_ancestor(u: str, v: str) -> bool:
         if u == v or u in nbrs[v]:
@@ -396,12 +400,48 @@ def mutated_graphs():
 
 
 def random_graphs():
-    """500 random graphs on up to 7 vertices."""
+    """500 random graphs on up to 8 vertices."""
     rng = random.Random(23)
     for _ in range(500):
-        verts = [f"v{i}" for i in range(rng.randrange(1, 8))]
+        verts = [f"v{i}" for i in range(rng.randrange(1, 9))]
         p = rng.random()
         yield LabeledGraph(verts, [e for e in itertools.combinations(verts, 2) if rng.random() < p])
+
+
+def small_tree_graphs():
+    """The non-ancestor graph and the zero-divisor graph of every tree of at
+    most 10 nodes, each followed by four of its one-pair edge flips."""
+    rng = random.Random(29)
+    for tree in enumerate_rooted_trees(10):
+        for g in (non_ancestor_graph(tree), zero_divisor_graph(lattice_of_tree(tree))):
+            yield g
+            pairs = list(itertools.combinations(g.vertices, 2))
+            for pair in rng.sample(pairs, min(4, len(pairs))):
+                yield LabeledGraph(g.vertices, set(g.edges) ^ {pair})
+
+
+def shape_parents(rng, shape: str, n: int) -> list[int]:
+    """An n-node tree of the given shape, rooted at 0: parents[i] < i."""
+    if shape == "path":
+        return [0, *range(n - 1)]
+    if shape == "spider":  # two legs of n // 2 and (n - 1) // 2 nodes
+        return [0, *(0 if i in (1, n // 2 + 1) else i - 1 for i in range(1, n))]
+    if shape == "binary":
+        return [0, *((i - 1) // 2 for i in range(1, n))]
+    if shape == "caterpillar":  # a spine of a third of the nodes, leaves on random spine nodes
+        spine = max(1, n // 3)
+        return [0, *range(spine - 1), *(rng.randrange(spine) for _ in range(n - spine))]
+    return random_parents(rng, n)
+
+
+def shuffled_shape(rng, shape: str, n: int) -> RootedTree:
+    """The tree of `shape_parents` with its labels t0..t(n-1) shuffled, so
+    that neither label order nor index order says anything of the tree."""
+    names = [f"t{k}" for k in rng.sample(range(n), n)]
+    return RootedTree(labels=tuple(names), parent=tuple(shape_parents(rng, shape, n)), root=0)
+
+
+SHAPES = ("path", "spider", "binary", "caterpillar", "random")
 
 
 class TestRecognizeAgainstRebuild:
@@ -428,7 +468,9 @@ class TestRecognizeAgainstEdgeWalking:
     """Recognition on the neighbour masks against the edge-walking one on a
     set-based copy of each graph: the same verdict and the same tree."""
 
-    @pytest.mark.parametrize("graphs", [mutated_graphs, random_graphs], ids=["mutated", "random"])
+    @pytest.mark.parametrize(
+        "graphs", [mutated_graphs, random_graphs, small_tree_graphs], ids=["mutated", "random", "small-trees"]
+    )
     def test_same_trees(self, graphs):
         verdicts = []
         for g in graphs():
@@ -439,10 +481,16 @@ class TestRecognizeAgainstEdgeWalking:
         assert 0 < sum(verdicts) < len(verdicts)
 
     def test_larger_trees(self):
+        """Random recursive trees of 60 to 400 nodes, then a shuffled tree
+        of 200 nodes in each shape; each graph is also built again from
+        walks along the parent links."""
         rng = random.Random(47)
-        for n in (60, 200, 400):
-            tree = tree_of_parents(random_parents(rng, n), "t")
-            for g in mutations(rng, non_ancestor_graph(tree)):
+        trees = [tree_of_parents(random_parents(rng, n), "t") for n in (60, 200, 400)]
+        trees += [shuffled_shape(rng, shape, 200) for shape in SHAPES]
+        for tree in trees:
+            nag = non_ancestor_graph(tree)
+            assert nag == reference_non_ancestor_graph(tree)
+            for g in mutations(rng, nag):
                 got, want = recognize(g), edge_walking_recognize(SetGraph(g.vertices, g.edges))
                 assert (got is None) == (want is None)
                 assert got == want
@@ -455,6 +503,7 @@ class TestIsoChecks:
     def pairwise_graph_iso(g1, g2, mapping) -> bool:
         if set(mapping) != set(g1.vertices) or set(mapping.values()) != set(g2.vertices):
             return False
+        g1, g2 = SetGraph(g1.vertices, g1.edges), SetGraph(g2.vertices, g2.edges)
         return all(
             g1.adjacent(u, v) == g2.adjacent(mapping[u], mapping[v])
             for u, v in itertools.combinations(g1.vertices, 2)
@@ -596,13 +645,14 @@ class TestAlignAdjuncts:
     def test_postcondition_on_all_automorphisms(self):
         for lat in enumerate_lower_dismantlable(7, root_min_children=2):
             g = zero_divisor_graph(lat)
+            by_label = SetGraph(g.vertices, g.edges)
             adjunct_vertices = set(classify(lat).adjunct_elements) & set(g.vertices)
             for mapping in brute_graph_iso_all(g, g):
                 phi = align_adjuncts(lat, lat, g, g, IsoWitness("graph-iso", mapping))
                 assert {phi.mapping[x] for x in adjunct_vertices} == adjunct_vertices
                 # class behavior preserved: phi([x]) == f([x]) setwise
                 for v in g.vertices:
-                    cls = {w for w in g.vertices if g.neighbors(w) == g.neighbors(v)}
+                    cls = {w for w in g.vertices if by_label.neighbors(w) == by_label.neighbors(v)}
                     assert {phi.mapping[w] for w in cls} == {mapping[w] for w in cls}
 
 
@@ -647,11 +697,12 @@ class TestLiftToLatticeIso:
         class goes onto its image."""
         for lat in enumerate_lower_dismantlable(8, root_min_children=2):
             g = zero_divisor_graph(lat)
+            by_label = SetGraph(g.vertices, g.edges)
             for mapping in brute_graph_iso_all(g, g):
                 psi = lift_ignoring_alignment(lat, lat, g, g, IsoWitness("graph-iso", mapping))
                 assert check_lattice_iso(lat, lat, psi.mapping)
                 for v in g.vertices:
-                    cls = {w for w in g.vertices if g.neighbors(w) == g.neighbors(v)}
+                    cls = {w for w in g.vertices if by_label.neighbors(w) == by_label.neighbors(v)}
                     assert {psi.mapping[w] for w in cls} == {mapping[w] for w in cls}
 
     def test_lift_across_relabeled_copies(self):
