@@ -4,29 +4,29 @@ equivalence classes, and branch peeling of lower dismantlable lattices."""
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import HypothesisViolated
-from .lattice import Lattice, _bits, _peel, build_from_covers, classify, is_lower_dismantlable
+from .lattice import Lattice, _bits, _init, _peel, _Record, build_from_covers, classify, is_lower_dismantlable
 from .zdg import LabeledGraph, neighborhood_partition
 
 if TYPE_CHECKING:
     from .treeiso import RootedTree
 
 
-@dataclass(frozen=True)
-class VertexClass:
+class VertexClass(_Record):
     """One neighborhood-equivalence class and the adjunct element it holds,
     if any."""
 
-    members: tuple[str, ...]
-    has_adjunct: bool
-    adjunct_member: str | None
+    _fields = __slots__ = ("members", "has_adjunct", "adjunct_member")
+
+    def __init__(self, members: tuple[str, ...], has_adjunct: bool, adjunct_member: str | None):
+        _init(self, "members", members)
+        _init(self, "has_adjunct", has_adjunct)
+        _init(self, "adjunct_member", adjunct_member)
 
 
-@dataclass(frozen=True)
-class ClassPartition:
+class ClassPartition(_Record):
     """Partition of graph vertices into neighborhood classes.
 
     ``peel_order`` lists class indices in deletion order when produced by the
@@ -34,9 +34,17 @@ class ClassPartition:
     round (parallel to ``classes``).
     """
 
-    classes: tuple[VertexClass, ...]
-    peel_order: tuple[int, ...] | None = None
-    peel_rounds: tuple[int, ...] | None = None
+    _fields = __slots__ = ("classes", "peel_order", "peel_rounds")
+
+    def __init__(
+        self,
+        classes: tuple[VertexClass, ...],
+        peel_order: tuple[int, ...] | None = None,
+        peel_rounds: tuple[int, ...] | None = None,
+    ):
+        _init(self, "classes", classes)
+        _init(self, "peel_order", peel_order)
+        _init(self, "peel_rounds", peel_rounds)
 
     def member_sets(self) -> set[frozenset[str]]:
         return {frozenset(c.members) for c in self.classes}

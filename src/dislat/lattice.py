@@ -13,7 +13,6 @@ dict lookup.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -156,8 +155,45 @@ class Lattice:
         return f"Lattice(n={self.n}, bottom={self.bottom_label!r}, top={self.top_label!r})"
 
 
-@dataclass(frozen=True)
-class ElementClassification:
+class _Record:
+    """Immutable record over the attributes named in ``_fields``: equal to a
+    record of the same class with equal fields, hashed and printed as that
+    tuple of fields, in the text a frozen dataclass prints.  Assignment and
+    deletion raise AttributeError; ``__init__`` sets the fields through
+    ``object.__setattr__`` (``_init``)."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()  # type: ignore[attr-defined]
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:  # copy and pickle through __init__
+        return type(self), self._values()
+
+
+_init = object.__setattr__  # sets a field of a frozen record
+
+
+class ElementClassification(_Record):
     """Irreducibility census of a lattice, plus per-element cover counts.
 
     ``adjunct_elements`` lists the elements with at least two lower covers;
@@ -165,38 +201,55 @@ class ElementClassification:
     adjunct pair, with multiplicity (#lower covers - 1).
     """
 
-    join_irreducible: frozenset[str]
-    meet_irreducible: frozenset[str]
-    doubly_irreducible: frozenset[str]
-    atoms: frozenset[str]
-    adjunct_elements: frozenset[str]
-    upper_cover_count: Mapping[str, int]
-    lower_cover_count: Mapping[str, int]
+    _fields = __slots__ = (
+        "join_irreducible",
+        "meet_irreducible",
+        "doubly_irreducible",
+        "atoms",
+        "adjunct_elements",
+        "upper_cover_count",
+        "lower_cover_count",
+    )
 
-    def adjunct_pair_multiset(self, bottom: str) -> dict[tuple[str, str], int]:
-        """Multiset {(bottom, b): multiplicity} of adjunct pairs."""
-        return {
-            (bottom, b): self.lower_cover_count[b] - 1
-            for b in sorted(self.adjunct_elements)
-        }
+    def __init__(
+        self,
+        join_irreducible: frozenset[str],
+        meet_irreducible: frozenset[str],
+        doubly_irreducible: frozenset[str],
+        atoms: frozenset[str],
+        adjunct_elements: frozenset[str],
+        upper_cover_count: Mapping[str, int],
+        lower_cover_count: Mapping[str, int],
+    ):
+        _init(self, "join_irreducible", join_irreducible)
+        _init(self, "meet_irreducible", meet_irreducible)
+        _init(self, "doubly_irreducible", doubly_irreducible)
+        _init(self, "atoms", atoms)
+        _init(self, "adjunct_elements", adjunct_elements)
+        _init(self, "upper_cover_count", upper_cover_count)
+        _init(self, "lower_cover_count", lower_cover_count)
 
 
-@dataclass(frozen=True)
-class Adjunction:
+class Adjunction(_Record):
     """One `adjoin (a, b): chain` record; chain is listed bottom-to-top."""
 
-    pair: tuple[str, str]
-    chain: tuple[str, ...]
+    _fields = __slots__ = ("pair", "chain")
+
+    def __init__(self, pair: tuple[str, str], chain: tuple[str, ...]):
+        _init(self, "pair", pair)
+        _init(self, "chain", chain)
 
 
-@dataclass(frozen=True)
-class AdjunctExpr:
+class AdjunctExpr(_Record):
     """Syntax tree of an adjunct representation: a base chain (bottom-to-top)
     followed by ordered adjunctions of chains at pairs."""
 
-    base: tuple[str, ...]
-    adjunctions: tuple[Adjunction, ...] = ()
-    name: str = "L"
+    _fields = __slots__ = ("base", "adjunctions", "name")
+
+    def __init__(self, base: tuple[str, ...], adjunctions: tuple[Adjunction, ...] = (), name: str = "L"):
+        _init(self, "base", base)
+        _init(self, "adjunctions", adjunctions)
+        _init(self, "name", name)
 
     def all_labels(self) -> list[str]:
         out = list(self.base)

@@ -64,20 +64,24 @@ def enumerate_lower_dismantlable(max_size: int, root_min_children: int = 0) -> I
 # -- brute-force lattice isomorphism ----------------------------------------------
 
 
-def _cover_profile(lat: Lattice) -> list[tuple[int, int]]:
-    """Per element, its numbers of lower and of upper covers."""
-    return [(len(lo), len(up)) for lo, up in zip(lat._lowers, lat._uppers)]
+def _cover_profile(lat: Lattice) -> list[tuple[int, int, int, int]]:
+    """Per element, its numbers of lower and of upper covers and the sizes
+    of its down-set and of its up-set.  An isomorphism keeps all four."""
+    return [
+        (len(lo), len(up), down.bit_count(), above.bit_count())
+        for lo, up, down, above in zip(lat._lowers, lat._uppers, lat._down, lat._up)
+    ]
 
 
 def lattice_iso_key(lat: Lattice) -> tuple:
     """What `brute_lattice_iso_all` compares before it searches: the size,
-    the cover count, the sorted (lower, upper) cover-count profile, and the
+    the cover count, the sorted profile of `_cover_profile`, and the
     profiles of the bottom and of the top.  Lattices with different keys are
     not isomorphic."""
     return _iso_key(lat, _cover_profile(lat))
 
 
-def _iso_key(lat: Lattice, prof: list[tuple[int, int]]) -> tuple:
+def _iso_key(lat: Lattice, prof: list[tuple[int, int, int, int]]) -> tuple:
     return (lat.n, len(lat.covers), tuple(sorted(prof)), prof[lat.bottom], prof[lat.top])
 
 
@@ -88,8 +92,9 @@ def brute_lattice_iso_all(
     lexicographic in l1's label order.
 
     Elements are mapped in l1's label order, each to the still unused
-    elements of l2 with its (lower, upper) cover counts, in l2's label order,
-    that agree with every mapped element on the cover relation both ways;
+    elements of l2 with its `_cover_profile` (cover counts, down-set and
+    up-set sizes), in l2's label order, that agree with every mapped
+    element on the cover relation both ways;
     each full map is then checked on every ordered pair.  The search runs on
     indices and cover masks: a candidate agrees with the mapped elements when
     the mapped elements it covers, and those that cover it, are the images

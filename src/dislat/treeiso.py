@@ -8,7 +8,6 @@ trees instead."""
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Mapping, Sequence
 
@@ -21,7 +20,7 @@ from .errors import (
     NotInClass,
     NotLowerDismantlable,
 )
-from .lattice import Lattice, build_from_covers, is_lower_dismantlable
+from .lattice import Lattice, _init, _Record, build_from_covers, is_lower_dismantlable
 from .zdg import LabeledGraph, neighborhood_partition
 
 FRESH_ROOT = "⊤"
@@ -29,8 +28,7 @@ FRESH_ROOT = "⊤"
 CanonicalCode = str
 
 
-@dataclass(frozen=True)
-class RootedTree:
+class RootedTree(_Record):
     """Parent-array rooted tree; the root is its own parent.
 
     Construction walks the tree once from the root, which rejects parent
@@ -38,25 +36,23 @@ class RootedTree:
     label order, and the preorder.  Node i sits at preorder position
     ``_tin[i]`` and its subtree fills the positions up to ``_tout[i]``, so u
     is a proper ancestor of v exactly when ``_tin[u] < _tin[v] < _tout[u]``.
+    Equality, hashing and repr read (labels, parent, root) only.
     """
 
-    labels: tuple[str, ...]
-    parent: tuple[int, ...]
-    root: int
-    _index: dict[str, int] = field(init=False, repr=False, compare=False)
-    _children: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    _preorder: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _tin: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _tout: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _fields = ("labels", "parent", "root")
+    __slots__ = (*_fields, "_index", "_children", "_preorder", "_tin", "_tout")
 
-    def __post_init__(self) -> None:
-        n = len(self.labels)
+    def __init__(self, labels: tuple[str, ...], parent: tuple[int, ...], root: int):
+        _init(self, "labels", labels)
+        _init(self, "parent", parent)
+        _init(self, "root", root)
+        n = len(labels)
         children: list[list[int]] = [[] for _ in range(n)]
-        for i, p in enumerate(self.parent):
-            if i != self.root:
+        for i, p in enumerate(parent):
+            if i != root:
                 children[p].append(i)
         preorder = []
-        stack = [self.root]
+        stack = [root]
         while stack:  # each node is on the child list of its parent only
             v = stack.pop()
             preorder.append(v)
@@ -69,12 +65,11 @@ class RootedTree:
         tout = [0] * n
         for v in reversed(preorder):
             tout[v] = tout[children[v][-1]] if children[v] else tin[v] + 1
-        init = object.__setattr__
-        init(self, "_index", {lab: i for i, lab in enumerate(self.labels)})
-        init(self, "_children", tuple(map(tuple, children)))
-        init(self, "_preorder", tuple(preorder))
-        init(self, "_tin", tuple(tin))
-        init(self, "_tout", tuple(tout))
+        _init(self, "_index", {lab: i for i, lab in enumerate(labels)})
+        _init(self, "_children", tuple(map(tuple, children)))
+        _init(self, "_preorder", tuple(preorder))
+        _init(self, "_tin", tuple(tin))
+        _init(self, "_tout", tuple(tout))
 
     @classmethod
     def from_parents(cls, parents: Mapping[str, str | None]) -> "RootedTree":
@@ -120,19 +115,20 @@ class RootedTree:
     def leaves(self) -> tuple[str, ...]:
         return tuple(lab for lab, kids in zip(self.labels, self._children) if not kids)
 
-    def is_ancestor(self, u: str, v: str) -> bool:
-        """True when u lies on the root path of v (proper ancestor)."""
-        ui, vi = self.index(u), self.index(v)
-        return self._tin[ui] < self._tin[vi] < self._tout[ui]
 
-
-@dataclass
-class IsoWitness:
+class IsoWitness(_Record):
     """A checked bijection; graph-iso preserves adjacency, lattice-iso
-    preserves order, both ways."""
+    preserves order, both ways.  Unlike the other records it is mutable,
+    and so unhashable."""
 
-    kind: str  # "graph-iso" | "lattice-iso"
-    mapping: dict[str, str] = field(default_factory=dict)
+    _fields = __slots__ = ("kind", "mapping")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, kind: str, mapping: dict[str, str] | None = None):
+        self.kind = kind  # "graph-iso" | "lattice-iso"
+        self.mapping = {} if mapping is None else mapping
 
     def to_json_obj(self) -> dict:
         return {"kind": self.kind, "map": {k: self.mapping[k] for k in sorted(self.mapping)}}

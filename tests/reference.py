@@ -34,7 +34,10 @@ independent references:
   one-pass lift read through the label-level accessors (`lower_covers`,
   `upper_covers`, `down_set`) and `RootedTree.from_parents`, next to the
   package's readers of the index lists; and `relabeled_tree`, a tree with
-  its labels replaced.
+  its labels replaced;
+- `adjunct_pair_multiset` and `is_ancestor`: the adjunct pairs of a
+  census and the ancestor test of a tree's preorder intervals, which only
+  the tests read.
 """
 
 from __future__ import annotations
@@ -530,6 +533,17 @@ def relabeled_tree(tree: RootedTree, mapping: dict[str, str]) -> RootedTree:
     )
 
 
+def adjunct_pair_multiset(census: ElementClassification, bottom: str) -> dict[tuple[str, str], int]:
+    """Multiset {(bottom, b): multiplicity} of adjunct pairs."""
+    return {(bottom, b): census.lower_cover_count[b] - 1 for b in sorted(census.adjunct_elements)}
+
+
+def is_ancestor(tree: RootedTree, u: str, v: str) -> bool:
+    """True when u lies on the root path of v (proper ancestor)."""
+    ui, vi = tree.index(u), tree.index(v)
+    return tree._tin[ui] < tree._tin[vi] < tree._tout[ui]
+
+
 # -- the graph-isomorphism search ----------------------------------------------------
 
 
@@ -590,8 +604,9 @@ def brute_lattice_iso_all(l1: Lattice, l2: Lattice, budget: int = DEFAULT_BUDGET
     if l1.n != l2.n or len(l1.covers) != len(l2.covers):
         return
 
-    def profile(lat: Lattice, x: str) -> tuple[int, int]:
-        return (len(lat.lower_covers(x)), len(lat.upper_covers(x)))
+    def profile(lat: Lattice, x: str) -> tuple[int, int, int, int]:
+        up_set = [y for y in lat.labels if lat.leq(x, y)]
+        return (len(lat.lower_covers(x)), len(lat.upper_covers(x)), len(lat.down_set(x)), len(up_set))
 
     prof1 = {x: profile(l1, x) for x in l1.labels}
     prof2 = {x: profile(l2, x) for x in l2.labels}

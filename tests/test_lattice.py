@@ -21,7 +21,7 @@ from dislat import (
 )
 from dislat.lattice import relabel
 from dislat.oracle import enumerate_lower_dismantlable
-from tests.reference import adjunct, chain_lattice, induced_sublattice
+from tests.reference import adjunct, adjunct_pair_multiset, chain_lattice, induced_sublattice
 
 M2_COVERS = [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")]
 
@@ -222,7 +222,7 @@ class TestClassify:
         assert "1" in cls.meet_irreducible
 
     def test_pair_multiset(self, ex2):
-        ms = classify(ex2).adjunct_pair_multiset("0")
+        ms = adjunct_pair_multiset(classify(ex2), "0")
         assert ms == {("0", "a5"): 1, ("0", "a6"): 1, ("0", "a8"): 1}
 
 
@@ -319,7 +319,7 @@ class TestInvariants:
             got = Counter(adj.pair for adj in expr.adjunctions)
             want = {
                 (lat.bottom_label, b): mult
-                for (_, b), mult in classify(lat).adjunct_pair_multiset(lat.bottom_label).items()
+                for (_, b), mult in adjunct_pair_multiset(classify(lat), lat.bottom_label).items()
                 if mult > 0
             }
             assert dict(got) == want
