@@ -35,7 +35,6 @@ from .lattice import (
     AdjunctExpr,
     ElementClassification,
     Lattice,
-    adjunct_representation,
     build_from_covers,
     classify,
     is_lower_dismantlable,
@@ -63,6 +62,7 @@ from .treeiso import (
     CanonicalCode,
     IsoWitness,
     RootedTree,
+    adjunct_representation,
     canonical_code,
     graph_iso,
     lattice_of_tree,

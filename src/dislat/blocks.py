@@ -4,14 +4,11 @@ equivalence classes, and branch peeling of lower dismantlable lattices."""
 from __future__ import annotations
 
 from bisect import insort
-from typing import TYPE_CHECKING
 
 from .errors import HypothesisViolated
-from .lattice import Lattice, _bits, _init, _peel, _Record, build_from_covers, classify, is_lower_dismantlable
+from .lattice import Lattice, _bits, _init, _Record, build_from_covers, classify, is_lower_dismantlable
+from .treeiso import RootedTree, _peel
 from .zdg import LabeledGraph, neighborhood_partition
-
-if TYPE_CHECKING:
-    from .treeiso import RootedTree
 
 
 class VertexClass(_Record):
@@ -45,9 +42,6 @@ class ClassPartition(_Record):
         _init(self, "classes", classes)
         _init(self, "peel_order", peel_order)
         _init(self, "peel_rounds", peel_rounds)
-
-    def member_sets(self) -> set[frozenset[str]]:
-        return {frozenset(c.members) for c in self.classes}
 
     def to_json_obj(self) -> dict:
         obj: dict = {
@@ -206,7 +200,7 @@ def ssc_equivalence_report(lat: Lattice, block: Lattice, graph: LabeledGraph) ->
     """
     if not is_lower_dismantlable(lat):
         raise HypothesisViolated("not lower dismantlable")
-    if len(lat.lower_covers(lat.top_label)) < 2:
+    if len(lat._lowers[lat.top]) < 2:
         raise HypothesisViolated("top is join-irreducible")
     return {
         "basic_block_is_self": block == lat,
@@ -237,7 +231,7 @@ def annotate_classes(lat: Lattice, graph: LabeledGraph) -> ClassPartition:
 # -- branch peeling -------------------------------------------------------------
 
 
-def peel_order(tree: "RootedTree") -> ClassPartition:
+def peel_order(tree: RootedTree) -> ClassPartition:
     """Equivalence classes of the non-ancestor graph via branch peeling.
 
     Round by round: every branching node none of whose proper descendants
@@ -245,9 +239,8 @@ def peel_order(tree: "RootedTree") -> ClassPartition:
     branching node remains, each residual leg below the root is one class.
     A class holds an adjunct element exactly when its lowest node branches.
     """
-    parent = tree.parent_map()
-    has_children = set(parent.values())
-    peeled = _peel(parent)
+    has_children = {lab for lab, kids in zip(tree.labels, tree._children) if kids}
+    peeled = _peel(tree)
     classes = tuple(
         VertexClass(
             members=tuple(sorted(path)),

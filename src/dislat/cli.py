@@ -28,14 +28,7 @@ from .errors import (
     InternalInconsistency,
     NotInClass,
 )
-from .lattice import (
-    Lattice,
-    _bits,
-    adjunct_representation,
-    classify,
-    is_lower_dismantlable,
-    relabel,
-)
+from .lattice import Lattice, _bits, classify, is_lower_dismantlable, relabel
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -77,7 +70,7 @@ def cmd_build(args) -> int:
         "atoms": sorted(cls.atoms),
         "adjunct_elements": sorted(cls.adjunct_elements),
         "lower_dismantlable": lower,
-        "top_join_reducible": len(lat.lower_covers(lat.top_label)) >= 2,
+        "top_join_reducible": len(lat._lowers[lat.top]) >= 2,
     }
     lines = [
         f"n = {lat.n} (bottom {lat.bottom_label}, top {lat.top_label})",
@@ -151,7 +144,7 @@ def cmd_iso(args) -> int:
     f = treeiso.graph_iso(g1, g2)
     zdg_isomorphic = f is not None
     # The main theorem: with join-reducible tops the two verdicts coincide.
-    tops_join_reducible = all(len(lat.lower_covers(lat.top_label)) >= 2 for lat in (lat1, lat2))
+    tops_join_reducible = all(len(lat._lowers[lat.top]) >= 2 for lat in (lat1, lat2))
     if tops_join_reducible and isomorphic != zdg_isomorphic:
         raise InternalInconsistency(
             "join-reducible tops, but lattice and zero-divisor-graph isomorphism disagree"
@@ -236,7 +229,7 @@ class _Item:
 
 
 def _adl(lat: Lattice, name: str = "L") -> str:
-    return dsl.serialize(adjunct_representation(lat, name=name))
+    return dsl.serialize(treeiso.adjunct_representation(lat, name=name))
 
 
 class _Suite:
@@ -459,6 +452,8 @@ def _run_suites(names: list[str], max_nodes: int, seed: int, root_min: int, dump
 def cmd_verify(args) -> int:
     if args.max_nodes < 2:
         raise BadOption(f"--max-nodes must be at least 2, got {args.max_nodes}")
+    if args.dump_dir is not None and not Path(args.dump_dir).is_dir():
+        raise BadOption(f"--dump-dir {args.dump_dir!r} is not a directory")
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     results = _run_suites(names, args.max_nodes, args.seed, args.root_min_children, args.dump_dir)
     worst = EXIT_NEGATIVE if any(result["violations"] for result in results.values()) else EXIT_OK

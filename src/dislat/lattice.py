@@ -1,14 +1,16 @@
-"""Finite bounded lattices: construction, order predicates, and
-recognition/decomposition of lower dismantlable lattices.
+"""Finite bounded lattices: construction, the order and its operations,
+classification, and recognition of lower dismantlable lattices.  Their
+decomposition into adjunctions is read off the tree (`dislat.treeiso`).
 
-Elements are dense integer indices internally; the public API speaks element
-labels throughout.  The order relation is materialized at construction time as
-per-element bitmasks: ``_down[i]`` holds the elements below i and ``_up[i]``
-those above it, both including i.  Comparability is one bit test.  The
-principal down-sets and up-sets are indexed by mask, and the meet of x and y
-is the element whose down-set is ``_down[x] & _down[y]`` (it exists exactly
-when that intersection is principal), so meet and join are one AND and one
-dict lookup.
+Elements are dense integer indices internally.  The label-level readers are
+`index`, `bottom_label`, `top_label`, `cover_pairs`, `leq`, `meet` and
+`join`; the rest of the package reads the index arrays.  The order relation
+is materialized at construction time as per-element bitmasks: ``_down[i]``
+holds the elements below i and ``_up[i]`` those above it, both including i.
+Comparability is one bit test.  The principal down-sets and up-sets are
+indexed by mask, and the meet of x and y is the element whose down-set is
+``_down[x] & _down[y]`` (it exists exactly when that intersection is
+principal), so meet and join are one AND and one dict lookup.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from .errors import (
     LabelClash,
     NoSuchElement,
     NotALattice,
-    NotLowerDismantlable,
     NotReduced,
 )
 
@@ -94,33 +95,10 @@ class Lattice:
         """The cover relation as (lower, upper) label pairs."""
         return {(self.labels[u], self.labels[v]) for u, v in self.covers}
 
-    # -- order predicates ---------------------------------------------------
+    # -- order and operations -----------------------------------------------
 
     def leq(self, x: str, y: str) -> bool:
         return bool(self._up[self.index(x)] >> self.index(y) & 1)
-
-    def lt(self, x: str, y: str) -> bool:
-        return x != y and self.leq(x, y)
-
-    def comparable(self, x: str, y: str) -> bool:
-        return self.leq(x, y) or self.leq(y, x)
-
-    def incomparable(self, x: str, y: str) -> bool:
-        return not self.comparable(x, y)
-
-    def covered_by(self, x: str, y: str) -> bool:
-        return (self.index(x), self.index(y)) in self.covers
-
-    def upper_covers(self, x: str) -> tuple[str, ...]:
-        return tuple(self.labels[i] for i in self._uppers[self.index(x)])
-
-    def lower_covers(self, x: str) -> tuple[str, ...]:
-        return tuple(self.labels[i] for i in self._lowers[self.index(x)])
-
-    def down_set(self, x: str) -> tuple[str, ...]:
-        return tuple(self.labels[i] for i in _bits(self._down[self.index(x)]))
-
-    # -- meet / join ----------------------------------------------------------
 
     def _meet_idx(self, xi: int, yi: int) -> int:
         """The element whose down-set is the common down-set, if any."""
@@ -406,88 +384,3 @@ def is_lower_dismantlable(lat: Lattice) -> bool:
     if lat.n < 2:
         raise HypothesisViolated("lower dismantlability needs at least 2 elements")
     return len(lat.covers) - len(lat._uppers[lat.bottom]) == lat.n - 2
-
-
-# -- branch peeling and the adjunct representation ------------------------------
-
-
-def _peel(parent: Mapping[str, str | None]) -> list[tuple[int, tuple[str, ...]]]:
-    """Branch peeling of the rooted tree given as child -> parent (the root
-    maps to None): (round, path) for every class, in peel order.
-
-    Round by round, every branching node (degree > 2) with no branching node
-    below it sheds each pendant path hanging from it as one class; when no
-    branching node is left, each residual leg below the root is one class.
-    A node sheds all its paths at once and is then a leaf, so its round is one
-    more than the latest round below it, and each path runs in the original
-    tree from a child of a branching node or of the root down to the first
-    node without exactly one child.  Paths are listed top member first;
-    classes are ordered by (round, smallest member).
-    """
-    children: dict[str, list[str]] = {v: [] for v in parent}
-    order = []
-    for v, p in parent.items():
-        if p is None:
-            order.append(v)
-        else:
-            children[p].append(v)
-    for v in order:  # breadth-first from the root
-        order.extend(children[v])
-
-    def branching(v: str) -> bool:
-        return len(children[v]) + (parent[v] is not None) > 2
-
-    latest: dict[str, int] = {}  # latest round of a branching node in v's subtree
-    for v in reversed(order):
-        below = max((latest[c] for c in children[v]), default=0)
-        latest[v] = below + 1 if branching(v) else below
-
-    classes = []
-    for v in order:
-        if branching(v):
-            round_no = latest[v]
-        elif parent[v] is None:  # the legs of a root that does not branch
-            round_no = latest[v] + 1
-        else:
-            continue
-        for c in children[v]:
-            path = [c]
-            while len(children[path[-1]]) == 1:
-                path.append(children[path[-1]][0])
-            classes.append((round_no, tuple(path)))
-    return sorted(classes, key=lambda rc: (rc[0], min(rc[1])))
-
-
-def adjunct_representation(lat: Lattice, name: str = "L") -> AdjunctExpr:
-    """Decompose a lower dismantlable lattice into a base chain plus ordered
-    (bottom, b) adjunctions of chains.
-
-    The peeled classes of the tree L \\ {0} are put back in reverse peel
-    order.  A class whose hinge (the parent of its top member) has no child
-    yet extends the hinge's chain downward; otherwise it is adjoined at
-    (bottom, hinge).  Deterministic; the pair multiset is order-independent,
-    which tests verify.  The parent of each nonzero element is the one entry
-    of its ``_uppers`` list.
-    """
-    if not is_lower_dismantlable(lat):
-        raise NotLowerDismantlable("adjunct representation needs a lower dismantlable lattice")
-    labels, bottom, top = lat.labels, lat.bottom_label, lat.top_label
-    parent = {labels[i]: labels[ups[0]] if ups else None for i, ups in enumerate(lat._uppers) if i != lat.bottom}
-    base = [top]  # chains are built top-down and reversed at the end
-    chain_of = {top: base}
-    adjoined: list[tuple[str, list[str]]] = []
-    for _, path in reversed(_peel(parent)):
-        hinge = parent[path[0]]
-        chain = chain_of[hinge]
-        if chain[-1] == hinge:  # the hinge has no child yet
-            chain.extend(path)
-        else:
-            chain = list(path)
-            adjoined.append((hinge, chain))
-        for x in path:
-            chain_of[x] = chain
-    return AdjunctExpr(
-        base=(bottom, *reversed(base)),
-        adjunctions=tuple(Adjunction(pair=(bottom, h), chain=tuple(reversed(c))) for h, c in adjoined),
-        name=name,
-    )

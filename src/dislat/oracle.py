@@ -50,7 +50,7 @@ def enumerate_rooted_trees(max_nodes: int, root_min_children: int = 0) -> Iterat
     for n in range(1, max_nodes + 1):
         for code in rooted_tree_codes(n):
             tree = tree_from_code(code)
-            if len(tree.children(tree.root_label)) >= root_min_children:
+            if len(tree._children[tree.root]) >= root_min_children:
                 yield tree
 
 

@@ -1,9 +1,10 @@
-"""Rooted trees, non-ancestor graphs, canonical codes, recognition of
-non-ancestor graphs, and the constructive isomorphism pipeline: a graph
-isomorphism between zero-divisor graphs is lifted, one neighborhood class
-at a time, to a full lattice isomorphism.  Without the hypothesis of a
-join-reducible top, a lattice isomorphism is read off the two lattices'
-trees instead."""
+"""Rooted trees, the lattice <-> tree correspondence with the branch peel
+of a tree and the adjunct representation read off it, non-ancestor graphs,
+canonical codes, recognition of non-ancestor graphs, and the constructive
+isomorphism pipeline: a graph isomorphism between zero-divisor graphs is
+lifted, one neighborhood class at a time, to a full lattice isomorphism.
+Without the hypothesis of a join-reducible top, a lattice isomorphism is
+read off the two lattices' trees instead."""
 
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from .errors import (
     NotInClass,
     NotLowerDismantlable,
 )
-from .lattice import Lattice, _init, _Record, build_from_covers, is_lower_dismantlable
+from .lattice import Adjunction, AdjunctExpr, Lattice, _init, _Record, build_from_covers, is_lower_dismantlable
 from .zdg import LabeledGraph, neighborhood_partition
 
 FRESH_ROOT = "⊤"
@@ -33,14 +34,12 @@ class RootedTree(_Record):
 
     Construction walks the tree once from the root, which rejects parent
     links with a cycle, and indexes it: labels to indices, child lists in
-    label order, and the preorder.  Node i sits at preorder position
-    ``_tin[i]`` and its subtree fills the positions up to ``_tout[i]``, so u
-    is a proper ancestor of v exactly when ``_tin[u] < _tin[v] < _tout[u]``.
-    Equality, hashing and repr read (labels, parent, root) only.
+    index order, and the preorder.  Equality, hashing and repr read
+    (labels, parent, root) only.
     """
 
     _fields = ("labels", "parent", "root")
-    __slots__ = (*_fields, "_index", "_children", "_preorder", "_tin", "_tout")
+    __slots__ = (*_fields, "_index", "_children", "_preorder")
 
     def __init__(self, labels: tuple[str, ...], parent: tuple[int, ...], root: int):
         _init(self, "labels", labels)
@@ -59,17 +58,9 @@ class RootedTree(_Record):
             stack.extend(reversed(children[v]))
         if len(preorder) != n:  # a node the root does not reach has a cycle above it
             raise CycleDetected("parent links contain a cycle")
-        tin = [0] * n
-        for pos, v in enumerate(preorder):
-            tin[v] = pos
-        tout = [0] * n
-        for v in reversed(preorder):
-            tout[v] = tout[children[v][-1]] if children[v] else tin[v] + 1
         _init(self, "_index", {lab: i for i, lab in enumerate(labels)})
         _init(self, "_children", tuple(map(tuple, children)))
         _init(self, "_preorder", tuple(preorder))
-        _init(self, "_tin", tuple(tin))
-        _init(self, "_tout", tuple(tout))
 
     @classmethod
     def from_parents(cls, parents: Mapping[str, str | None]) -> "RootedTree":
@@ -108,12 +99,6 @@ class RootedTree(_Record):
             lab: (None if i == self.root else self.labels[self.parent[i]])
             for i, lab in enumerate(self.labels)
         }
-
-    def children(self, x: str) -> tuple[str, ...]:
-        return tuple(self.labels[j] for j in self._children[self.index(x)])
-
-    def leaves(self) -> tuple[str, ...]:
-        return tuple(lab for lab, kids in zip(self.labels, self._children) if not kids)
 
 
 class IsoWitness(_Record):
@@ -198,9 +183,88 @@ def lattice_of_tree(tree: RootedTree) -> Lattice:
     result is the lower dismantlable lattice the tree corresponds to."""
     if "0" in tree.labels:
         raise LabelClash("bottom label '0' already names a tree node")
-    covers = [(c, p) for c, p in tree.parent_map().items() if p is not None]
-    covers.extend(("0", leaf) for leaf in tree.leaves())
-    return build_from_covers(("0", *tree.labels), covers)
+    labels = tree.labels
+    covers = [(labels[i], labels[p]) for i, p in enumerate(tree.parent) if i != tree.root]
+    covers.extend(("0", labels[i]) for i, kids in enumerate(tree._children) if not kids)
+    return build_from_covers(("0", *labels), covers)
+
+
+# -- branch peeling and the adjunct representation ------------------------------
+
+
+def _peel(tree: RootedTree) -> list[tuple[int, tuple[str, ...]]]:
+    """Branch peeling of the tree: (round, path of labels) for every class,
+    in peel order.
+
+    Round by round, every branching node (degree > 2) with no branching node
+    below it sheds each pendant path hanging from it as one class; when no
+    branching node is left, each residual leg below the root is one class.
+    A node sheds all its paths at once and is then a leaf, so its round is one
+    more than the latest round below it, and each path runs in the original
+    tree from a child of a branching node or of the root down to the first
+    node without exactly one child.  Paths are listed top member first;
+    classes are ordered by (round, smallest member).
+    """
+    labels, children, root = tree.labels, tree._children, tree.root
+
+    def branching(v: int) -> bool:
+        return len(children[v]) + (v != root) > 2
+
+    latest = [0] * tree.n  # latest round of a branching node in v's subtree
+    for v in reversed(tree._preorder):
+        below = max((latest[c] for c in children[v]), default=0)
+        latest[v] = below + 1 if branching(v) else below
+
+    classes = []
+    for v in tree._preorder:
+        if branching(v):
+            round_no = latest[v]
+        elif v == root:  # the legs of a root that does not branch
+            round_no = latest[v] + 1
+        else:
+            continue
+        for c in children[v]:
+            path = [labels[c]]
+            while len(children[c]) == 1:
+                c = children[c][0]
+                path.append(labels[c])
+            classes.append((round_no, tuple(path)))
+    return sorted(classes, key=lambda rc: (rc[0], min(rc[1])))
+
+
+def adjunct_representation(lat: Lattice, name: str = "L") -> AdjunctExpr:
+    """Decompose a lower dismantlable lattice into a base chain plus ordered
+    (bottom, b) adjunctions of chains.
+
+    The peeled classes of the tree L \\ {0} (`tree_of_lattice`) are put back
+    in reverse peel order.  A class whose hinge (the parent of its top
+    member) has no child yet extends the hinge's chain downward; otherwise
+    it is adjoined at (bottom, hinge).  Deterministic; the pair multiset is
+    order-independent, which tests verify.
+    """
+    if not is_lower_dismantlable(lat):
+        raise NotLowerDismantlable("adjunct representation needs a lower dismantlable lattice")
+    tree = tree_of_lattice(lat)
+    labels, parent, index = tree.labels, tree.parent, tree._index
+    bottom, top = lat.bottom_label, tree.root_label
+    base = [top]  # chains are built top-down and reversed at the end
+    chain_of = {top: base}
+    adjoined: list[tuple[str, list[str]]] = []
+    for _, path in reversed(_peel(tree)):
+        hinge = labels[parent[index[path[0]]]]
+        chain = chain_of[hinge]
+        if chain[-1] == hinge:  # the hinge has no child yet
+            chain.extend(path)
+        else:
+            chain = list(path)
+            adjoined.append((hinge, chain))
+        for x in path:
+            chain_of[x] = chain
+    return AdjunctExpr(
+        base=(bottom, *reversed(base)),
+        adjunctions=tuple(Adjunction(pair=(bottom, h), chain=tuple(reversed(c))) for h, c in adjoined),
+        name=name,
+    )
 
 
 def non_ancestor_graph(tree: RootedTree) -> LabeledGraph:

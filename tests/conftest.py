@@ -8,7 +8,7 @@ import pytest
 from dislat import dsl
 from dislat.lattice import relabel
 from dislat.oracle import enumerate_lower_dismantlable
-from tests.reference import adjunct, chain_lattice
+from tests.reference import adjunct, chain_lattice, covered_by, lt
 
 DATA = Path(__file__).parent / "data"
 
@@ -61,7 +61,7 @@ def random_dismantlable(rng):
     lat = chain_lattice([f"b{i}" for i in range(rng.randrange(3, 6))])
     for k in range(rng.randrange(4)):
         pairs = sorted(
-            (a, b) for a in lat.labels for b in lat.labels if lat.lt(a, b) and not lat.covered_by(a, b)
+            (a, b) for a in lat.labels for b in lat.labels if lt(lat, a, b) and not covered_by(lat, a, b)
         )
         a, b = rng.choice(pairs)
         lat = adjunct(lat, chain_lattice([f"c{k}_{j}" for j in range(rng.randrange(1, 3))]), a, b)

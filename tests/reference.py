@@ -20,7 +20,7 @@ independent references:
 - `brute_graph_iso_all` and `brute_graph_iso`: the backtracking
   graph-isomorphism search;
 - `brute_lattice_iso_all`: the backtracking lattice-isomorphism search on
-  labels, through the public order predicates;
+  labels, through the label-level readers below;
 - `SetGraph` and `edge_walking_recognize`: the graph as sets of neighbour
   labels, and recognition that ranks by degree and reads the edge list,
   next to the package's neighbour masks.  `LabeledGraph` has no per-label
@@ -29,25 +29,33 @@ independent references:
   adjacency and induced subgraphs;
 - `rescan_basic_block`: the basic block found by testing every survivor
   again after each deletion;
+- `lt`, `comparable`, `covered_by`, `upper_covers`, `lower_covers` and
+  `down_set`: a lattice read by label, over `cover_pairs()` and `leq`
+  only, so they stay independent of the index arrays the package reads;
+  `children`, `leaves` and `member_sets`: a tree and a class partition
+  read by label;
 - `label_is_lower_dismantlable`, `label_classify`, `label_tree_of_lattice`
   and `down_set_lift`: the class test, the census, the tree and the
-  one-pass lift read through the label-level accessors (`lower_covers`,
-  `upper_covers`, `down_set`) and `RootedTree.from_parents`, next to the
-  package's readers of the index lists; and `relabeled_tree`, a tree with
-  its labels replaced;
-- `adjunct_pair_multiset` and `is_ancestor`: the adjunct pairs of a
-  census and the ancestor test of a tree's preorder intervals, which only
-  the tests read.
+  one-pass lift read through those label-level readers and
+  `RootedTree.from_parents`, next to the package's readers of the index
+  lists; and `relabeled_tree`, a tree with its labels replaced;
+- `reference_peel`: the branch peel over a label -> label parent dict,
+  which rebuilds the child lists and a breadth-first order from it, next
+  to the package's peel over the tree's index arrays;
+- `adjunct_pair_multiset`, `preorder_intervals` and `is_ancestor`: the
+  adjunct pairs of a census, and the preorder intervals of a tree with
+  the ancestor test they give, which only the tests read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from dislat import (
     Adjunction,
     AdjunctExpr,
+    ClassPartition,
     DislatError,
     ElementClassification,
     IsoWitness,
@@ -246,9 +254,9 @@ def adjunct(l1: Lattice, l2: Lattice, a: str, b: str) -> Lattice:
     Requires a < b with a not covered by b, and disjoint label sets.  The
     result has covers(l1) + covers(l2) plus a < bottom(l2) and top(l2) < b.
     """
-    if not l1.lt(a, b):
+    if not lt(l1, a, b):
         raise PairNotAdjunctable(f"need {a!r} < {b!r} in the host lattice")
-    if l1.covered_by(a, b):
+    if covered_by(l1, a, b):
         raise PairNotAdjunctable(f"{a!r} is covered by {b!r}; the interval is empty")
     clash = set(l1.labels) & set(l2.labels)
     if clash:
@@ -319,7 +327,7 @@ def _induced_covers(lat: Lattice, keep: Iterable[str]) -> list[tuple[str, str]]:
 
 
 def _by_height(lat: Lattice, labels: Iterable[str]) -> list[str]:
-    return sorted(labels, key=lambda v: len(lat.down_set(v)))
+    return sorted(labels, key=lambda v: len(down_set(lat, v)))
 
 
 @dataclass(frozen=True)
@@ -358,7 +366,7 @@ def peel_decomposition(lat: Lattice, x: str) -> PeelStep:
     ]
     for i, b1 in enumerate(ax):
         for b2 in ax[i + 1 :]:
-            if lat.incomparable(b1, b2):
+            if not comparable(lat, b1, b2):
                 raise InternalInconsistency(f"non-adjacent adjunct elements {b1!r}, {b2!r} are incomparable")
     hinge = _by_height(lat, ax)[0] if ax else lat.top_label
     rest = [lab for lab in lat.labels if lab not in set(members)]
@@ -451,7 +459,7 @@ def reference_lift(l1: Lattice, l2: Lattice, phi: dict[str, str]) -> dict[str, s
             candidates.append((_by_height(l1, hinges)[0], block))
     if not candidates:
         raise InternalInconsistency("adjunct vertices present but every peelable class hinges at the top")
-    minimal = [(h, block) for h, block in candidates if not any(o != h and l1.lt(o, h) for o, _ in candidates)]
+    minimal = [(h, block) for h, block in candidates if not any(o != h and lt(l1, o, h) for o, _ in candidates)]
     hinge, block = min(minimal, key=lambda hb: (hb[0], hb[1][0]))
 
     chain1 = _by_height(l1, block)
@@ -474,25 +482,69 @@ def reference_lift(l1: Lattice, l2: Lattice, phi: dict[str, str]) -> dict[str, s
 # -- label-level readers ------------------------------------------------------------
 
 
+def lt(lat: Lattice, x: str, y: str) -> bool:
+    return x != y and lat.leq(x, y)
+
+
+def comparable(lat: Lattice, x: str, y: str) -> bool:
+    return lat.leq(x, y) or lat.leq(y, x)
+
+
+def covered_by(lat: Lattice, x: str, y: str) -> bool:
+    return (x, y) in lat.cover_pairs()
+
+
+def upper_covers(lat: Lattice, x: str) -> tuple[str, ...]:
+    """The elements that cover x, in the order of `lat.labels`."""
+    covers = lat.cover_pairs()
+    return tuple(y for y in lat.labels if (x, y) in covers)
+
+
+def lower_covers(lat: Lattice, x: str) -> tuple[str, ...]:
+    """The elements that x covers, in the order of `lat.labels`."""
+    covers = lat.cover_pairs()
+    return tuple(y for y in lat.labels if (y, x) in covers)
+
+
+def down_set(lat: Lattice, x: str) -> tuple[str, ...]:
+    """The elements at most x, in the order of `lat.labels`."""
+    return tuple(y for y in lat.labels if lat.leq(y, x))
+
+
+def children(tree: RootedTree, x: str) -> tuple[str, ...]:
+    """The children of node x, in the order of `tree.labels`."""
+    return tuple(c for c, p in tree.parent_map().items() if p == x)
+
+
+def leaves(tree: RootedTree) -> tuple[str, ...]:
+    """The nodes without children, in the order of `tree.labels`."""
+    parents = set(tree.parent_map().values())
+    return tuple(v for v in tree.labels if v not in parents)
+
+
+def member_sets(partition: ClassPartition) -> set[frozenset[str]]:
+    return {frozenset(c.members) for c in partition.classes}
+
+
 def label_is_lower_dismantlable(lat: Lattice) -> bool:
     """`is_lower_dismantlable` as one `upper_covers` tuple per element other
     than the bottom and the top, each of which must have length 1."""
     if lat.n < 2:
         raise HypothesisViolated("lower dismantlability needs at least 2 elements")
     extremes = (lat.bottom_label, lat.top_label)
-    return all(len(lat.upper_covers(x)) == 1 for x in lat.labels if x not in extremes)
+    return all(len(upper_covers(lat, x)) == 1 for x in lat.labels if x not in extremes)
 
 
 def label_classify(lat: Lattice) -> ElementClassification:
-    """`classify` through the label accessors: one `lower_covers` and one
+    """`classify` through the label readers: one `lower_covers` and one
     `upper_covers` tuple per element."""
-    lower_count = {x: len(lat.lower_covers(x)) for x in lat.labels}
-    upper_count = {x: len(lat.upper_covers(x)) for x in lat.labels}
+    lower_count = {x: len(lower_covers(lat, x)) for x in lat.labels}
+    upper_count = {x: len(upper_covers(lat, x)) for x in lat.labels}
     return ElementClassification(
         join_irreducible=frozenset(x for x in lat.labels if lower_count[x] <= 1),
         meet_irreducible=frozenset(x for x in lat.labels if upper_count[x] <= 1),
         doubly_irreducible=frozenset(x for x in lat.labels if lower_count[x] == 1 and upper_count[x] == 1),
-        atoms=frozenset(lat.upper_covers(lat.bottom_label)),
+        atoms=frozenset(upper_covers(lat, lat.bottom_label)),
         adjunct_elements=frozenset(x for x in lat.labels if lower_count[x] >= 2),
         upper_cover_count=upper_count,
         lower_cover_count=lower_count,
@@ -511,7 +563,7 @@ def label_tree_of_lattice(lat: Lattice) -> RootedTree:
         if x == lat.top_label:
             parents[x] = None
         else:
-            (up,) = lat.upper_covers(x)
+            (up,) = upper_covers(lat, x)
             parents[x] = up
     return RootedTree.from_parents(parents)
 
@@ -538,10 +590,74 @@ def adjunct_pair_multiset(census: ElementClassification, bottom: str) -> dict[tu
     return {(bottom, b): census.lower_cover_count[b] - 1 for b in sorted(census.adjunct_elements)}
 
 
+def preorder_intervals(tree: RootedTree) -> tuple[list[int], list[int]]:
+    """(tin, tout): node i sits at preorder position tin[i] and its subtree
+    fills the positions up to tout[i], so u is a proper ancestor of v
+    exactly when tin[u] < tin[v] < tout[u]."""
+    tin, tout = [0] * tree.n, [0] * tree.n
+    for pos, v in enumerate(tree._preorder):
+        tin[v] = pos
+    for v in reversed(tree._preorder):
+        kids = tree._children[v]
+        tout[v] = tout[kids[-1]] if kids else tin[v] + 1
+    return tin, tout
+
+
 def is_ancestor(tree: RootedTree, u: str, v: str) -> bool:
     """True when u lies on the root path of v (proper ancestor)."""
     ui, vi = tree.index(u), tree.index(v)
-    return tree._tin[ui] < tree._tin[vi] < tree._tout[ui]
+    tin, tout = preorder_intervals(tree)
+    return tin[ui] < tin[vi] < tout[ui]
+
+
+# -- the peel over a label dict ------------------------------------------------------
+
+
+def reference_peel(parent: Mapping[str, str | None]) -> list[tuple[int, tuple[str, ...]]]:
+    """Branch peeling of the rooted tree given as child -> parent (the root
+    maps to None): (round, path) for every class, in peel order.
+
+    Round by round, every branching node (degree > 2) with no branching node
+    below it sheds each pendant path hanging from it as one class; when no
+    branching node is left, each residual leg below the root is one class.
+    A node sheds all its paths at once and is then a leaf, so its round is one
+    more than the latest round below it, and each path runs in the original
+    tree from a child of a branching node or of the root down to the first
+    node without exactly one child.  Paths are listed top member first;
+    classes are ordered by (round, smallest member).
+    """
+    children: dict[str, list[str]] = {v: [] for v in parent}
+    order = []
+    for v, p in parent.items():
+        if p is None:
+            order.append(v)
+        else:
+            children[p].append(v)
+    for v in order:  # breadth-first from the root
+        order.extend(children[v])
+
+    def branching(v: str) -> bool:
+        return len(children[v]) + (parent[v] is not None) > 2
+
+    latest: dict[str, int] = {}  # latest round of a branching node in v's subtree
+    for v in reversed(order):
+        below = max((latest[c] for c in children[v]), default=0)
+        latest[v] = below + 1 if branching(v) else below
+
+    classes = []
+    for v in order:
+        if branching(v):
+            round_no = latest[v]
+        elif parent[v] is None:  # the legs of a root that does not branch
+            round_no = latest[v] + 1
+        else:
+            continue
+        for c in children[v]:
+            path = [c]
+            while len(children[path[-1]]) == 1:
+                path.append(children[path[-1]][0])
+            classes.append((round_no, tuple(path)))
+    return sorted(classes, key=lambda rc: (rc[0], min(rc[1])))
 
 
 # -- the graph-isomorphism search ----------------------------------------------------
@@ -606,7 +722,7 @@ def brute_lattice_iso_all(l1: Lattice, l2: Lattice, budget: int = DEFAULT_BUDGET
 
     def profile(lat: Lattice, x: str) -> tuple[int, int, int, int]:
         up_set = [y for y in lat.labels if lat.leq(x, y)]
-        return (len(lat.lower_covers(x)), len(lat.upper_covers(x)), len(lat.down_set(x)), len(up_set))
+        return (len(lower_covers(lat, x)), len(upper_covers(lat, x)), len(down_set(lat, x)), len(up_set))
 
     prof1 = {x: profile(l1, x) for x in l1.labels}
     prof2 = {x: profile(l2, x) for x in l2.labels}
@@ -617,6 +733,7 @@ def brute_lattice_iso_all(l1: Lattice, l2: Lattice, budget: int = DEFAULT_BUDGET
     base = {l1.bottom_label: l2.bottom_label, l1.top_label: l2.top_label}
     if prof1[l1.bottom_label] != prof2[l2.bottom_label] or prof1[l1.top_label] != prof2[l2.top_label]:
         return
+    covers1, covers2 = l1.cover_pairs(), l2.cover_pairs()
     nodes_visited = 0
 
     def extend(i: int, mapping: dict[str, str], used: set[str]) -> Iterator[dict[str, str]]:
@@ -631,7 +748,7 @@ def brute_lattice_iso_all(l1: Lattice, l2: Lattice, budget: int = DEFAULT_BUDGET
             if w in used or prof2[w] != prof1[v]:
                 continue
             if any(
-                l1.covered_by(u, v) != l2.covered_by(fu, w) or l1.covered_by(v, u) != l2.covered_by(w, fu)
+                ((u, v) in covers1) != ((fu, w) in covers2) or ((v, u) in covers1) != ((w, fu) in covers2)
                 for u, fu in mapping.items()
             ):
                 continue
@@ -714,7 +831,7 @@ def edge_walking_recognize(graph) -> RootedTree | None:
         parents[v] = ranked[below.bit_length() - 1] if below else root
     tree = RootedTree.from_parents(parents)
 
-    index, tin, tout = tree._index, tree._tin, tree._tout
+    index, (tin, tout) = tree._index, preorder_intervals(tree)
     for u, v in graph.edges:
         a, b = index[u], index[v]
         if tin[a] < tin[b] < tout[a] or tin[b] < tin[a] < tout[b]:

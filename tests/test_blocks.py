@@ -21,21 +21,28 @@ from dislat import (
     zero_divisor_graph,
 )
 from dislat.blocks import annotate_classes
-from dislat.lattice import _peel
 from dislat.oracle import enumerate_lower_dismantlable
-from dislat.treeiso import RootedTree
+from dislat.treeiso import RootedTree, _peel
 from dislat.zdg import neighborhood_partition
 from dislat.treeiso import lattice_of_tree
 from tests.conftest import leq_meet
 from tests.reference import (
     ClassHasAdjunct,
+    children,
     class_has_adjunct,
+    comparable,
     induced_sublattice,
+    leaves,
+    lower_covers,
+    lt,
+    member_sets,
     neighborhood_classes,
     peel_decomposition,
     reassemble,
+    reference_peel,
     relabeled_tree,
     rescan_basic_block,
+    upper_covers,
 )
 from tests.test_treeiso import random_parents, tree_of_parents
 
@@ -51,7 +58,7 @@ def rebuild_without(lat, x):
         (u, v)
         for u in kept
         for v in kept
-        if lat.lt(u, v) and not any(lat.lt(u, z) and lat.lt(z, v) for z in kept)
+        if lt(lat, u, v) and not any(lt(lat, u, z) and lt(lat, z, v) for z in kept)
     ]
     return build_from_covers(kept, covers)
 
@@ -60,13 +67,13 @@ def reference_deletable(lat, x):
     """Structural deletability on a built lattice, from its definition."""
     if lat.n < 3 or x == lat.bottom_label:
         return False
-    lowers = lat.lower_covers(x)
+    lowers = lower_covers(lat, x)
     if x == lat.top_label:
         return len(lowers) == 1
-    uppers = lat.upper_covers(x)
+    uppers = upper_covers(lat, x)
     if len(lowers) != 1 or len(uppers) != 1:
         return False
-    return [z for z in lat.labels if lat.lt(lowers[0], z) and lat.lt(z, uppers[0])] == [x]
+    return [z for z in lat.labels if lt(lat, lowers[0], z) and lt(lat, z, uppers[0])] == [x]
 
 
 def reference_interior(lat):
@@ -282,25 +289,66 @@ class TestPeelOrder:
     def test_star_two_leaves_single_round(self):
         tree = RootedTree.from_parents({"r": None, "a": "r", "b": "r"})
         part = peel_order(tree)
-        assert part.member_sets() == {frozenset({"a"}), frozenset({"b"})}
+        assert member_sets(part) == {frozenset({"a"}), frozenset({"b"})}
         assert part.peel_rounds == (1, 1)
 
     def test_path_tree_single_class(self):
         tree = RootedTree.from_parents({"r": None, "p1": "r", "p2": "p1", "p3": "p2"})
         part = peel_order(tree)
-        assert part.member_sets() == {frozenset({"p1", "p2", "p3"})}
+        assert member_sets(part) == {frozenset({"p1", "p2", "p3"})}
 
     def test_classes_match_neighborhood_partition(self):
         from dislat.oracle import enumerate_rooted_trees
 
         for tree in enumerate_rooted_trees(7):
             peeled = peel_order(tree)
-            assert peeled.member_sets() == neighborhood_classes(non_ancestor_graph(tree))
+            assert member_sets(peeled) == neighborhood_classes(non_ancestor_graph(tree))
 
     def test_json_export_shape(self, ex2):
         obj = peel_order(tree_of_lattice(ex2)).to_json_obj()
         assert set(obj) == {"classes", "peel_order"}
         assert obj["peel_order"] == list(range(len(obj["classes"])))
+
+
+def shuffled_labels(tree, rng):
+    """The tree with its labels permuted over the nodes, built directly, so
+    that index order is unrelated to label order."""
+    labels = list(tree.labels)
+    rng.shuffle(labels)
+    return RootedTree(labels=tuple(labels), parent=tree.parent, root=tree.root)
+
+
+class TestPeelAgainstLabelDict:
+    """`_peel` reads the tree's index arrays; `reference_peel` rebuilds the
+    child lists and a breadth-first order from the label -> label parent
+    dict.  `peel_order` flags a class whose lowest member has children."""
+
+    @staticmethod
+    def trees():
+        from dislat.oracle import enumerate_rooted_trees
+
+        rng = random.Random(18)
+        for tree in enumerate_rooted_trees(10):
+            yield tree
+            yield shuffled_labels(tree, rng)
+        for _ in range(300):
+            n = rng.randrange(2, 301)
+            yield shuffled_labels(tree_of_parents(random_parents(rng, n), "v"), rng)
+
+    def test_same_classes_rounds_and_flags(self):
+        checked = 0
+        for tree in self.trees():
+            parent = tree.parent_map()
+            want = reference_peel(parent)
+            assert _peel(tree) == want
+            part = peel_order(tree)
+            has_children = set(parent.values())
+            assert [c.adjunct_member for c in part.classes] == [
+                path[-1] if path[-1] in has_children else None for _, path in want
+            ]
+            assert part.peel_rounds == tuple(round_no for round_no, _ in want)
+            checked += 1
+        assert checked == 2 * 1205 + 300
 
 
 class TestClassChainLemmas:
@@ -311,7 +359,7 @@ class TestClassChainLemmas:
             adjuncts = set(classify(lat).adjunct_elements)
             for cls in part.classes:
                 for x, y in itertools.combinations(cls.members, 2):
-                    assert lat.comparable(x, y)  # each class is a chain
+                    assert comparable(lat, x, y)  # each class is a chain
                 inside = set(cls.members) & adjuncts
                 assert len(inside) <= 1
                 if inside:
@@ -324,7 +372,7 @@ class TestClassChainLemmas:
             g = zero_divisor_graph(lat)
             atoms = set(classify(lat).atoms)
             tree = tree_of_lattice(lat)
-            pendants = set(tree.leaves())
+            pendants = set(leaves(tree))
             for cls in annotate_classes(lat, g).classes:
                 members = set(cls.members)
                 assert cls.has_adjunct == (not members & atoms)
@@ -411,11 +459,11 @@ def unary_paths(lat):
     every fixed point keeps and the paths that end in a leaf.  Empty when the
     lattice is a chain."""
     tree = tree_of_lattice(lat)
-    if all(len(tree.children(v)) <= 1 for v in tree.labels):
+    if all(len(children(tree, v)) <= 1 for v in tree.labels):
         return set(), []
     kept, leaf_paths = set(), []
-    for _, path in _peel(tree.parent_map()):
-        if tree.children(path[-1]):  # the path ends in a branching node
+    for _, path in _peel(tree):
+        if children(tree, path[-1]):  # the path ends in a branching node
             kept.add(path[-1])
         else:
             leaf_paths.append(path)

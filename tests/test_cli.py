@@ -395,6 +395,28 @@ class TestVerify:
         code, payload = run_json(capsys, "verify", "--suite", "ssc", "--max-nodes", "7")
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "suite, max_nodes", [("block-confluence", "8"), ("diam", "5")], ids=["with-counterexample", "without"]
+    )
+    def test_missing_dump_dir_exit_2_before_the_walk(self, capsys, tmp_path, suite, max_nodes):
+        """A missing --dump-dir is a usage error found before any lattice is
+        checked: block-confluence used to walk up to its first counterexample
+        and fail on writing it, and a suite with nothing to dump exited 0."""
+        missing = tmp_path / "missing"
+        code, payload = run_json(capsys, "verify", "--suite", suite, "--max-nodes", max_nodes, "--dump-dir", missing)
+        assert code == 2
+        assert payload["error"]["type"] == "BadOption"
+        assert str(missing) in payload["error"]["message"]
+        assert not missing.exists()
+
+    def test_dump_dir_that_is_a_file_exit_2(self, capsys, tmp_path):
+        plain = tmp_path / "plain"
+        plain.write_text("")
+        code = main(["verify", "--suite", "block-confluence", "--max-nodes", "5", "--dump-dir", str(plain)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: --dump-dir {str(plain)!r} is not a directory\n"
+
     @pytest.mark.parametrize("max_nodes", ["1", "0", "-3"])
     def test_max_nodes_below_two_exit_2(self, capsys, max_nodes):
         code, payload = run_json(capsys, "verify", "--suite", "diam", "--max-nodes", max_nodes)

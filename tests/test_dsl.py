@@ -22,7 +22,7 @@ from dislat import (
     zero_divisor_graph,
 )
 from dislat.lattice import _bits
-from tests.reference import adjunct, chain_lattice, reference_elaborate, reference_parse
+from tests.reference import adjunct, chain_lattice, lt, reference_elaborate, reference_parse
 
 EX2_SRC = (
     "lattice ex2 { chain 0 a3 a5 a8 one; adjoin (0, a8): a2 a6; "
@@ -227,7 +227,7 @@ class TestElaborate:
         # pairs away from the bottom express general dismantlable lattices
         lat = elaborate(parse("lattice g { chain 0 a b c one; adjoin (a, c): d; }"))
         assert lat.n == 6
-        assert lat.lt("a", "d") and lat.lt("d", "c")
+        assert lt(lat, "a", "d") and lt(lat, "d", "c")
 
     @pytest.mark.parametrize(
         "expr",
@@ -262,7 +262,7 @@ class TestElaborate:
         src = "lattice t { chain 0 p q r s; adjoin (0, q): x; adjoin (q, s): y; adjoin (x, y): z; }"
         lat = elaborate(parse(src))
         assert lat == reference_elaborate(parse(src))
-        assert lat.lt("x", "z") and lat.lt("z", "y")
+        assert lt(lat, "x", "z") and lt(lat, "z", "y")
 
     def test_full_round_trip_on_enumeration(self):
         from dislat.oracle import enumerate_lower_dismantlable

@@ -43,7 +43,12 @@ renumbered the masks by rank and counted the edges:
     dislat --json zdg F.adl                  > F.zdg.json
     dislat --json recognize F.zdg.json       > F.recognize.json
 
-for F in cbt15_shuffled and swap7_shuffled.
+for F in cbt15_shuffled and swap7_shuffled.  The same two files pin
+`analyze` where index order differs from label order: the branch peel's
+class order and its `has_adjunct` flags.  These were written while the peel
+still rebuilt its child lists from a label -> label parent dict:
+
+    dislat --json analyze F.adl              > F.analyze.json
 Two `--json build` outputs pin DSL diagnostics and exit 2: bad_char.adl has
 a character no token starts with, and trailing_comment.adl ends in a comment
 where ';' is expected, which is reported at the comment's '#'.
@@ -79,6 +84,7 @@ for name in ("cbt15", "fig2", "swap7"):
 for name in ("cbt15_shuffled", "swap7_shuffled"):
     COMMANDS[f"{name}.zdg.json"] = ["--json", "zdg", DATA / f"{name}.adl"]
     COMMANDS[f"{name}.recognize.json"] = ["--json", "recognize", GOLDEN / f"{name}.zdg.json"]
+    COMMANDS[f"{name}.analyze.json"] = ["--json", "analyze", DATA / f"{name}.adl"]
 for name in ("fig2", "ex2", "k22"):
     COMMANDS[f"{name}.build.json"] = ["--json", "build", DATA / f"{name}.adl"]
     COMMANDS[f"{name}.build.txt"] = ["build", DATA / f"{name}.adl"]

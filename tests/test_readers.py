@@ -41,6 +41,7 @@ from tests.reference import (
     label_classify,
     label_is_lower_dismantlable,
     label_tree_of_lattice,
+    lower_covers,
 )
 from tests.test_treeiso import lift_ignoring_alignment, random_parents, tree_of_parents
 
@@ -148,7 +149,7 @@ def test_lift_orders_chains_as_down_set_lengths(sample):
     class by the length of its members' down-sets, which is also the lift
     of its alignment."""
     rng = random.Random(21)
-    lats = [lat for lat in {"small": SMALL, "random": RANDOM}[sample] if len(lat.lower_covers(lat.top_label)) >= 2]
+    lats = [lat for lat in {"small": SMALL, "random": RANDOM}[sample] if len(lower_covers(lat, lat.top_label)) >= 2]
     assert len(lats) > 5
     for lat in lats:
         other = shuffled_copy(lat, rng)
@@ -173,9 +174,8 @@ def test_lift_outside_the_class_raises_the_same(ex2):
 
 
 def test_adjunct_representation():
-    """The parent map read from `_uppers` is the label-level tree's, so the
-    representation elaborates back to the lattice; outside the class the
-    error is unchanged."""
+    """The representation read off `tree_of_lattice`'s tree elaborates back
+    to the lattice; outside the class the error is unchanged."""
     for lat in [*SMALL, *RANDOM]:
         assert elaborate(adjunct_representation(lat)) == lat
     for lat in OUTSIDE:

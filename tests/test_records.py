@@ -190,7 +190,7 @@ class TestRootedTreeEquality:
         first = RootedTree(labels=("a", "b", "c"), parent=(0, 0, 1), root=0)
         second = RootedTree(("a", "b", "c"), (0, 0, 1), 0)
         assert first == second and hash(first) == hash(second)
-        assert first.children("a") == second.children("a") == ("b",)
+        assert first._children == second._children == ((1,), (2,), ())
 
     def test_any_field_differs(self):
         tree = RootedTree(labels=("a", "b", "c"), parent=(0, 0, 1), root=0)
