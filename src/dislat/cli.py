@@ -136,7 +136,7 @@ def cmd_analyze(args) -> int:
 def cmd_iso(args) -> int:
     lat1, lat2 = _load_lattice(args.file_a), _load_lattice(args.file_b)
     for which, lat in (("first", lat1), ("second", lat2)):
-        if not is_lower_dismantlable(lat):
+        if lat.n < 2 or not is_lower_dismantlable(lat):
             raise NotInClass(f"{which} lattice is not lower dismantlable", which=which)
     (code1, order1), (code2, order2) = (treeiso._canonical(treeiso.tree_of_lattice(lat)) for lat in (lat1, lat2))
     isomorphic = code1 == code2

@@ -168,6 +168,63 @@ def elaborate(expr: AdjunctExpr) -> Lattice:
     left-to-right.  Raises PairNotAdjunctable when a pair violates the
     operation's preconditions at the moment of its adjunction.
 
+    When every pair starts at the bottom (``base[0]``) the lattice is lower
+    dismantlable and is built from its tree (`_elaborate_tree`); any other
+    expression takes the general path (`_elaborate_general`).  Both raise
+    the same errors, with the same messages, in the same order.
+    """
+    if expr.base and all(len(adj.pair) == 2 and adj.pair[0] == expr.base[0] for adj in expr.adjunctions):
+        return _elaborate_tree(expr)
+    return _elaborate_general(expr)
+
+
+def _check_chain(chain: tuple[str, ...]) -> None:
+    if not chain or len(set(chain)) < len(chain):
+        build_from_covers(chain, ())  # raises LabelClash or NotALattice, as for the chain alone
+
+
+def _elaborate_tree(expr: AdjunctExpr) -> Lattice:
+    """`elaborate` for an expression whose pairs all start at the bottom.
+
+    The lattice is a tree under the top with the bottom under its leaves, so
+    each element but the extremes is given by its parent: the next element
+    of its chain, and for the top of an adjoined chain the b of its pair.
+    Adjoining at (bottom, b) needs b introduced, b not the bottom, and b not
+    covering the bottom, which in the tree means b is not a leaf.  The leaves
+    are ``base[1]`` and the lowest element of each adjoined chain, and a leaf
+    stays one, since no chain is adjoined under it.
+    """
+    base = expr.base
+    _check_chain(base)
+    bottom = base[0]
+    labels = list(base)
+    index = {lab: i for i, lab in enumerate(base)}
+    parent = [*range(1, len(base)), len(base) - 1]  # the entries of the extremes are not read
+    leaves = set(base[1:2])
+    for adj in expr.adjunctions:
+        b, chain = adj.pair[1], adj.chain
+        if b not in index:
+            raise PairNotAdjunctable(f"pair references element {b!r} not yet introduced")
+        _check_chain(chain)
+        if b == bottom:
+            raise PairNotAdjunctable(f"need {bottom!r} < {b!r} in the host lattice")
+        if b in leaves:
+            raise PairNotAdjunctable(f"{bottom!r} is covered by {b!r}; the interval is empty")
+        clash = index.keys() & set(chain)
+        if clash:
+            raise LabelClash(f"labels occur on both sides: {sorted(clash)}")
+        start, end = len(labels), len(labels) + len(chain)
+        index.update(zip(chain, range(start, end)))
+        labels.extend(chain)
+        parent.extend(range(start + 1, end))
+        parent.append(index[b])
+        leaves.add(chain[0])
+    return Lattice._of_tree(tuple(labels), parent, 0, len(base) - 1)
+
+
+def _elaborate_general(expr: AdjunctExpr) -> Lattice:
+    """`elaborate` for any expression.
+
     Adjoining a chain between a < b relates no two elements already present
     and keeps every cover, so the pairs are checked against up-sets kept while
     reading; the lattice is built and validated once, at the end.  A down-set
@@ -182,8 +239,7 @@ def elaborate(expr: AdjunctExpr) -> Lattice:
         missing = [x for x in pair if x not in index]
         if missing:
             raise PairNotAdjunctable(f"pair references element {missing[0]!r} not yet introduced")
-        if not chain or len(set(chain)) < len(chain):
-            build_from_covers(chain, ())  # raises LabelClash or NotALattice, as for the chain alone
+        _check_chain(chain)
         above = below = 0
         if pair:
             a, b = pair

@@ -2,15 +2,21 @@
 classification, and recognition of lower dismantlable lattices.  Their
 decomposition into adjunctions is read off the tree (`dislat.treeiso`).
 
+Two constructors fill a `Lattice`.  `build_from_covers` validates any cover
+relation and is the path for input outside the class; `Lattice._of_tree`
+fills a lower dismantlable lattice in O(n) from the parent array of its tree
+under the top, with the bottom under the leaves, and trusts its caller.
+
 Elements are dense integer indices internally.  The label-level readers are
 `index`, `bottom_label`, `top_label`, `cover_pairs`, `leq`, `meet` and
 `join`; the rest of the package reads the index arrays.  The order relation
 is materialized at construction time as per-element bitmasks: ``_down[i]``
 holds the elements below i and ``_up[i]`` those above it, both including i.
-Comparability is one bit test.  The principal down-sets and up-sets are
-indexed by mask, and the meet of x and y is the element whose down-set is
-``_down[x] & _down[y]`` (it exists exactly when that intersection is
-principal), so meet and join are one AND and one dict lookup.
+Comparability is one bit test.  The meet of x and y is the element whose
+down-set is ``_down[x] & _down[y]`` (it exists exactly when that
+intersection is principal), so meet and join are one AND and one dict
+lookup in an index of the principal down-sets (up-sets) by mask, which is
+built on the first meet or join.
 """
 
 from __future__ import annotations
@@ -37,8 +43,11 @@ def _bits(mask: int) -> Iterator[int]:
 class Lattice:
     """Immutable finite bounded lattice.
 
-    Build instances through :func:`build_from_covers` (or the helpers below);
-    the constructor trusts its arguments.
+    Build instances through :func:`build_from_covers`, which validates any
+    cover relation, or through :meth:`_of_tree` for a lower dismantlable
+    lattice given by its tree; the constructor trusts its arguments.  The
+    mask -> element indexes ``_down_index`` and ``_up_index`` are None until
+    the first meet or join (``_index_masks``).
     """
 
     __slots__ = (
@@ -53,23 +62,58 @@ class Lattice:
         down: tuple[int, ...],
         bottom: int,
         top: int,
+        uppers: tuple[tuple[int, ...], ...],
+        lowers: tuple[tuple[int, ...], ...],
     ):
         self.labels = labels
         self.covers = covers
         self.bottom = bottom
         self.top = top
-        self._index = {lab: i for i, lab in enumerate(labels)}
+        self._index = dict(zip(labels, range(len(labels))))
         self._up = up
         self._down = down
-        self._up_index = {mask: i for i, mask in enumerate(up)}
-        self._down_index = {mask: i for i, mask in enumerate(down)}
-        uppers: list[list[int]] = [[] for _ in labels]
-        lowers: list[list[int]] = [[] for _ in labels]
-        for u, v in covers:
-            uppers[u].append(v)
-            lowers[v].append(u)
-        self._uppers = tuple(tuple(sorted(s)) for s in uppers)
-        self._lowers = tuple(tuple(sorted(s)) for s in lowers)
+        self._up_index: dict[int, int] | None = None
+        self._down_index: dict[int, int] | None = None
+        self._uppers = uppers  # upper covers of each element, ascending
+        self._lowers = lowers  # lower covers of each element, ascending
+
+    @classmethod
+    def _of_tree(cls, labels: tuple[str, ...], parent: Sequence[int], bottom: int, top: int) -> "Lattice":
+        """The lattice of a rooted tree with a bottom adjoined under its
+        leaves, in O(n) operations on masks.
+
+        `parent[v]` is the parent of node v; it is read for every element
+        but `bottom` and `top`, the root.  The nodes must form one tree under
+        `top` and the labels must be distinct: neither is checked.  Up-sets
+        are ORed down a breadth-first order from the top and down-sets up it;
+        the bottom lies below everything and is covered by the leaves.  The
+        result is a lattice by the tree-shape lemma of `build_from_covers`.
+        """
+        n = len(labels)
+        children: list[list[int]] = [[] for _ in range(n)]
+        for v, p in enumerate(parent):
+            if v != bottom and v != top:
+                children[p].append(v)
+        order = [top]  # breadth-first: every node after its parent
+        for v in order:
+            order.extend(children[v])
+        below = order[1:]
+        leaves = tuple(v for v in range(n) if not children[v] and v != bottom)
+        up = [0] * n
+        up[top] = 1 << top
+        for v in below:
+            up[v] = up[parent[v]] | 1 << v
+        up[bottom] = (1 << n) - 1
+        down = [1 << bottom | 1 << v for v in range(n)]
+        for v in reversed(below):
+            down[parent[v]] |= down[v]
+        uppers = [(parent[v],) for v in range(n)]
+        uppers[top] = ()
+        uppers[bottom] = leaves
+        for v in leaves:
+            children[v].append(bottom)
+        covers = frozenset([*((v, parent[v]) for v in below), *((bottom, v) for v in leaves)])
+        return cls(labels, covers, tuple(up), tuple(down), bottom, top, tuple(uppers), tuple(map(tuple, children)))
 
     # -- basic accessors ----------------------------------------------------
 
@@ -100,14 +144,23 @@ class Lattice:
     def leq(self, x: str, y: str) -> bool:
         return bool(self._up[self.index(x)] >> self.index(y) & 1)
 
+    def _index_masks(self) -> None:
+        """Index the principal down-sets and up-sets by mask."""
+        self._down_index = {mask: i for i, mask in enumerate(self._down)}
+        self._up_index = {mask: i for i, mask in enumerate(self._up)}
+
     def _meet_idx(self, xi: int, yi: int) -> int:
         """The element whose down-set is the common down-set, if any."""
+        if self._down_index is None:
+            self._index_masks()
         meet = self._down_index.get(self._down[xi] & self._down[yi])
         if meet is None:
             raise NotALattice(f"no meet for ({self.labels[xi]}, {self.labels[yi]})")
         return meet
 
     def _join_idx(self, xi: int, yi: int) -> int:
+        if self._up_index is None:
+            self._index_masks()
         join = self._up_index.get(self._up[xi] & self._up[yi])
         if join is None:
             raise NotALattice(f"no join for ({self.labels[xi]}, {self.labels[yi]})")
@@ -245,10 +298,7 @@ def build_from_covers(labels: Sequence[str], cover_pairs: Iterable[tuple[str, st
     Raises CycleDetected / NotReduced / NotALattice when the input is not an
     acyclic, transitively reduced cover relation of a bounded lattice.
     """
-    labels = tuple(labels)
-    if len(set(labels)) != len(labels):
-        dup = next(lab for lab in labels if labels.count(lab) > 1)
-        raise LabelClash(f"duplicate label {dup!r}")
+    labels = _distinct(labels)
     index = {lab: i for i, lab in enumerate(labels)}
     covers: set[tuple[int, int]] = set()
     for a, b in cover_pairs:
@@ -318,13 +368,17 @@ def build_from_covers(labels: Sequence[str], cover_pairs: Iterable[tuple[str, st
         raise NotALattice(f"{len(maximal)} maximal elements; need a unique top")
 
     bottom, top = minimal[0], maximal[0]
-    lat = Lattice(labels, frozenset(covers), tuple(up), tuple(down), bottom, top)
+    lat = Lattice(
+        labels, frozenset(covers), tuple(up), tuple(down), bottom, top,
+        tuple(tuple(sorted(s)) for s in uppers), tuple(tuple(sorted(s)) for s in lowers),
+    )
     # A tree under the top with a bottom below it (every lower dismantlable
     # lattice) is a lattice: each up-set is a chain to the top, so two meet
     # in the up-set of the least common ancestor, and the down-sets of two
     # incomparable elements share only the bottom.
     if all(len(uppers[i]) == 1 for i in range(n) if i != bottom and i != top):
         return lat
+    lat._index_masks()
     meets, joins = lat._down_index, lat._up_index
     for xi in range(n):
         down_x, up_x = down[xi], up[xi]
@@ -336,10 +390,20 @@ def build_from_covers(labels: Sequence[str], cover_pairs: Iterable[tuple[str, st
 
 
 def relabel(lat: Lattice, mapping: Mapping[str, str]) -> Lattice:
-    """Rebuild the lattice with every label replaced via `mapping`."""
-    new_labels = [mapping[lab] for lab in lat.labels]
-    new_covers = [(mapping[a], mapping[b]) for a, b in lat.cover_pairs()]
-    return build_from_covers(new_labels, new_covers)
+    """The same lattice with every label replaced via `mapping`: the index
+    arrays are shared, only the labels change.  Raises KeyError for a label
+    the mapping lacks and LabelClash when two labels get the same image."""
+    labels = _distinct(mapping[lab] for lab in lat.labels)
+    return Lattice(labels, lat.covers, lat._up, lat._down, lat.bottom, lat.top, lat._uppers, lat._lowers)
+
+
+def _distinct(labels: Iterable[str]) -> tuple[str, ...]:
+    """The labels as a tuple; LabelClash names the first repeated one."""
+    labels = tuple(labels)
+    if len(set(labels)) != len(labels):
+        dup = next(lab for lab in labels if labels.count(lab) > 1)
+        raise LabelClash(f"duplicate label {dup!r}")
+    return labels
 
 
 # -- classification -------------------------------------------------------------

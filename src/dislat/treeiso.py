@@ -21,7 +21,7 @@ from .errors import (
     NotInClass,
     NotLowerDismantlable,
 )
-from .lattice import Adjunction, AdjunctExpr, Lattice, _init, _Record, build_from_covers, is_lower_dismantlable
+from .lattice import Adjunction, AdjunctExpr, Lattice, _distinct, _init, _Record, is_lower_dismantlable
 from .zdg import LabeledGraph, neighborhood_partition
 
 FRESH_ROOT = "⊤"
@@ -180,13 +180,13 @@ def tree_of_lattice(lat: Lattice) -> RootedTree:
 
 def lattice_of_tree(tree: RootedTree) -> Lattice:
     """Adjoin a new bottom ``0`` under every pendant vertex of the tree; the
-    result is the lower dismantlable lattice the tree corresponds to."""
+    result is the lower dismantlable lattice the tree corresponds to.  Its
+    elements are ``0`` and then the nodes in index order, and it is filled
+    from the parent array in O(n) (`Lattice._of_tree`)."""
     if "0" in tree.labels:
         raise LabelClash("bottom label '0' already names a tree node")
-    labels = tree.labels
-    covers = [(labels[i], labels[p]) for i, p in enumerate(tree.parent) if i != tree.root]
-    covers.extend(("0", labels[i]) for i, kids in enumerate(tree._children) if not kids)
-    return build_from_covers(("0", *labels), covers)
+    labels = _distinct(("0", *tree.labels))
+    return Lattice._of_tree(labels, (0, *(p + 1 for p in tree.parent)), 0, tree.root + 1)
 
 
 # -- branch peeling and the adjunct representation ------------------------------

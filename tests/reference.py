@@ -9,6 +9,10 @@ independent references:
 - `chain_lattice` and `adjunct`: the adjunct operation, one validated
   lattice per step, and `reference_elaborate`, the fold of an `.adl`
   expression through them;
+- `reference_lattice_of_tree` and `reference_relabel`: the lattice of a
+  tree and a renamed lattice, each validated by `build_from_covers`, next
+  to the package's O(n) fills of the index arrays; `lattice_arrays` lists
+  those arrays, so that two builds can be compared field by field;
 - `peel_decomposition` and `reassemble`: part I's decomposition
   L = L1 ](0,a) C, which splits off one neighborhood class as a pendant chain,
   on `induced_sublattice`, the restriction to a subset with the induced order;
@@ -278,6 +282,30 @@ def reference_elaborate(expr):
             raise PairNotAdjunctable(f"pair references element {missing!r} not yet introduced")
         lat = adjunct(lat, chain_lattice(adj.chain), a, b)
     return lat
+
+
+def reference_lattice_of_tree(tree: RootedTree) -> Lattice:
+    """`lattice_of_tree` through `build_from_covers`: the tree's edges, and
+    the bottom ``0`` under every node that is no node's parent."""
+    if "0" in tree.labels:
+        raise LabelClash("bottom label '0' already names a tree node")
+    labels, root = tree.labels, tree.root
+    covers = [(labels[i], labels[p]) for i, p in enumerate(tree.parent) if i != root]
+    parents = {p for i, p in enumerate(tree.parent) if i != root}
+    covers.extend(("0", labels[i]) for i in range(tree.n) if i not in parents)
+    return build_from_covers(("0", *labels), covers)
+
+
+def reference_relabel(lat: Lattice, mapping: Mapping[str, str]) -> Lattice:
+    """`relabel` through `build_from_covers`: the renamed covers, validated
+    again."""
+    labels = [mapping[lab] for lab in lat.labels]
+    return build_from_covers(labels, [(mapping[a], mapping[b]) for a, b in lat.cover_pairs()])
+
+
+def lattice_arrays(lat: Lattice) -> tuple:
+    """Everything the package reads of a lattice, in its index order."""
+    return (lat.labels, lat.covers, lat._up, lat._down, lat._uppers, lat._lowers, lat.bottom, lat.top)
 
 
 # -- neighborhood classes and the peel ---------------------------------------------

@@ -225,6 +225,22 @@ class TestIso:
         assert payload["error"]["type"] == "NotInClass"
         assert payload["error"]["which"] == "first"
 
+    @pytest.mark.parametrize("which", ["first", "second"])
+    def test_one_element_lattice_not_in_class_exit_2(self, capsys, tmp_path, which):
+        """`build` answers that a one-element lattice is not lower
+        dismantlable, and `iso` refuses it as it refuses any other lattice
+        outside the class."""
+        one = tmp_path / "one.adl"
+        one.write_text("lattice L { chain 0; }\n")
+        code, payload = run_json(capsys, "build", one)
+        assert code == 0 and payload["lower_dismantlable"] is False
+        files = (one, DATA / "m2.adl") if which == "first" else (DATA / "m2.adl", one)
+        code, payload = run_json(capsys, "iso", *files, "--witness")
+        assert code == 2
+        assert payload["error"] == {
+            "type": "NotInClass", "message": f"{which} lattice is not lower dismantlable", "which": which
+        }
+
 
 class TestRecognize:
     def test_c4_round_trip(self, capsys, tmp_path):

@@ -21,8 +21,12 @@ from dislat import (
     serialize,
     zero_divisor_graph,
 )
+from dislat.dsl import _elaborate_general, _elaborate_tree
 from dislat.lattice import _bits
-from tests.reference import adjunct, chain_lattice, lt, reference_elaborate, reference_parse
+from dislat.oracle import enumerate_lower_dismantlable
+from dislat.treeiso import RootedTree, lattice_of_tree
+from tests.reference import adjunct, chain_lattice, lattice_arrays, lt, reference_elaborate, reference_parse
+from tests.test_treeiso import random_parents
 
 EX2_SRC = (
     "lattice ex2 { chain 0 a3 a5 a8 one; adjoin (0, a8): a2 a6; "
@@ -150,10 +154,12 @@ class TestSerialize:
         assert parse(serialize(expr)) == expr
 
 
-def random_expr(rng):
+def random_expr(rng, bottom_only=False):
     """An expression with general pairs; some break a precondition: an empty
     or repeating chain, a pair that is not a < b, a cover, or names an element
-    not yet introduced, or a chain that reuses a host label."""
+    not yet introduced, or a chain that reuses a host label.  With
+    `bottom_only` the base is not empty and every pair starts at its first
+    element, the bottom, as `elaborate`'s tree path needs."""
     introduced = []
 
     def chain(k):
@@ -168,13 +174,13 @@ def random_expr(rng):
                 out.append(f"c{rng.randrange(10**6)}")
         return tuple(out)
 
-    base = chain(rng.choice([0, 1, 2, 3, 3, 4, 5, 6]))
+    base = chain(rng.choice([1, 2, 3, 3, 4, 5, 6] if bottom_only else [0, 1, 2, 3, 3, 4, 5, 6]))
     introduced.extend(base)
     adjunctions = []
     for _ in range(rng.randrange(6)):
         pool = introduced if introduced and rng.random() < 0.95 else ["zz", *introduced]
         a, b = rng.choice(pool), rng.choice(pool)
-        if base and rng.random() < 0.4:
+        if base and (bottom_only or rng.random() < 0.4):
             a = base[0]
         c = chain(rng.choice([0, 1, 1, 1, 2, 2, 3, 3]))
         adjunctions.append(Adjunction(pair=(a, b), chain=c))
@@ -208,6 +214,14 @@ def outcome(fn, expr):
     except DislatError as exc:
         return type(exc), str(exc)
     return lat.labels, lat.cover_pairs()
+
+
+def arrays_outcome(fn, expr):
+    """The error, or every array of the lattice built."""
+    try:
+        return lattice_arrays(fn(expr))
+    except DislatError as exc:
+        return type(exc), str(exc)
 
 
 class TestElaborate:
@@ -265,8 +279,64 @@ class TestElaborate:
         assert lt(lat, "x", "z") and lt(lat, "z", "y")
 
     def test_full_round_trip_on_enumeration(self):
-        from dislat.oracle import enumerate_lower_dismantlable
-
         for lat in enumerate_lower_dismantlable(8):
             expr = adjunct_representation(lat)
             assert elaborate(parse(serialize(expr))) == lat
+
+
+def random_tree(rng, n):
+    """A random recursive tree on n nodes with shuffled labels t0, t1, ..."""
+    labels = [f"t{i}" for i in range(n)]
+    rng.shuffle(labels)
+    return RootedTree(labels=tuple(labels), parent=tuple(random_parents(rng, n)), root=0)
+
+
+class TestTreePath:
+    """`elaborate` on expressions whose pairs all start at the bottom builds
+    the lattice from its tree.  It must agree, array by array and error by
+    error, with the general path, which validates through
+    `build_from_covers`, and with the per-step fold."""
+
+    @staticmethod
+    def kind(got):
+        """The error kind an outcome shows, or 'ok'."""
+        if not isinstance(got[0], type):
+            return "ok"
+        if got[0] is PairNotAdjunctable:
+            for word in ("is covered by", "need", "not yet introduced"):
+                if word in got[1]:
+                    return word
+        return got[0].__name__
+
+    def test_bottom_only_exprs_match_general_path_and_fold(self):
+        kinds = set()
+        for seed in range(3000):
+            expr = random_expr(random.Random(seed), bottom_only=True)
+            got = arrays_outcome(_elaborate_tree, expr)
+            assert got == arrays_outcome(_elaborate_general, expr), expr
+            assert got == arrays_outcome(elaborate, expr)
+            assert outcome(_elaborate_tree, expr) == outcome(reference_elaborate, expr), expr
+            kinds.add(self.kind(got))
+        assert kinds == {
+            "ok", "is covered by", "need", "not yet introduced", "LabelClash", "NotALattice"
+        }
+
+    def test_adjunct_representation_of_every_lattice_up_to_10(self):
+        for lat in enumerate_lower_dismantlable(10):
+            expr = adjunct_representation(lat)
+            built = _elaborate_tree(expr)
+            assert lattice_arrays(built) == lattice_arrays(_elaborate_general(expr))
+            assert built == lat
+
+    def test_random_trees(self):
+        rng = random.Random(19)
+        for _ in range(200):
+            lat = lattice_of_tree(random_tree(rng, rng.randrange(1, 120)))
+            expr = adjunct_representation(lat)
+            assert lattice_arrays(_elaborate_tree(expr)) == lattice_arrays(_elaborate_general(expr))
+
+    def test_one_element(self):
+        expr = AdjunctExpr(base=("0",))
+        built = elaborate(expr)
+        assert lattice_arrays(built) == lattice_arrays(_elaborate_general(expr))
+        assert (built.n, built.bottom, built.top, built.covers) == (1, 0, 0, frozenset())

@@ -49,6 +49,20 @@ class order and its `has_adjunct` flags.  These were written while the peel
 still rebuilt its child lists from a label -> label parent dict:
 
     dislat --json analyze F.adl              > F.analyze.json
+Every file above is lower dismantlable, so `.adl` elaboration builds it from
+its tree.  general.adl is a dismantlable lattice outside that class, with
+the pair (a, c) away from the bottom, so its outputs pin the general path
+that validates through `build_from_covers`:
+
+    dislat --json build general.adl          > general.build.json
+    dislat build general.adl                 > general.build.txt
+    dislat --json zdg general.adl            > general.zdg.json
+    dislat --json analyze general.adl        > general.analyze.json
+
+and `dislat --json build F.adl > F.build.json` pins the lattices of the
+other fixtures, for F in cbt15, cbt15_shuffled, swap7, swap7_shuffled,
+fig2_shuffled, m2, m3, negssc and chain4.  These were written while every
+`.adl` was still elaborated through `build_from_covers`.
 Two `--json build` outputs pin DSL diagnostics and exit 2: bad_char.adl has
 a character no token starts with, and trailing_comment.adl ends in a comment
 where ';' is expected, which is reported at the comment's '#'.
@@ -88,6 +102,12 @@ for name in ("cbt15_shuffled", "swap7_shuffled"):
 for name in ("fig2", "ex2", "k22"):
     COMMANDS[f"{name}.build.json"] = ["--json", "build", DATA / f"{name}.adl"]
     COMMANDS[f"{name}.build.txt"] = ["build", DATA / f"{name}.adl"]
+COMMANDS["general.build.json"] = ["--json", "build", DATA / "general.adl"]
+COMMANDS["general.build.txt"] = ["build", DATA / "general.adl"]
+COMMANDS["general.zdg.json"] = ["--json", "zdg", DATA / "general.adl"]
+COMMANDS["general.analyze.json"] = ["--json", "analyze", DATA / "general.adl"]
+for name in ("cbt15", "cbt15_shuffled", "swap7", "swap7_shuffled", "fig2_shuffled", "m2", "m3", "negssc", "chain4"):
+    COMMANDS[f"{name}.build.json"] = ["--json", "build", DATA / f"{name}.adl"]
 EXIT_CODES = {}
 for name in ("bad_char", "trailing_comment"):
     COMMANDS[f"{name}.build.json"] = ["--json", "build", DATA / f"{name}.adl"]

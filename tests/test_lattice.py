@@ -18,17 +18,21 @@ from dislat import (
     classify,
     elaborate,
     is_lower_dismantlable,
+    parse,
 )
 from dislat.lattice import relabel
 from dislat.oracle import enumerate_lower_dismantlable
+from tests.conftest import random_dismantlable
 from tests.reference import (
     adjunct,
     adjunct_pair_multiset,
     chain_lattice,
     comparable,
     induced_sublattice,
+    lattice_arrays,
     lower_covers,
     lt,
+    reference_relabel,
 )
 
 M2_COVERS = [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")]
@@ -406,6 +410,49 @@ class TestHelpers:
     def test_relabel(self, m2):
         swapped = relabel(m2, {"0": "0", "a": "b", "b": "a", "one": "one"})
         assert swapped == m2  # symmetric diamond
+
+
+class TestRelabel:
+    """`relabel` renames over the same index arrays; the reference renames
+    the covers and validates them again with `build_from_covers`."""
+
+    def test_matches_validated_build(self):
+        rng = random.Random(19)
+        lats = [*enumerate_lower_dismantlable(9), *(random_dismantlable(rng) for _ in range(150))]
+        for lat in lats:
+            image = [f"x{k}" for k in range(lat.n)]
+            rng.shuffle(image)
+            mapping = dict(zip(lat.labels, image))
+            renamed = relabel(lat, mapping)
+            assert lattice_arrays(renamed) == lattice_arrays(reference_relabel(lat, mapping))
+            x, y = rng.choice(lat.labels), rng.choice(lat.labels)
+            assert renamed.meet(mapping[x], mapping[y]) == mapping[lat.meet(x, y)]
+
+    def test_mapping_not_injective(self, m2):
+        mapping = {"0": "0", "a": "b", "b": "b", "one": "one"}
+        with pytest.raises(LabelClash) as got:
+            relabel(m2, mapping)
+        with pytest.raises(LabelClash) as want:
+            reference_relabel(m2, mapping)
+        assert str(got.value) == str(want.value) == "duplicate label 'b'"
+
+    def test_missing_label(self, m2):
+        mapping = {"0": "0", "a": "b", "b": "a"}
+        with pytest.raises(KeyError) as got:
+            relabel(m2, mapping)
+        with pytest.raises(KeyError) as want:
+            reference_relabel(m2, mapping)
+        assert got.value.args == want.value.args == ("one",)
+
+
+class TestMaskIndexes:
+    def test_built_on_first_meet_or_join(self):
+        for op in ("meet", "join"):
+            lat = elaborate(parse("lattice m3 { chain 0 a one; adjoin (0, one): b; adjoin (0, one): c; }"))
+            assert lat._down_index is None and lat._up_index is None
+            assert getattr(lat, op)("a", "b") == ("0" if op == "meet" else "one")
+            assert lat._down_index == {mask: i for i, mask in enumerate(lat._down)}
+            assert lat._up_index == {mask: i for i, mask in enumerate(lat._up)}
 
     def test_induced_sublattice_orders(self, ex2):
         sub = induced_sublattice(ex2, [x for x in ex2.labels if x != "a4"])

@@ -10,6 +10,7 @@ from dislat import (
     DislatError,
     HypothesisViolated,
     IsoWitness,
+    LabelClash,
     LabeledGraph,
     NotInClass,
     NoSuchElement,
@@ -42,7 +43,9 @@ from tests.reference import (
     is_ancestor,
     leaves,
     lower_covers,
+    lattice_arrays,
     preorder_intervals,
+    reference_lattice_of_tree,
     reference_lift,
     relabeled_tree,
 )
@@ -124,6 +127,35 @@ class TestLatticeOfTree:
             lat = lattice_of_tree(tree)
             back = tree_of_lattice(lat)
             assert back.parent_map() == tree.parent_map()
+
+    def test_matches_validated_build(self):
+        """Every array equals that of the build through `build_from_covers`,
+        on every tree of at most 9 nodes and on random trees whose nodes are
+        renumbered, so that neither the root nor the breadth-first order
+        follows the index order."""
+        rng = random.Random(19)
+        trees = list(enumerate_rooted_trees(9))
+        for n in (*range(1, 60), 150, 400):
+            parents, where = random_parents(rng, n), list(range(n))
+            rng.shuffle(where)  # node i of the random tree is node where[i]
+            parent = [0] * n
+            for i, p in enumerate(parents):
+                parent[where[i]] = where[p]
+            trees.append(RootedTree(labels=tuple(f"v{k}" for k in range(n)), parent=tuple(parent), root=where[0]))
+        for tree in trees:
+            assert lattice_arrays(lattice_of_tree(tree)) == lattice_arrays(reference_lattice_of_tree(tree))
+
+    @pytest.mark.parametrize(
+        "tree",
+        [RootedTree.from_parents({"r": None, "0": "r"}), RootedTree(labels=("a", "b", "a"), parent=(0, 0, 1), root=0)],
+        ids=["zero-label", "repeated-label"],
+    )
+    def test_label_clash_as_validated_build(self, tree):
+        with pytest.raises(LabelClash) as got:
+            lattice_of_tree(tree)
+        with pytest.raises(LabelClash) as want:
+            reference_lattice_of_tree(tree)
+        assert str(got.value) == str(want.value)
 
 
 class TestNonAncestorGraph:
