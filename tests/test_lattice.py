@@ -411,6 +411,11 @@ class TestHelpers:
         swapped = relabel(m2, {"0": "0", "a": "b", "b": "a", "one": "one"})
         assert swapped == m2  # symmetric diamond
 
+    def test_induced_sublattice_orders(self, ex2):
+        sub = induced_sublattice(ex2, [x for x in ex2.labels if x != "a4"])
+        assert sub.n == ex2.n - 1
+        assert sub.leq("a3", "a5")
+
 
 class TestRelabel:
     """`relabel` renames over the same index arrays; the reference renames
@@ -453,8 +458,3 @@ class TestMaskIndexes:
             assert getattr(lat, op)("a", "b") == ("0" if op == "meet" else "one")
             assert lat._down_index == {mask: i for i, mask in enumerate(lat._down)}
             assert lat._up_index == {mask: i for i, mask in enumerate(lat._up)}
-
-    def test_induced_sublattice_orders(self, ex2):
-        sub = induced_sublattice(ex2, [x for x in ex2.labels if x != "a4"])
-        assert sub.n == ex2.n - 1
-        assert sub.leq("a3", "a5")
