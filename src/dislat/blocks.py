@@ -123,8 +123,6 @@ def basic_block(lat: Lattice) -> Lattice:
     wait in a list sorted by label, and an entry of one that is no longer
     deletable is skipped when it comes up.
     """
-    if lat.n < 2:
-        raise HypothesisViolated("basic block needs at least 2 elements")
     labels = lat.labels
     uppers, lowers = _cover_masks(lat)
     full = survivors = (1 << lat.n) - 1

@@ -61,7 +61,7 @@ def _emit(payload: dict, args, text: str | None = None) -> None:
 def cmd_build(args) -> int:
     lat = _load_lattice(args.file)
     cls = classify(lat)
-    lower = lat.n >= 2 and is_lower_dismantlable(lat)
+    lower = is_lower_dismantlable(lat)
     payload = {
         "command": "build",
         "n": lat.n,
@@ -136,7 +136,7 @@ def cmd_analyze(args) -> int:
 def cmd_iso(args) -> int:
     lat1, lat2 = _load_lattice(args.file_a), _load_lattice(args.file_b)
     for which, lat in (("first", lat1), ("second", lat2)):
-        if lat.n < 2 or not is_lower_dismantlable(lat):
+        if not is_lower_dismantlable(lat):
             raise NotInClass(f"{which} lattice is not lower dismantlable", which=which)
     (code1, order1), (code2, order2) = (treeiso._canonical(treeiso.tree_of_lattice(lat)) for lat in (lat1, lat2))
     isomorphic = code1 == code2
@@ -351,7 +351,7 @@ class _T1(_Suite):
         self.numbers_of_code.setdefault(treeiso.canonical_code(treeiso.recognize(item.graph)), []).append(j)
         code = treeiso.canonical_code(treeiso.recognize(zdg.zero_divisor_graph(relab)))
         equal = self.numbers_of_code.get(code, [])  # the i whose code is that of relabeled lattice j
-        bucket = self.buckets.get(oracle.lattice_iso_key(relab), {})
+        bucket = self.buckets[key]  # relab shares lat's index arrays, so its key is key
         # a violation has fast != slow: equal codes outside the bucket, or brute force disagreeing within it
         bad = [i for i in equal if i not in bucket]
         bad += [i for i, lat_i in bucket.items() if (i in equal) == (oracle.brute_lattice_iso(lat_i, relab) is None)]

@@ -25,7 +25,6 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     CycleDetected,
-    HypothesisViolated,
     LabelClash,
     NoSuchElement,
     NotALattice,
@@ -443,8 +442,7 @@ def is_lower_dismantlable(lat: Lattice) -> bool:
 
     Each of those n - 2 elements lies below the top, so it has at least one
     upper cover; they have exactly one each when the covers that do not
-    start at the bottom number n - 2.
+    start at the bottom number n - 2.  A one-element lattice has no cover,
+    so it is not lower dismantlable.
     """
-    if lat.n < 2:
-        raise HypothesisViolated("lower dismantlability needs at least 2 elements")
     return len(lat.covers) - len(lat._uppers[lat.bottom]) == lat.n - 2

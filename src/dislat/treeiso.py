@@ -2,14 +2,15 @@
 of a tree and the adjunct representation read off it, non-ancestor graphs,
 canonical codes, recognition of non-ancestor graphs, and the constructive
 isomorphism pipeline: a graph isomorphism between zero-divisor graphs is
-lifted, one neighborhood class at a time, to a full lattice isomorphism.
+lifted, one neighborhood class at a time, to a full lattice isomorphism,
+and only the lifted map is checked: it is an order isomorphism exactly when
+the graph map is a graph isomorphism (lemma in `lift_to_lattice_iso`).
 Without the hypothesis of a join-reducible top, a lattice isomorphism is
 read off the two lattices' trees instead."""
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from operator import itemgetter
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -117,31 +118,6 @@ class IsoWitness(_Record):
 
     def to_json_obj(self) -> dict:
         return {"kind": self.kind, "map": {k: self.mapping[k] for k in sorted(self.mapping)}}
-
-
-def _select_bits(masks: Sequence[int], order: Sequence[int], width: int) -> list[int]:
-    """Rows order[0], order[1], ... of `masks` (each below 2**width), cut
-    down to the bits in `order` and renumbered by it: bit r of row k is bit
-    order[r] of masks[order[k]].  One pass over the binary digits per row."""
-    if not order:
-        return []
-    pick = itemgetter(*[width - 1 - j for j in reversed(order)])
-    digits = f"0{width}b"
-    return [int("".join(pick(format(masks[i], digits))), 2) for i in order]
-
-
-def check_graph_iso(g1: LabeledGraph, g2: LabeledGraph, mapping: Mapping[str, str]) -> bool:
-    """Whether `mapping` is a bijection from the vertices of g1 onto those of
-    g2 that carries the edge set of g1 onto that of g2, which is to say that
-    it preserves adjacency both ways: the masks of g1, renumbered so that
-    position r holds the vertex that goes to the r-th vertex of g2, are
-    those of g2."""
-    if set(mapping) != set(g1.vertices) or set(mapping.values()) != set(g2.vertices):
-        return False
-    if len(set(mapping.values())) != len(mapping):
-        return False
-    source = {w: g1.index(v) for v, w in mapping.items()}
-    return _select_bits(g1.masks, [source[w] for w in g2.vertices], g1.n) == list(g2.masks)
 
 
 def check_lattice_iso(l1: Lattice, l2: Lattice, mapping: Mapping[str, str]) -> bool:
@@ -439,14 +415,25 @@ def lift_to_lattice_iso(
     with or without them.  It agrees with the swapped map on the adjunct
     elements below the top: both send the bottom of a class to the bottom
     of its image.
+
+    phi itself is checked only for its vertex sets; the lifted map is then
+    checked by `check_lattice_iso`, which is the whole check by this lemma.
+    With join-reducible tops and phi a bijection from V(g1) onto V(g2), the
+    lift psi is an order isomorphism iff phi is a graph isomorphism.  (<=)
+    is the paper's theorem.  (=>) An order isomorphism keeps the bottom and
+    meets, so psi restricted to the vertices, which are all elements but
+    the extremes, is a graph isomorphism g1 -> g2.  psi maps each class C
+    onto phi(C), so phi = psi . pi with pi permuting vertices within
+    classes only; class-mates have equal neighborhoods, so pi is an
+    automorphism of g1 and phi a graph isomorphism.
     """
     if phi.kind != "graph-iso":
         raise HypothesisViolated("lift needs a graph isomorphism witness")
     _require_top_adjunct(l1, "first")
     _require_top_adjunct(l2, "second")
-    mapping = dict(phi.mapping)
-    if not check_graph_iso(g1, g2, mapping):
-        raise InternalInconsistency("phi is not an isomorphism of the zero-divisor graphs")
+    mapping = phi.mapping
+    if set(mapping) != set(g1.vertices) or set(mapping.values()) != set(g2.vertices):
+        raise InternalInconsistency("phi does not map the vertices of the first graph onto those of the second")
 
     psi = {l1.bottom_label: l2.bottom_label, l1.top_label: l2.top_label}
     for block in neighborhood_partition(g1):

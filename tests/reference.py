@@ -21,6 +21,10 @@ independent references:
   elements (`adjunct_vertices`) to adjunct elements;
 - `reference_lift`: the recursive lift of an adjunct-preserving isomorphism
   of zero-divisor graphs, peeling one class from both lattices per level;
+- `check_graph_iso`: whether a map is an isomorphism of zero-divisor
+  graphs, by renumbering the neighbour masks of one graph digit by digit
+  (`_select_bits`); the package checks only the lifted lattice map, which
+  by the lemma of `lift_to_lattice_iso` fails exactly when this does;
 - `brute_graph_iso_all` and `brute_graph_iso`: the backtracking
   graph-isomorphism search;
 - `brute_lattice_iso_all`: the backtracking lattice-isomorphism search on
@@ -54,6 +58,7 @@ independent references:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from dislat import (
@@ -84,7 +89,7 @@ from dislat.errors import (
 )
 from dislat.lattice import _bits
 from dislat.oracle import DEFAULT_BUDGET
-from dislat.treeiso import FRESH_ROOT, RootedTree, _require_top_adjunct, check_graph_iso
+from dislat.treeiso import FRESH_ROOT, RootedTree, _require_top_adjunct
 from dislat.zdg import LabeledGraph, complement_clique_parts, neighborhood_partition, zero_divisor_graph
 
 
@@ -556,11 +561,10 @@ def member_sets(partition: ClassPartition) -> set[frozenset[str]]:
 
 def label_is_lower_dismantlable(lat: Lattice) -> bool:
     """`is_lower_dismantlable` as one `upper_covers` tuple per element other
-    than the bottom and the top, each of which must have length 1."""
-    if lat.n < 2:
-        raise HypothesisViolated("lower dismantlability needs at least 2 elements")
+    than the bottom and the top, each of which must have length 1.  One
+    element is both the bottom and the top, and is not in the class."""
     extremes = (lat.bottom_label, lat.top_label)
-    return all(len(upper_covers(lat, x)) == 1 for x in lat.labels if x not in extremes)
+    return lat.n > 1 and all(len(upper_covers(lat, x)) == 1 for x in lat.labels if x not in extremes)
 
 
 def label_classify(lat: Lattice) -> ElementClassification:
@@ -689,6 +693,31 @@ def reference_peel(parent: Mapping[str, str | None]) -> list[tuple[int, tuple[st
 
 
 # -- the graph-isomorphism search ----------------------------------------------------
+
+
+def _select_bits(masks: Sequence[int], order: Sequence[int], width: int) -> list[int]:
+    """Rows order[0], order[1], ... of `masks` (each below 2**width), cut
+    down to the bits in `order` and renumbered by it: bit r of row k is bit
+    order[r] of masks[order[k]].  One pass over the binary digits per row."""
+    if not order:
+        return []
+    pick = itemgetter(*[width - 1 - j for j in reversed(order)])
+    digits = f"0{width}b"
+    return [int("".join(pick(format(masks[i], digits))), 2) for i in order]
+
+
+def check_graph_iso(g1: LabeledGraph, g2: LabeledGraph, mapping: Mapping[str, str]) -> bool:
+    """Whether `mapping` is a bijection from the vertices of g1 onto those of
+    g2 that carries the edge set of g1 onto that of g2, which is to say that
+    it preserves adjacency both ways: the masks of g1, renumbered so that
+    position r holds the vertex that goes to the r-th vertex of g2, are
+    those of g2."""
+    if set(mapping) != set(g1.vertices) or set(mapping.values()) != set(g2.vertices):
+        return False
+    if len(set(mapping.values())) != len(mapping):
+        return False
+    source = {w: g1.index(v) for v, w in mapping.items()}
+    return _select_bits(g1.masks, [source[w] for w in g2.vertices], g1.n) == list(g2.masks)
 
 
 def brute_graph_iso_all(
@@ -877,8 +906,6 @@ def edge_walking_recognize(graph) -> RootedTree | None:
 def rescan_basic_block(lat: Lattice) -> Lattice:
     """Delete the smallest-label deletable element until none is left,
     finding the deletable ones among all survivors every time."""
-    if lat.n < 2:
-        raise HypothesisViolated("basic block needs at least 2 elements")
     uppers, lowers = _cover_masks(lat)
     full = survivors = (1 << lat.n) - 1
     while deletable := _deletable(lat, uppers, lowers, survivors):

@@ -149,6 +149,10 @@ class TestBasicBlock:
     def test_m2_fixed(self, m2):
         assert basic_block(m2) == m2
 
+    def test_one_element_is_its_own_block(self):
+        one = build_from_covers(["0"], [])
+        assert basic_block(one) is one and rescan_basic_block(one) is one
+
     def test_chain_reduces_to_two_elements(self, chain4):
         block = basic_block(chain4)
         assert block.n == 2

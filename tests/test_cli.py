@@ -227,13 +227,18 @@ class TestIso:
 
     @pytest.mark.parametrize("which", ["first", "second"])
     def test_one_element_lattice_not_in_class_exit_2(self, capsys, tmp_path, which):
-        """`build` answers that a one-element lattice is not lower
-        dismantlable, and `iso` refuses it as it refuses any other lattice
-        outside the class."""
+        """`build` and `analyze` answer that a one-element lattice is not
+        lower dismantlable, and `iso` refuses it as it refuses any other
+        lattice outside the class."""
         one = tmp_path / "one.adl"
         one.write_text("lattice L { chain 0; }\n")
         code, payload = run_json(capsys, "build", one)
         assert code == 0 and payload["lower_dismantlable"] is False
+        code, payload = run_json(capsys, "analyze", one)
+        assert code == 0 and payload["lower_dismantlable"] is False
+        assert payload["ssc"] is None and payload["ssc_hypothesis_violated"] == "not lower dismantlable"
+        assert payload["tree_classes"] is None
+        assert (payload["basic_block_size"], payload["zdg_classes"]) == (1, [])
         files = (one, DATA / "m2.adl") if which == "first" else (DATA / "m2.adl", one)
         code, payload = run_json(capsys, "iso", *files, "--witness")
         assert code == 2

@@ -35,7 +35,18 @@ route whose graph isomorphism does not map adjunct elements to adjunct
 elements: `graph_iso` sends the adjunct element n2 to w3, the top of its
 image class {w1, w3}, whose adjunct element is w1.  The swap7 witness was
 written while `iso --witness` still swapped n2's and n1's images before
-lifting, so it pins that the lift needs no such swap.
+lifting, so it pins that the lift needs no such swap.  A larger pair pins
+the zdg-lift route at about a thousand elements, written while the lift
+still checked its input map with `check_graph_iso`:
+
+    dislat --json iso rrt1025.adl rrt1025_relabeled.adl --witness > rrt1025.iso_witness.json
+
+rrt1025 is the 1,025-element lattice of a random recursive tree on 1,024
+nodes (`bench/inputs.py`: `rng = random.Random(1024)`, then
+`random_recursive(rng, 1024)`, `labelled(rng, parent, "e")` and
+`labelled(rng, parent, "w")`, and `to_adl` of each with the same `rng`),
+so `_relabeled` has the same tree under labels w0..w1023 and another
+adjunct representation.
 Two graphs with shuffled labels pin `recognize` where degree ties break by
 label in an order unrelated to the tree, written while `recognize` still
 renumbered the masks by rank and counted the edges:
@@ -58,6 +69,11 @@ that validates through `build_from_covers`:
     dislat build general.adl                 > general.build.txt
     dislat --json zdg general.adl            > general.zdg.json
     dislat --json analyze general.adl        > general.analyze.json
+
+The one-element lattice one.adl is outside the class, and `analyze` says
+so like `build` (written when `basic_block` stopped refusing it):
+
+    dislat --json analyze one.adl            > one.analyze.json
 
 and `dislat --json build F.adl > F.build.json` pins the lattices of the
 other fixtures, for F in cbt15, cbt15_shuffled, swap7, swap7_shuffled,
@@ -95,6 +111,9 @@ for name in ("cbt15", "fig2", "swap7"):
     COMMANDS[f"{name}.shuffled.iso_witness.json"] = [
         "--json", "iso", DATA / f"{name}.adl", DATA / f"{name}_shuffled.adl", "--witness"
     ]
+COMMANDS["rrt1025.iso_witness.json"] = [
+    "--json", "iso", DATA / "rrt1025.adl", DATA / "rrt1025_relabeled.adl", "--witness"
+]
 for name in ("cbt15_shuffled", "swap7_shuffled"):
     COMMANDS[f"{name}.zdg.json"] = ["--json", "zdg", DATA / f"{name}.adl"]
     COMMANDS[f"{name}.recognize.json"] = ["--json", "recognize", GOLDEN / f"{name}.zdg.json"]
@@ -106,6 +125,7 @@ COMMANDS["general.build.json"] = ["--json", "build", DATA / "general.adl"]
 COMMANDS["general.build.txt"] = ["build", DATA / "general.adl"]
 COMMANDS["general.zdg.json"] = ["--json", "zdg", DATA / "general.adl"]
 COMMANDS["general.analyze.json"] = ["--json", "analyze", DATA / "general.adl"]
+COMMANDS["one.analyze.json"] = ["--json", "analyze", DATA / "one.adl"]
 for name in ("cbt15", "cbt15_shuffled", "swap7", "swap7_shuffled", "fig2_shuffled", "m2", "m3", "negssc", "chain4"):
     COMMANDS[f"{name}.build.json"] = ["--json", "build", DATA / f"{name}.adl"]
 EXIT_CODES = {}

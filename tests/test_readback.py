@@ -31,7 +31,7 @@ from unittest import mock
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dislat import LabeledGraph, cli, elaborate, explore_deletion_orders, oracle, parse, zdg
+from dislat import LabeledGraph, cli, elaborate, explore_deletion_orders, lattice, oracle, parse, treeiso, zdg
 from dislat.treeiso import non_ancestor_graph, tree_of_lattice
 from tests.test_fuzz_cli import FUZZ, random_graph, tree_graph
 
@@ -140,13 +140,15 @@ def test_verify_lattice_reads_back(suite, max_nodes, seed, root_min, k):
     assert read_back(result["first_counterexample"]["lattice"]) == flag.flagged
 
 
-@given(mode=st.sampled_from(["brute", "key"]), **VERIFY)
+@given(mode=st.sampled_from(["brute", "code"]), **VERIFY)
 @FUZZ
 def test_verify_t1_pair_reads_back(mode, max_nodes, seed, root_min, k):
     """t1 on a pair brute force gets wrong, within a bucket, or on a
-    lattice whose relabelled copy is keyed into another bucket, where t1
-    builds `first` again from the enumeration."""
+    relabelled copy whose code is made that of the lattice before it, which
+    lies in another bucket when the size or the key changes between them;
+    there t1 builds `first` again from the enumeration."""
     pairs = []
+    copies = []  # (lattice, its relabelled copy), in t1's order
     if mode == "brute":
         def of_pair(lat_i, relab):
             pairs.append((lat_i, relab))
@@ -155,19 +157,24 @@ def test_verify_t1_pair_reads_back(mode, max_nodes, seed, root_min, k):
         target, real = "dislat.oracle.brute_lattice_iso", oracle.brute_lattice_iso
         failing = lambda r: None if r is not None else object()  # noqa: E731
     else:
-        keyed = []
+        codes = []
 
-        def of_pair(lat):  # every other call keys a relabelled copy, after its lattice
-            keyed.append(lat)
-            if len(keyed) % 2:
+        def of_pair(tree):  # every other call codes a relabelled copy, after its lattice
+            codes.append(real(tree))
+            if len(codes) % 2 or len(copies) < 2:
                 return None
-            pairs.append((keyed[-2], lat))
-            return lat
+            pairs.append((copies[-2][0], copies[-1][1]))
+            return pairs[-1]
 
-        target, real = "dislat.oracle.lattice_iso_key", oracle.lattice_iso_key
-        failing = lambda key: (*key, "moved")  # noqa: E731
+        target, real = "dislat.treeiso.canonical_code", treeiso.canonical_code
+        failing = lambda code: codes[-4]  # noqa: E731  (the code of the lattice before)
+
+    def relabel(lat, mapping):
+        copies.append((lat, lattice.relabel(lat, mapping)))
+        return copies[-1][1]
+
     flag = FlagKth(real, k, of_pair, failing)
-    with mock.patch(target, flag):
+    with mock.patch(target, flag), mock.patch("dislat.cli.relabel", relabel):
         argv = ["--json", "--seed", str(seed), "verify", "--suite", "t1", "--max-nodes", str(max_nodes),
                 "--root-min-children", str(root_min)]
         result = json.loads(run_output(argv))["suites"]["t1"]

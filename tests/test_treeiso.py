@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import pytest
@@ -29,7 +30,7 @@ from dislat import (
 )
 from dislat.lattice import relabel
 from dislat.oracle import brute_lattice_iso, enumerate_lower_dismantlable, enumerate_rooted_trees
-from dislat.treeiso import FRESH_ROOT, _canonical, check_graph_iso, check_lattice_iso, tree_from_code, tree_match_iso
+from dislat.treeiso import FRESH_ROOT, _canonical, check_lattice_iso, tree_from_code, tree_match_iso
 from tests.conftest import random_dismantlable, shuffled_copy
 from tests.reference import (
     SetGraph,
@@ -37,6 +38,7 @@ from tests.reference import (
     brute_graph_iso,
     brute_graph_iso_all,
     chain_lattice,
+    check_graph_iso,
     children,
     comparable,
     edge_walking_recognize,
@@ -775,6 +777,68 @@ class TestLiftToLatticeIso:
             psi = lift_ignoring_alignment(lat, other, g1, g2, f)
             assert psi.mapping == reference_lift(lat, other, align_adjuncts(lat, other, g1, g2, f).mapping)
 
+
+class TestLiftLemma:
+    """The lift checks only its result.  With join-reducible tops and phi a
+    bijection of the vertices, the lifted map is an order isomorphism
+    exactly when phi is a graph isomorphism, so the lift raises
+    `InternalInconsistency` exactly when `check_graph_iso` rejects phi."""
+
+    @staticmethod
+    def sweep(l1, l2):
+        """Lift every bijection from the vertices of l1's graph onto those of
+        l2's; the number of graph isomorphisms among them."""
+        from dislat import InternalInconsistency
+
+        g1, g2 = zero_divisor_graph(l1), zero_divisor_graph(l2)
+        isomorphisms = 0
+        for image in itertools.permutations(g2.vertices):
+            mapping = dict(zip(g1.vertices, image))
+            want = check_graph_iso(g1, g2, mapping)
+            try:
+                psi = lift_to_lattice_iso(l1, l2, g1, g2, IsoWitness("graph-iso", mapping))
+            except InternalInconsistency as exc:
+                assert not want and str(exc) == "lifted map is not an order isomorphism"
+            else:
+                assert want and check_lattice_iso(l1, l2, psi.mapping)
+            isomorphisms += want
+        return isomorphisms
+
+    def test_every_bijection_onto_itself(self):
+        """The 21,614 vertex bijections of the 47 lattices of at most 8
+        elements with a join-reducible top."""
+        lats = list(enumerate_lower_dismantlable(8, root_min_children=2))
+        assert len(lats) == 47
+        counts = [self.sweep(lat, lat) for lat in lats]
+        assert all(counts)  # the identity, at least
+
+    def test_every_bijection_between_relabeled_lattices_of_one_size(self):
+        """The 15,146 bijections from each lattice of at most 7 elements with
+        a join-reducible top onto a relabeled copy of each of the same size,
+        itself included."""
+        rng = random.Random(20)
+        lats = list(enumerate_lower_dismantlable(7, root_min_children=2))
+        pairs = [(a, shuffled_copy(b, rng)) for a in lats for b in lats if a.n == b.n]
+        counts = [self.sweep(a, b) for a, b in pairs]
+        assert sum(1 for c in counts if c) == len(lats)  # isomorphic exactly on the diagonal
+        assert sum(math.factorial(a.n - 2) for a, _ in pairs) == 15146
+
+    @pytest.mark.parametrize("change", ["missing", "foreign value", "foreign key"])
+    def test_a_map_off_the_vertex_sets_raises(self, k22, change):
+        from dislat import InternalInconsistency
+
+        other = relabel(k22, {"0": "0", "v": "m", "w": "n", "x": "s", "y": "t", "one": "one"})
+        g1, g2 = zero_divisor_graph(k22), zero_divisor_graph(other)
+        mapping = dict(graph_iso(g1, g2).mapping)
+        if change == "missing":
+            del mapping["v"]
+        elif change == "foreign value":
+            mapping["v"] = "v"  # a vertex of the first graph
+        else:
+            mapping["m"] = mapping.pop("v")  # a vertex of the second graph
+        with pytest.raises(InternalInconsistency) as info:
+            lift_to_lattice_iso(k22, other, g1, g2, IsoWitness("graph-iso", mapping))
+        assert str(info.value) == "phi does not map the vertices of the first graph onto those of the second"
 
 class TestTreeMatchIso:
     def test_every_lattice_against_a_relabeled_copy(self):
