@@ -49,12 +49,10 @@ from .zdg import (
     zero_divisor_graph,
 )
 from .blocks import (
-    ClassPartition,
     VertexClass,
     basic_block,
     explore_deletion_orders,
     is_ssc,
-    is_structurally_deletable,
     peel_order,
     ssc_equivalence_report,
 )
@@ -67,13 +65,11 @@ from .treeiso import (
     graph_iso,
     lattice_of_tree,
     lift_to_lattice_iso,
-    non_ancestor_graph,
     recognize,
     tree_of_lattice,
 )
 from .oracle import (
     brute_lattice_iso,
-    enumerate_lower_dismantlable,
     enumerate_rooted_trees,
 )
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 from bisect import insort
 
 from .errors import HypothesisViolated
-from .lattice import Lattice, _bits, _init, _Record, build_from_covers, classify, is_lower_dismantlable
+from .lattice import Lattice, _bits, _cover_masks, _init, _Record, build_from_covers, classify, is_lower_dismantlable
 from .treeiso import RootedTree, _peel
 from .zdg import LabeledGraph, neighborhood_partition
 
@@ -22,52 +22,11 @@ class VertexClass(_Record):
         _init(self, "has_adjunct", has_adjunct)
         _init(self, "adjunct_member", adjunct_member)
 
-
-class ClassPartition(_Record):
-    """Partition of graph vertices into neighborhood classes.
-
-    ``peel_order`` lists class indices in deletion order when produced by the
-    branch-peeling construction; ``peel_rounds`` gives each class's deletion
-    round (parallel to ``classes``).
-    """
-
-    _fields = __slots__ = ("classes", "peel_order", "peel_rounds")
-
-    def __init__(
-        self,
-        classes: tuple[VertexClass, ...],
-        peel_order: tuple[int, ...] | None = None,
-        peel_rounds: tuple[int, ...] | None = None,
-    ):
-        _init(self, "classes", classes)
-        _init(self, "peel_order", peel_order)
-        _init(self, "peel_rounds", peel_rounds)
-
     def to_json_obj(self) -> dict:
-        obj: dict = {
-            "classes": [
-                {
-                    "members": list(c.members),
-                    "has_adjunct": c.has_adjunct,
-                    "adjunct_member": c.adjunct_member,
-                }
-                for c in self.classes
-            ]
-        }
-        obj["peel_order"] = list(self.peel_order) if self.peel_order is not None else None
-        return obj
+        return {"members": list(self.members), "has_adjunct": self.has_adjunct, "adjunct_member": self.adjunct_member}
 
 
 # -- structural deletion -------------------------------------------------------
-
-
-def _cover_masks(lat: Lattice) -> tuple[list[int], list[int]]:
-    """Per element, the masks of its upper covers and of its lower covers."""
-    uppers, lowers = [0] * lat.n, [0] * lat.n
-    for u, v in lat.covers:
-        uppers[u] |= 1 << v
-        lowers[v] |= 1 << u
-    return uppers, lowers
 
 
 def _deletable(lat: Lattice, uppers: list[int], lowers: list[int], survivors: int) -> list[int]:
@@ -93,16 +52,6 @@ def _delete(uppers: list[int], lowers: list[int], x: int) -> None:
     u, v = lowers[x].bit_length() - 1, uppers[x].bit_length() - 1
     uppers[u] = uppers[u] & ~(1 << x) | 1 << v
     lowers[v] = lowers[v] & ~(1 << x) | 1 << u
-
-
-def is_structurally_deletable(lat: Lattice, x: str) -> bool:
-    """True when removing x drops the cover-graph edge count by exactly one:
-    either x is the top with a unique lower cover, or x has unique covers
-    u < x < v with nothing else strictly between u and v."""
-    i = lat.index(x)
-    if i == lat.top:
-        return lat.n >= 3 and len(lat._lowers[i]) == 1
-    return i in _deletable(lat, *_cover_masks(lat), (1 << lat.n) - 1)
 
 
 def basic_block(lat: Lattice) -> Lattice:
@@ -210,7 +159,7 @@ def ssc_equivalence_report(lat: Lattice, block: Lattice, graph: LabeledGraph) ->
 # -- neighborhood classes ----------------------------------------------------------
 
 
-def annotate_classes(lat: Lattice, graph: LabeledGraph) -> ClassPartition:
+def annotate_classes(lat: Lattice, graph: LabeledGraph) -> tuple[VertexClass, ...]:
     """Neighborhood classes of `graph` with lattice-side adjunct flags."""
     adjuncts = classify(lat).adjunct_elements
     out = []
@@ -223,32 +172,28 @@ def annotate_classes(lat: Lattice, graph: LabeledGraph) -> ClassPartition:
                 adjunct_member=inside[0] if inside else None,
             )
         )
-    return ClassPartition(classes=tuple(out))
+    return tuple(out)
 
 
 # -- branch peeling -------------------------------------------------------------
 
 
-def peel_order(tree: RootedTree) -> ClassPartition:
-    """Equivalence classes of the non-ancestor graph via branch peeling.
+def peel_order(tree: RootedTree) -> tuple[VertexClass, ...]:
+    """Equivalence classes of the non-ancestor graph via branch peeling, in
+    peel order.
 
     Round by round: every branching node none of whose proper descendants
     branches sheds each of its pendant-path branches as one class; when no
     branching node remains, each residual leg below the root is one class.
     A class holds an adjunct element exactly when its lowest node branches.
+    `treeiso._peel` gives each class's round.
     """
     has_children = {lab for lab, kids in zip(tree.labels, tree._children) if kids}
-    peeled = _peel(tree)
-    classes = tuple(
+    return tuple(
         VertexClass(
             members=tuple(sorted(path)),
             has_adjunct=path[-1] in has_children,
             adjunct_member=path[-1] if path[-1] in has_children else None,
         )
-        for _, path in peeled
-    )
-    return ClassPartition(
-        classes=classes,
-        peel_order=tuple(range(len(classes))),
-        peel_rounds=tuple(round_no for round_no, _ in peeled),
+        for _, path in _peel(tree)
     )

@@ -94,7 +94,7 @@ def cmd_zdg(args) -> int:
         return EXIT_OK
     payload: dict = {"command": "zdg", "vertices": graph.vertices, "edges": graph.edges}  # printed as lists
     if graph.n == 0:
-        payload["warning"] = "zero-divisor graph is empty (the lattice is a chain)"
+        payload["warning"] = "zero-divisor graph is empty (the lattice has at most one atom)"
     _write_json(payload)
     return EXIT_OK
 
@@ -115,10 +115,10 @@ def cmd_analyze(args) -> int:
     except HypothesisViolated as exc:
         payload["ssc"] = None
         payload["ssc_hypothesis_violated"] = str(exc)
-    payload["zdg_classes"] = blocks.annotate_classes(lat, graph).to_json_obj()["classes"]
+    payload["zdg_classes"] = [c.to_json_obj() for c in blocks.annotate_classes(lat, graph)]
     if payload["lower_dismantlable"]:
-        tree = treeiso.tree_of_lattice(lat)
-        payload["tree_classes"] = blocks.peel_order(tree).to_json_obj()
+        classes = [c.to_json_obj() for c in blocks.peel_order(treeiso.tree_of_lattice(lat))]
+        payload["tree_classes"] = {"classes": classes, "peel_order": list(range(len(classes)))}
     else:
         payload["tree_classes"] = None
     text = [f"n = {lat.n}", f"basic block size = {block.n}"]
@@ -183,8 +183,7 @@ def cmd_recognize(args) -> int:
     bad = [v for v in graph.vertices if not dsl.is_element_name(v)]
     if bad:
         raise BadGraph(f"vertex label {bad[0]!r} is not an .adl element name (an identifier, not a keyword)")
-    lat = treeiso.lattice_of_tree(tree)
-    adl = _adl(lat, name="recognized")
+    adl = _adl(tree, name="recognized")
     # An isolated vertex is comparable to every other: it lies on the path
     # from the root down to the first branching node, and the printed
     # lattice's zero-divisor graph leaves it out.
@@ -228,8 +227,8 @@ class _Item:
         return zdg.zero_divisor_graph(self.lat)
 
 
-def _adl(lat: Lattice, name: str = "L") -> str:
-    return dsl.serialize(treeiso.adjunct_representation(lat, name=name))
+def _adl(tree: treeiso.RootedTree, name: str = "L") -> str:
+    return dsl.serialize(treeiso.adjunct_representation(tree, name=name))
 
 
 class _Suite:
@@ -249,7 +248,7 @@ class _Diam(_Suite):
         report = zdg.connectivity_report(item.graph)
         if not report["connected"] or report["diameter"] > 3:
             self.violations += 1
-            self.first = self.first or {"lattice": _adl(item.lat), "report": report}
+            self.first = self.first or {"lattice": _adl(item.tree), "report": report}
 
 
 def _meet_mismatch(lat: Lattice) -> str | None:
@@ -275,7 +274,7 @@ class _Lemma400(_Suite):
             bad = f"|V| = {item.graph.n} but |L| - 2 = {lat.n - 2}"
         if bad:
             self.violations += 1
-            self.first = self.first or {"lattice": _adl(lat), "reason": bad}
+            self.first = self.first or {"lattice": _adl(item.tree), "reason": bad}
 
 
 class _Thm704(_Suite):
@@ -299,7 +298,7 @@ class _Thm704(_Suite):
         self.checked += 1
         if zdg.complete_multipartite_parts(item.graph) is None:
             self.violations += 1
-            self.first = self.first or {"lattice": _adl(item.lat)}
+            self.first = self.first or {"lattice": _adl(item.tree)}
 
 
 class _Ssc(_Suite):
@@ -311,7 +310,7 @@ class _Ssc(_Suite):
         report = blocks.ssc_equivalence_report(lat, blocks.basic_block(lat), item.graph)
         if len(set(report.values())) != 1:
             self.violations += 1
-            self.first = self.first or {"lattice": _adl(lat), "report": report}
+            self.first = self.first or {"lattice": _adl(item.tree), "report": report}
 
 
 class _T1(_Suite):
@@ -322,9 +321,10 @@ class _T1(_Suite):
 
     Brute force runs only within a bucket of `oracle.lattice_iso_key`, which
     holds the size, so a pair across buckets whose codes differ agrees by
-    construction: it is counted, not visited.  Only this size's lattices are
-    kept, and of earlier sizes only the codes.  The first counterexample is
-    that of the least pair (i, j)."""
+    construction: it is counted, not visited.  Only this size's trees and
+    lattices are kept, and of earlier sizes only the codes.  The first
+    counterexample is that of the least pair (i, j), printed from the trees
+    of lattice i and of the relabelled copy."""
 
     def __init__(self, seed: int, root_min: int, dump_dir: str | None):
         super().__init__(seed, root_min, dump_dir)
@@ -332,7 +332,8 @@ class _T1(_Suite):
         self.root_min = max(root_min, 2)
         self.numbers = itertools.count()  # numbers the lattices
         self.numbers_of_code: dict[str, list[int]] = {}
-        self.buckets: dict[tuple, dict[int, Lattice]] = {}  # this size's lattices by key
+        # this size's trees and lattices by the lattices' key
+        self.buckets: dict[tuple, dict[int, tuple[treeiso.RootedTree, Lattice]]] = {}
         self.first_pair: tuple[int, int] | None = None
 
     def add(self, item: _Item) -> None:
@@ -347,14 +348,16 @@ class _T1(_Suite):
         key = oracle.lattice_iso_key(lat)
         if next(iter(self.buckets), key)[0] != key[0]:  # a new size
             self.buckets = {}
-        self.buckets.setdefault(key, {})[j] = lat
+        self.buckets.setdefault(key, {})[j] = (item.tree, lat)
         self.numbers_of_code.setdefault(treeiso.canonical_code(treeiso.recognize(item.graph)), []).append(j)
         code = treeiso.canonical_code(treeiso.recognize(zdg.zero_divisor_graph(relab)))
         equal = self.numbers_of_code.get(code, [])  # the i whose code is that of relabeled lattice j
         bucket = self.buckets[key]  # relab shares lat's index arrays, so its key is key
         # a violation has fast != slow: equal codes outside the bucket, or brute force disagreeing within it
         bad = [i for i in equal if i not in bucket]
-        bad += [i for i, lat_i in bucket.items() if (i in equal) == (oracle.brute_lattice_iso(lat_i, relab) is None)]
+        bad += [
+            i for i, (_, lat_i) in bucket.items() if (i in equal) == (oracle.brute_lattice_iso(lat_i, relab) is None)
+        ]
         if not bad:
             return
         self.violations += len(bad)
@@ -362,12 +365,13 @@ class _T1(_Suite):
         if self.first_pair is not None and self.first_pair < (i, j):
             return
         self.first_pair = (i, j)
-        first = bucket.get(i)
-        if first is None:  # outside the bucket: only a counterexample pays to build it again
-            trees = oracle.enumerate_rooted_trees(lat.n - 1, self.root_min)
-            first = treeiso.lattice_of_tree(next(itertools.islice(trees, i, None)))
+        if i in bucket:
+            first = bucket[i][0]
+        else:  # outside the bucket: only a counterexample pays to enumerate it again
+            first = next(itertools.islice(oracle.enumerate_rooted_trees(lat.n - 1, self.root_min), i, None))
         fast = i in equal
-        self.first = {"first": _adl(first), "second": _adl(relab), "codes_equal": fast, "brute": not fast}
+        second = treeiso.tree_of_lattice(relab)  # relab's bottom is still "0", which _adl prints
+        self.first = {"first": _adl(first), "second": _adl(second), "codes_equal": fast, "brute": not fast}
 
 
 def _fixed_point_code(lat: Lattice, fixed_point: frozenset[str]) -> str:
@@ -406,7 +410,7 @@ class _BlockConfluence(_Suite):
         if len(codes) == 1:
             self.iso_confluent += 1
         if self.first is None:
-            adl = _adl(lat, name="counterexample")
+            adl = _adl(item.tree, name="counterexample")
             self.first = {
                 "lattice": adl,
                 "fixed_points": sorted(sorted(fp) for fp in fixed_points),

@@ -50,13 +50,12 @@ class Lattice:
     """
 
     __slots__ = (
-        "labels", "covers", "bottom", "top", "_index", "_up", "_down", "_up_index", "_down_index", "_uppers", "_lowers"
+        "labels", "bottom", "top", "_index", "_up", "_down", "_up_index", "_down_index", "_uppers", "_lowers"
     )
 
     def __init__(
         self,
         labels: tuple[str, ...],
-        covers: frozenset[tuple[int, int]],
         up: tuple[int, ...],
         down: tuple[int, ...],
         bottom: int,
@@ -65,7 +64,6 @@ class Lattice:
         lowers: tuple[tuple[int, ...], ...],
     ):
         self.labels = labels
-        self.covers = covers
         self.bottom = bottom
         self.top = top
         self._index = dict(zip(labels, range(len(labels))))
@@ -111,8 +109,7 @@ class Lattice:
         uppers[bottom] = leaves
         for v in leaves:
             children[v].append(bottom)
-        covers = frozenset([*((v, parent[v]) for v in below), *((bottom, v) for v in leaves)])
-        return cls(labels, covers, tuple(up), tuple(down), bottom, top, tuple(uppers), tuple(map(tuple, children)))
+        return cls(labels, tuple(up), tuple(down), bottom, top, tuple(uppers), tuple(map(tuple, children)))
 
     # -- basic accessors ----------------------------------------------------
 
@@ -136,7 +133,8 @@ class Lattice:
 
     def cover_pairs(self) -> set[tuple[str, str]]:
         """The cover relation as (lower, upper) label pairs."""
-        return {(self.labels[u], self.labels[v]) for u, v in self.covers}
+        labels = self.labels
+        return {(labels[u], labels[v]) for v, low in enumerate(self._lowers) for u in low}
 
     # -- order and operations -----------------------------------------------
 
@@ -368,7 +366,7 @@ def build_from_covers(labels: Sequence[str], cover_pairs: Iterable[tuple[str, st
 
     bottom, top = minimal[0], maximal[0]
     lat = Lattice(
-        labels, frozenset(covers), tuple(up), tuple(down), bottom, top,
+        labels, tuple(up), tuple(down), bottom, top,
         tuple(tuple(sorted(s)) for s in uppers), tuple(tuple(sorted(s)) for s in lowers),
     )
     # A tree under the top with a bottom below it (every lower dismantlable
@@ -393,7 +391,7 @@ def relabel(lat: Lattice, mapping: Mapping[str, str]) -> Lattice:
     arrays are shared, only the labels change.  Raises KeyError for a label
     the mapping lacks and LabelClash when two labels get the same image."""
     labels = _distinct(mapping[lab] for lab in lat.labels)
-    return Lattice(labels, lat.covers, lat._up, lat._down, lat.bottom, lat.top, lat._uppers, lat._lowers)
+    return Lattice(labels, lat._up, lat._down, lat.bottom, lat.top, lat._uppers, lat._lowers)
 
 
 def _distinct(labels: Iterable[str]) -> tuple[str, ...]:
@@ -403,6 +401,17 @@ def _distinct(labels: Iterable[str]) -> tuple[str, ...]:
         dup = next(lab for lab in labels if labels.count(lab) > 1)
         raise LabelClash(f"duplicate label {dup!r}")
     return labels
+
+
+def _cover_masks(lat: Lattice) -> tuple[list[int], list[int]]:
+    """Per element, the masks of its upper covers and of its lower covers,
+    read off ``_lowers``, in lists a caller may update."""
+    uppers, lowers = [0] * lat.n, [0] * lat.n
+    for v, low in enumerate(lat._lowers):
+        for u in low:
+            uppers[u] |= 1 << v
+            lowers[v] |= 1 << u
+    return uppers, lowers
 
 
 # -- classification -------------------------------------------------------------
@@ -445,4 +454,4 @@ def is_lower_dismantlable(lat: Lattice) -> bool:
     start at the bottom number n - 2.  A one-element lattice has no cover,
     so it is not lower dismantlable.
     """
-    return len(lat.covers) - len(lat._uppers[lat.bottom]) == lat.n - 2
+    return sum(map(len, lat._lowers)) - len(lat._uppers[lat.bottom]) == lat.n - 2

@@ -7,10 +7,9 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .blocks import _cover_masks
 from .errors import BudgetExceeded
-from .lattice import Lattice, _bits
-from .treeiso import IsoWitness, RootedTree, lattice_of_tree, tree_from_code
+from .lattice import Lattice, _bits, _cover_masks
+from .treeiso import IsoWitness, RootedTree, tree_from_code
 
 DEFAULT_BUDGET = 2_000_000
 
@@ -54,13 +53,6 @@ def enumerate_rooted_trees(max_nodes: int, root_min_children: int = 0) -> Iterat
                 yield tree
 
 
-def enumerate_lower_dismantlable(max_size: int, root_min_children: int = 0) -> Iterator[Lattice]:
-    """Lattices of every tree with at most max_size - 1 nodes (|L| = n + 1)
-    whose top has at least `root_min_children` lower covers."""
-    for tree in enumerate_rooted_trees(max_size - 1, root_min_children):
-        yield lattice_of_tree(tree)
-
-
 # -- brute-force lattice isomorphism ----------------------------------------------
 
 
@@ -75,14 +67,14 @@ def _cover_profile(lat: Lattice) -> list[tuple[int, int, int, int]]:
 
 def lattice_iso_key(lat: Lattice) -> tuple:
     """What `brute_lattice_iso_all` compares before it searches: the size,
-    the cover count, the sorted profile of `_cover_profile`, and the
-    profiles of the bottom and of the top.  Lattices with different keys are
-    not isomorphic."""
+    the sorted profile of `_cover_profile` (which sums to the cover count),
+    and the profiles of the bottom and of the top.  Lattices with different
+    keys are not isomorphic."""
     return _iso_key(lat, _cover_profile(lat))
 
 
 def _iso_key(lat: Lattice, prof: list[tuple[int, int, int, int]]) -> tuple:
-    return (lat.n, len(lat.covers), tuple(sorted(prof)), prof[lat.bottom], prof[lat.top])
+    return (lat.n, tuple(sorted(prof)), prof[lat.bottom], prof[lat.top])
 
 
 def brute_lattice_iso_all(

@@ -1,10 +1,10 @@
 """Rooted trees, the lattice <-> tree correspondence with the branch peel
-of a tree and the adjunct representation read off it, non-ancestor graphs,
-canonical codes, recognition of non-ancestor graphs, and the constructive
-isomorphism pipeline: a graph isomorphism between zero-divisor graphs is
-lifted, one neighborhood class at a time, to a full lattice isomorphism,
-and only the lifted map is checked: it is an order isomorphism exactly when
-the graph map is a graph isomorphism (lemma in `lift_to_lattice_iso`).
+of a tree and the adjunct representation read off it, canonical codes,
+recognition of non-ancestor graphs, and the constructive isomorphism
+pipeline: a graph isomorphism between zero-divisor graphs is lifted, one
+neighborhood class at a time, to a full lattice isomorphism, and only the
+lifted map is checked: it is an order isomorphism exactly when the graph
+map is a graph isomorphism (lemma in `lift_to_lattice_iso`).
 Without the hypothesis of a join-reducible top, a lattice isomorphism is
 read off the two lattices' trees instead."""
 
@@ -95,12 +95,6 @@ class RootedTree(_Record):
         except KeyError:
             raise NoSuchElement(f"no node {x!r}") from None
 
-    def parent_map(self) -> dict[str, str | None]:
-        return {
-            lab: (None if i == self.root else self.labels[self.parent[i]])
-            for i, lab in enumerate(self.labels)
-        }
-
 
 class IsoWitness(_Record):
     """A checked bijection; graph-iso preserves adjacency, lattice-iso
@@ -124,14 +118,16 @@ def check_lattice_iso(l1: Lattice, l2: Lattice, mapping: Mapping[str, str]) -> b
     """Whether `mapping` is a bijection from l1 onto l2 that carries the
     cover relation of l1 onto that of l2.  The order is the reflexive and
     transitive closure of the covers, so this is exactly an order
-    isomorphism.  The covers are compared as index pairs: `image[i]` is the
-    index in l2 of the image of element i of l1."""
+    isomorphism.  The covers are compared as lower-cover lists: `image[i]`
+    is the index in l2 of the image of element i of l1, and the images of
+    the lower covers of i must be the lower covers of `image[i]`."""
     if set(mapping) != set(l1.labels) or set(mapping.values()) != set(l2.labels):
         return False
     if len(set(mapping.values())) != len(mapping):
         return False
     image = [l2.index(mapping[x]) for x in l1.labels]
-    return {(image[u], image[v]) for u, v in l1.covers} == l2.covers
+    lowers2 = l2._lowers
+    return all(tuple(sorted(map(image.__getitem__, low))) == lowers2[i] for low, i in zip(l1._lowers, image))
 
 
 # -- lattice <-> tree ------------------------------------------------------------
@@ -208,21 +204,22 @@ def _peel(tree: RootedTree) -> list[tuple[int, tuple[str, ...]]]:
     return sorted(classes, key=lambda rc: (rc[0], min(rc[1])))
 
 
-def adjunct_representation(lat: Lattice, name: str = "L") -> AdjunctExpr:
-    """Decompose a lower dismantlable lattice into a base chain plus ordered
-    (bottom, b) adjunctions of chains.
+def adjunct_representation(tree: RootedTree, bottom: str = "0", name: str = "L") -> AdjunctExpr:
+    """Decompose the lattice of a rooted tree, `bottom` adjoined under its
+    leaves, into a base chain plus ordered (bottom, b) adjunctions of chains.
 
-    The peeled classes of the tree L \\ {0} (`tree_of_lattice`) are put back
-    in reverse peel order.  A class whose hinge (the parent of its top
-    member) has no child yet extends the hinge's chain downward; otherwise
-    it is adjoined at (bottom, hinge).  Deterministic; the pair multiset is
-    order-independent, which tests verify.
+    The peeled classes of the tree are put back in reverse peel order.  A
+    class whose hinge (the parent of its top member) has no child yet
+    extends the hinge's chain downward; otherwise it is adjoined at
+    (bottom, hinge).  Deterministic; the pair multiset is order-independent,
+    which tests verify.  The result is a function of the labelled tree, not
+    of its index order: the peel orders classes by (round, smallest member),
+    and both are structural.  LabelClash when `bottom` names a node.
     """
-    if not is_lower_dismantlable(lat):
-        raise NotLowerDismantlable("adjunct representation needs a lower dismantlable lattice")
-    tree = tree_of_lattice(lat)
+    if bottom in tree._index:
+        raise LabelClash(f"bottom label {bottom!r} already names a tree node")
     labels, parent, index = tree.labels, tree.parent, tree._index
-    bottom, top = lat.bottom_label, tree.root_label
+    top = tree.root_label
     base = [top]  # chains are built top-down and reversed at the end
     chain_of = {top: base}
     adjoined: list[tuple[str, list[str]]] = []
@@ -240,28 +237,6 @@ def adjunct_representation(lat: Lattice, name: str = "L") -> AdjunctExpr:
         base=(bottom, *reversed(base)),
         adjunctions=tuple(Adjunction(pair=(bottom, h), chain=tuple(reversed(c))) for h, c in adjoined),
         name=name,
-    )
-
-
-def non_ancestor_graph(tree: RootedTree) -> LabeledGraph:
-    """Vertices: every node but the root; edges: pairs where neither is an
-    ancestor of the other.  Built in the bits of the label-sorted vertices:
-    the non-neighbours of a node are its proper ancestors, ORed down the
-    preorder, and the rest of its subtree, ORed up it."""
-    nodes = sorted((i for i in range(tree.n) if i != tree.root), key=tree.labels.__getitem__)
-    bit = [0] * tree.n  # the root is no vertex and has no bit
-    for k, i in enumerate(nodes):
-        bit[i] = 1 << k
-    parent, pre = tree.parent, tree._preorder
-    ancestors = [0] * tree.n
-    for v in pre[1:]:
-        ancestors[v] = ancestors[parent[v]] | bit[parent[v]]
-    subtree = bit[:]
-    for v in reversed(pre[1:]):
-        subtree[parent[v]] |= subtree[v]
-    everyone = (1 << len(nodes)) - 1
-    return LabeledGraph._of_masks(
-        tuple(tree.labels[i] for i in nodes), [everyone & ~(ancestors[i] | subtree[i]) for i in nodes]
     )
 
 

@@ -7,8 +7,7 @@ import pytest
 
 from dislat import dsl
 from dislat.lattice import relabel
-from dislat.oracle import enumerate_lower_dismantlable
-from tests.reference import adjunct, chain_lattice, covered_by, lt
+from tests.reference import adjunct, chain_lattice, covered_by, enumerate_lower_dismantlable, lt
 
 DATA = Path(__file__).parent / "data"
 

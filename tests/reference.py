@@ -40,7 +40,7 @@ independent references:
 - `lt`, `comparable`, `covered_by`, `upper_covers`, `lower_covers` and
   `down_set`: a lattice read by label, over `cover_pairs()` and `leq`
   only, so they stay independent of the index arrays the package reads;
-  `children`, `leaves` and `member_sets`: a tree and a class partition
+  `children`, `leaves` and `member_sets`: a tree and a tuple of classes
   read by label;
 - `label_is_lower_dismantlable`, `label_classify`, `label_tree_of_lattice`
   and `down_set_lift`: the class test, the census, the tree and the
@@ -52,7 +52,12 @@ independent references:
   to the package's peel over the tree's index arrays;
 - `adjunct_pair_multiset`, `preorder_intervals` and `is_ancestor`: the
   adjunct pairs of a census, and the preorder intervals of a tree with
-  the ancestor test they give, which only the tests read.
+  the ancestor test they give, which only the tests read;
+- `parent_map`, `non_ancestor_graph`, `is_structurally_deletable` and
+  `enumerate_lower_dismantlable`: readers that no command calls, kept for
+  the tests: a tree as a label -> label dict, the tree-side oracle for
+  zero-divisor graphs, the deletability test of one element, and the
+  lattice of every enumerated tree.
 """
 
 from __future__ import annotations
@@ -64,16 +69,16 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from dislat import (
     Adjunction,
     AdjunctExpr,
-    ClassPartition,
     DislatError,
     ElementClassification,
     IsoWitness,
     Lattice,
+    VertexClass,
     build_from_covers,
     classify,
     is_lower_dismantlable,
 )
-from dislat.blocks import _cover_masks, _deletable, _delete
+from dislat.blocks import _deletable, _delete
 from dislat.errors import (
     BadGraph,
     BudgetExceeded,
@@ -87,9 +92,9 @@ from dislat.errors import (
     PairNotAdjunctable,
     UnknownElement,
 )
-from dislat.lattice import _bits
-from dislat.oracle import DEFAULT_BUDGET
-from dislat.treeiso import FRESH_ROOT, RootedTree, _require_top_adjunct
+from dislat.lattice import _bits, _cover_masks
+from dislat.oracle import DEFAULT_BUDGET, enumerate_rooted_trees
+from dislat.treeiso import FRESH_ROOT, RootedTree, _require_top_adjunct, lattice_of_tree
 from dislat.zdg import LabeledGraph, complement_clique_parts, neighborhood_partition, zero_divisor_graph
 
 
@@ -310,7 +315,7 @@ def reference_relabel(lat: Lattice, mapping: Mapping[str, str]) -> Lattice:
 
 def lattice_arrays(lat: Lattice) -> tuple:
     """Everything the package reads of a lattice, in its index order."""
-    return (lat.labels, lat.covers, lat._up, lat._down, lat._uppers, lat._lowers, lat.bottom, lat.top)
+    return (lat.labels, lat._up, lat._down, lat._uppers, lat._lowers, lat.bottom, lat.top)
 
 
 # -- neighborhood classes and the peel ---------------------------------------------
@@ -546,17 +551,17 @@ def down_set(lat: Lattice, x: str) -> tuple[str, ...]:
 
 def children(tree: RootedTree, x: str) -> tuple[str, ...]:
     """The children of node x, in the order of `tree.labels`."""
-    return tuple(c for c, p in tree.parent_map().items() if p == x)
+    return tuple(c for c, p in parent_map(tree).items() if p == x)
 
 
 def leaves(tree: RootedTree) -> tuple[str, ...]:
     """The nodes without children, in the order of `tree.labels`."""
-    parents = set(tree.parent_map().values())
+    parents = set(parent_map(tree).values())
     return tuple(v for v in tree.labels if v not in parents)
 
 
-def member_sets(partition: ClassPartition) -> set[frozenset[str]]:
-    return {frozenset(c.members) for c in partition.classes}
+def member_sets(classes: Iterable[VertexClass]) -> set[frozenset[str]]:
+    return {frozenset(c.members) for c in classes}
 
 
 def label_is_lower_dismantlable(lat: Lattice) -> bool:
@@ -613,7 +618,7 @@ def down_set_lift(l1: Lattice, l2: Lattice, g1: LabeledGraph, phi: dict[str, str
 def relabeled_tree(tree: RootedTree, mapping: dict[str, str]) -> RootedTree:
     """`tree` with every label replaced via `mapping`."""
     return RootedTree.from_parents(
-        {mapping[lab]: (None if p is None else mapping[p]) for lab, p in tree.parent_map().items()}
+        {mapping[lab]: (None if p is None else mapping[p]) for lab, p in parent_map(tree).items()}
     )
 
 
@@ -774,7 +779,7 @@ def brute_graph_iso(g1: LabeledGraph, g2: LabeledGraph, budget: int = DEFAULT_BU
 def brute_lattice_iso_all(l1: Lattice, l2: Lattice, budget: int = DEFAULT_BUDGET) -> Iterator[dict[str, str]]:
     """Yield every order isomorphism l1 -> l2 (bottom to bottom, top to top),
     lexicographic in l1's label order."""
-    if l1.n != l2.n or len(l1.covers) != len(l2.covers):
+    if l1.n != l2.n or len(l1.cover_pairs()) != len(l2.cover_pairs()):
         return
 
     def profile(lat: Lattice, x: str) -> tuple[int, int, int, int]:
@@ -919,3 +924,55 @@ def rescan_basic_block(lat: Lattice) -> Lattice:
         [labels[x] for x in _bits(survivors)],
         [(labels[u], labels[v]) for u in _bits(survivors) for v in _bits(uppers[u])],
     )
+
+
+# -- readers that no command calls ------------------------------------------------------
+
+
+def parent_map(tree: RootedTree) -> dict[str, str | None]:
+    """The tree as a label -> parent label dict, None for the root; the way
+    back in is `RootedTree.from_parents`."""
+    return {
+        lab: (None if i == tree.root else tree.labels[tree.parent[i]])
+        for i, lab in enumerate(tree.labels)
+    }
+
+
+def non_ancestor_graph(tree: RootedTree) -> LabeledGraph:
+    """Vertices: every node but the root; edges: pairs where neither is an
+    ancestor of the other.  Built in the bits of the label-sorted vertices:
+    the non-neighbours of a node are its proper ancestors, ORed down the
+    preorder, and the rest of its subtree, ORed up it."""
+    nodes = sorted((i for i in range(tree.n) if i != tree.root), key=tree.labels.__getitem__)
+    bit = [0] * tree.n  # the root is no vertex and has no bit
+    for k, i in enumerate(nodes):
+        bit[i] = 1 << k
+    parent, pre = tree.parent, tree._preorder
+    ancestors = [0] * tree.n
+    for v in pre[1:]:
+        ancestors[v] = ancestors[parent[v]] | bit[parent[v]]
+    subtree = bit[:]
+    for v in reversed(pre[1:]):
+        subtree[parent[v]] |= subtree[v]
+    everyone = (1 << len(nodes)) - 1
+    return LabeledGraph._of_masks(
+        tuple(tree.labels[i] for i in nodes), [everyone & ~(ancestors[i] | subtree[i]) for i in nodes]
+    )
+
+
+def is_structurally_deletable(lat: Lattice, x: str) -> bool:
+    """True when removing x drops the cover-graph edge count by exactly one:
+    either x is the top with a unique lower cover, or x has unique covers
+    u < x < v with nothing else strictly between u and v.  `basic_block`
+    never deletes the top, so it tests only the second case."""
+    i = lat.index(x)
+    if i == lat.top:
+        return lat.n >= 3 and len(lat._lowers[i]) == 1
+    return i in _deletable(lat, *_cover_masks(lat), (1 << lat.n) - 1)
+
+
+def enumerate_lower_dismantlable(max_size: int, root_min_children: int = 0) -> Iterator[Lattice]:
+    """Lattices of every tree with at most max_size - 1 nodes (|L| = n + 1)
+    whose top has at least `root_min_children` lower covers."""
+    for tree in enumerate_rooted_trees(max_size - 1, root_min_children):
+        yield lattice_of_tree(tree)

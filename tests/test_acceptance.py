@@ -17,23 +17,24 @@ from dislat import (
     connectivity_report,
     explore_deletion_orders,
     lattice_from_complete_multipartite,
-    non_ancestor_graph,
     recognize,
     ssc_equivalence_report,
     tree_of_lattice,
     zero_divisor_graph,
 )
 from dislat.dsl import elaborate, parse, parse_file, serialize
-from dislat.oracle import brute_lattice_iso, enumerate_lower_dismantlable, enumerate_rooted_trees
+from dislat.oracle import brute_lattice_iso, enumerate_rooted_trees
 from dislat.treeiso import IsoWitness, adjunct_representation, check_lattice_iso, lift_to_lattice_iso
 from tests.reference import (
     align_adjuncts,
     brute_graph_iso,
     brute_graph_iso_all,
     comparable,
+    enumerate_lower_dismantlable,
     induced_sublattice,
     lower_covers,
     neighborhood_classes,
+    non_ancestor_graph,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -235,7 +236,7 @@ def test_criterion_10_block_confluence_reported(tmp_path):
             iso_confluent += 1
         if first_dump is None:
             first_dump = tmp_path / "block_confluence_counterexample.adl"
-            first_dump.write_text(serialize(adjunct_representation(lat, name="counterexample")))
+            first_dump.write_text(serialize(adjunct_representation(tree_of_lattice(lat), name="counterexample")))
             first_fixed_points = fixed_points
 
     # the dump reproduces a genuinely non-confluent lattice

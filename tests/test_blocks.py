@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 
 import pytest
@@ -13,30 +14,31 @@ from dislat import (
     classify,
     explore_deletion_orders,
     is_ssc,
-    is_structurally_deletable,
-    non_ancestor_graph,
     peel_order,
     ssc_equivalence_report,
     tree_of_lattice,
     zero_divisor_graph,
 )
 from dislat.blocks import annotate_classes
-from dislat.oracle import enumerate_lower_dismantlable
 from dislat.treeiso import RootedTree, _peel
 from dislat.zdg import neighborhood_partition
 from dislat.treeiso import lattice_of_tree
-from tests.conftest import leq_meet
+from tests.conftest import DATA, leq_meet
 from tests.reference import (
     ClassHasAdjunct,
     children,
     class_has_adjunct,
     comparable,
+    enumerate_lower_dismantlable,
     induced_sublattice,
+    is_structurally_deletable,
     leaves,
     lower_covers,
     lt,
     member_sets,
     neighborhood_classes,
+    non_ancestor_graph,
+    parent_map,
     peel_decomposition,
     reassemble,
     reference_peel,
@@ -132,7 +134,7 @@ class TestStructurallyDeletable:
                 continue
             if is_structurally_deletable(fig2, x):
                 after = induced_sublattice(fig2, set(fig2.labels) - {x})
-                assert len(after.covers) == len(fig2.covers) - 1
+                assert len(after.cover_pairs()) == len(fig2.cover_pairs()) - 1
 
 
 class TestBasicBlock:
@@ -245,8 +247,8 @@ class TestNeighborhoodClasses:
 
     def test_flags_are_set(self, ex2):
         g = zero_divisor_graph(ex2)
-        for part in (annotate_classes(ex2, g), peel_order(tree_of_lattice(ex2))):
-            for c in part.classes:
+        for classes in (annotate_classes(ex2, g), peel_order(tree_of_lattice(ex2))):
+            for c in classes:
                 assert isinstance(c.has_adjunct, bool)
                 assert (c.adjunct_member is not None) == c.has_adjunct
 
@@ -272,10 +274,9 @@ class TestClassHasAdjunct:
 
 class TestPeelOrder:
     def test_ex2_rounds(self, ex2):
-        part = peel_order(tree_of_lattice(ex2))
         by_round: dict[int, set[frozenset]] = {}
-        for cls, rnd in zip(part.classes, part.peel_rounds):
-            by_round.setdefault(rnd, set()).add(frozenset(cls.members))
+        for rnd, path in _peel(tree_of_lattice(ex2)):
+            by_round.setdefault(rnd, set()).add(frozenset(path))
         assert by_round == {
             1: {frozenset({"a1", "a7"}), frozenset({"a2"}), frozenset({"a3"}), frozenset({"a4"})},
             2: {frozenset({"a5"}), frozenset({"a6"})},
@@ -283,8 +284,7 @@ class TestPeelOrder:
         }
 
     def test_ex2_flags(self, ex2):
-        part = peel_order(tree_of_lattice(ex2))
-        flagged = {c.members: (c.has_adjunct, c.adjunct_member) for c in part.classes}
+        flagged = {c.members: (c.has_adjunct, c.adjunct_member) for c in peel_order(tree_of_lattice(ex2))}
         assert flagged[("a5",)] == (True, "a5")
         assert flagged[("a6",)] == (True, "a6")
         assert flagged[("a8",)] == (True, "a8")
@@ -292,14 +292,12 @@ class TestPeelOrder:
 
     def test_star_two_leaves_single_round(self):
         tree = RootedTree.from_parents({"r": None, "a": "r", "b": "r"})
-        part = peel_order(tree)
-        assert member_sets(part) == {frozenset({"a"}), frozenset({"b"})}
-        assert part.peel_rounds == (1, 1)
+        assert member_sets(peel_order(tree)) == {frozenset({"a"}), frozenset({"b"})}
+        assert [rnd for rnd, _ in _peel(tree)] == [1, 1]
 
     def test_path_tree_single_class(self):
         tree = RootedTree.from_parents({"r": None, "p1": "r", "p2": "p1", "p3": "p2"})
-        part = peel_order(tree)
-        assert member_sets(part) == {frozenset({"p1", "p2", "p3"})}
+        assert member_sets(peel_order(tree)) == {frozenset({"p1", "p2", "p3"})}
 
     def test_classes_match_neighborhood_partition(self):
         from dislat.oracle import enumerate_rooted_trees
@@ -309,9 +307,14 @@ class TestPeelOrder:
             assert member_sets(peeled) == neighborhood_classes(non_ancestor_graph(tree))
 
     def test_json_export_shape(self, ex2):
-        obj = peel_order(tree_of_lattice(ex2)).to_json_obj()
-        assert set(obj) == {"classes", "peel_order"}
-        assert obj["peel_order"] == list(range(len(obj["classes"])))
+        """`analyze` writes the classes' JSON objects in peel order, with
+        `peel_order` the identity on them."""
+        golden = json.loads((DATA / "golden" / "ex2.analyze.json").read_text(encoding="utf-8"))
+        classes = peel_order(tree_of_lattice(ex2))
+        assert len(classes) == 7
+        assert golden["tree_classes"] == {
+            "classes": [c.to_json_obj() for c in classes], "peel_order": list(range(len(classes)))
+        }
 
 
 def shuffled_labels(tree, rng):
@@ -342,15 +345,13 @@ class TestPeelAgainstLabelDict:
     def test_same_classes_rounds_and_flags(self):
         checked = 0
         for tree in self.trees():
-            parent = tree.parent_map()
+            parent = parent_map(tree)
             want = reference_peel(parent)
             assert _peel(tree) == want
-            part = peel_order(tree)
             has_children = set(parent.values())
-            assert [c.adjunct_member for c in part.classes] == [
+            assert [c.adjunct_member for c in peel_order(tree)] == [
                 path[-1] if path[-1] in has_children else None for _, path in want
             ]
-            assert part.peel_rounds == tuple(round_no for round_no, _ in want)
             checked += 1
         assert checked == 2 * 1205 + 300
 
@@ -359,9 +360,8 @@ class TestClassChainLemmas:
     def test_classes_are_chains_with_minimal_adjunct(self):
         for lat in enumerate_lower_dismantlable(9):
             g = zero_divisor_graph(lat)
-            part = annotate_classes(lat, g)
             adjuncts = set(classify(lat).adjunct_elements)
-            for cls in part.classes:
+            for cls in annotate_classes(lat, g):
                 for x, y in itertools.combinations(cls.members, 2):
                     assert comparable(lat, x, y)  # each class is a chain
                 inside = set(cls.members) & adjuncts
@@ -377,7 +377,7 @@ class TestClassChainLemmas:
             atoms = set(classify(lat).atoms)
             tree = tree_of_lattice(lat)
             pendants = set(leaves(tree))
-            for cls in annotate_classes(lat, g).classes:
+            for cls in annotate_classes(lat, g):
                 members = set(cls.members)
                 assert cls.has_adjunct == (not members & atoms)
                 assert cls.has_adjunct == (not members & pendants)

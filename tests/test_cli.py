@@ -13,10 +13,10 @@ from dislat import adjunct_representation, canonical_code, serialize, tree_of_la
 from dislat import cli
 from dislat.cli import _SUITES, _run_suites, main
 from dislat.lattice import Lattice, relabel
-from dislat.oracle import brute_lattice_iso, enumerate_lower_dismantlable, lattice_iso_key
+from dislat.oracle import brute_lattice_iso, lattice_iso_key
 from dislat.treeiso import recognize
 from tests.conftest import shuffled_copy
-from tests.reference import SetGraph, relabeled_tree
+from tests.reference import SetGraph, enumerate_lower_dismantlable, non_ancestor_graph, relabeled_tree
 
 DATA = Path(__file__).parent / "data"
 SCHEMA = json.loads((Path(__file__).parent.parent / "schemas" / "cli_output.schema.json").read_text())
@@ -73,6 +73,17 @@ class TestZdg:
         code, payload = run_json(capsys, "zdg", DATA / "chain4.adl")
         assert code == 0
         assert payload["vertices"] == [] and "warning" in payload
+
+    def test_one_atom_non_chain_empty_with_warning(self, capsys):
+        """Outside the class one atom does not make a chain: the graph is
+        empty exactly when the lattice has at most one atom, and the warning
+        says that."""
+        code, built = run_json(capsys, "build", DATA / "one_atom.adl")
+        assert (built["n"], built["atoms"], built["adjunct_elements"]) == (5, ["a"], ["d"])
+        code, payload = run_json(capsys, "zdg", DATA / "one_atom.adl")
+        assert code == 0
+        assert payload["vertices"] == []
+        assert payload["warning"] == "zero-divisor graph is empty (the lattice has at most one atom)"
 
     def test_m2_single_edge(self, capsys):
         code, payload = run_json(capsys, "zdg", DATA / "m2.adl")
@@ -143,8 +154,6 @@ class TestIso:
         take most of the time; the tests above validate both routes' shape."""
         import random
 
-        from dislat import adjunct_representation, serialize
-        from dislat.oracle import enumerate_lower_dismantlable
         from dislat.treeiso import check_lattice_iso
         from tests.conftest import shuffled_copy
 
@@ -153,8 +162,8 @@ class TestIso:
         routes = set()
         for lat in enumerate_lower_dismantlable(10):
             other = shuffled_copy(lat, rng)
-            a.write_text(serialize(adjunct_representation(lat)))
-            b.write_text(serialize(adjunct_representation(other)))
+            a.write_text(serialize(adjunct_representation(tree_of_lattice(lat))))
+            b.write_text(serialize(adjunct_representation(tree_of_lattice(other))))
             code, out = run(capsys, "--json", "iso", a, b, "--witness")
             payload = json.loads(out)
             assert code == 0
@@ -198,7 +207,7 @@ class TestIso:
     def test_witness_on_128_element_complete_binary_tree(self, capsys, tmp_path):
         import random
 
-        from dislat import RootedTree, adjunct_representation, lattice_of_tree, serialize
+        from dislat import RootedTree, adjunct_representation, serialize
 
         # nodes 1..127 in heap order: node i has children 2i and 2i + 1
         tree = RootedTree.from_parents({f"e{i}": None if i == 1 else f"e{i // 2}" for i in range(1, 128)})
@@ -208,7 +217,7 @@ class TestIso:
         files = []
         for name, t in (("a", tree), ("b", copy)):
             path = tmp_path / f"{name}.adl"
-            path.write_text(serialize(adjunct_representation(lattice_of_tree(t), name=name)))
+            path.write_text(serialize(adjunct_representation(t, name=name)))
             files.append(path)
         code, payload = run_json(capsys, "iso", *files, "--witness")
         assert code == 0
@@ -303,7 +312,6 @@ class TestRecognize:
     def test_zdg_of_output_iff_no_isolated_vertex(self, capsys, tmp_path):
         from dislat import elaborate, parse, zero_divisor_graph
         from dislat.oracle import enumerate_rooted_trees
-        from dislat.treeiso import non_ancestor_graph
 
         seen = set()
         for k, tree in enumerate(enumerate_rooted_trees(6)):
@@ -513,8 +521,8 @@ def reference_t1(max_nodes: int, seed: int) -> dict:
         if fast != slow:
             violations += 1
             first = first or {
-                "first": serialize(adjunct_representation(lats[i])),
-                "second": serialize(adjunct_representation(relabeled[j])),
+                "first": serialize(adjunct_representation(tree_of_lattice(lats[i]))),
+                "second": serialize(adjunct_representation(tree_of_lattice(relabeled[j]))),
                 "codes_equal": fast,
                 "brute": slow,
             }
@@ -697,7 +705,7 @@ def random_513(tmp_path_factory):
     files = {}
     for name, t in (("a", tree), ("b", relabeled_tree(tree, {x: f"w{x}" for x in tree.labels}))):
         files[name] = folder / f"{name}.adl"
-        files[name].write_text(serialize(adjunct_representation(lattice_of_tree(t), name=name)))
+        files[name].write_text(serialize(adjunct_representation(t, name=name)))
     graph = zero_divisor_graph(lattice_of_tree(tree))
     files["graph"] = folder / "graph.json"
     files["graph"].write_text(json.dumps(graph.to_json_obj()))

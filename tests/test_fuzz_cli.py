@@ -31,7 +31,8 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from dislat.cli import main
-from dislat.treeiso import RootedTree, non_ancestor_graph
+from dislat.treeiso import RootedTree
+from tests.reference import non_ancestor_graph
 
 jsonschema = pytest.importorskip("jsonschema")
 

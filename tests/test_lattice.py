@@ -19,15 +19,16 @@ from dislat import (
     elaborate,
     is_lower_dismantlable,
     parse,
+    tree_of_lattice,
 )
 from dislat.lattice import relabel
-from dislat.oracle import enumerate_lower_dismantlable
 from tests.conftest import random_dismantlable
 from tests.reference import (
     adjunct,
     adjunct_pair_multiset,
     chain_lattice,
     comparable,
+    enumerate_lower_dismantlable,
     induced_sublattice,
     lattice_arrays,
     lower_covers,
@@ -296,36 +297,44 @@ class TestLowerDismantlable:
 
 class TestAdjunctRepresentation:
     def test_chain_has_base_only(self):
-        expr = adjunct_representation(chain_lattice(["0", "a", "b", "1"]))
+        expr = adjunct_representation(tree_of_lattice(chain_lattice(["0", "a", "b", "1"])))
         assert expr.base == ("0", "a", "b", "1")
         assert expr.adjunctions == ()
 
     def test_m2(self, m2):
-        expr = adjunct_representation(m2)
+        expr = adjunct_representation(tree_of_lattice(m2))
         assert len(expr.base) == 3
         assert [adj.pair for adj in expr.adjunctions] == [("0", "one")]
         assert elaborate(expr) == m2
 
     def test_ex2_pair_multiset_and_round_trip(self, ex2):
-        expr = adjunct_representation(ex2)
+        expr = adjunct_representation(tree_of_lattice(ex2))
         pairs = sorted(adj.pair for adj in expr.adjunctions)
         assert pairs == [("0", "a5"), ("0", "a6"), ("0", "a8")]
         assert elaborate(expr) == ex2
 
     def test_rejects_non_lower_dismantlable(self):
+        """A lattice reaches the representation only through its tree."""
         with pytest.raises(NotLowerDismantlable):
-            adjunct_representation(boolean_cube())
+            adjunct_representation(tree_of_lattice(boolean_cube()))
+
+    def test_bottom_must_not_name_a_node(self):
+        tree = tree_of_lattice(chain_lattice(["0", "a", "b", "1"]))
+        with pytest.raises(LabelClash, match="bottom label 'a' already names a tree node"):
+            adjunct_representation(tree, bottom="a")
+        expr = adjunct_representation(tree, bottom="z", name="Z")
+        assert (expr.base, expr.name) == (("z", "a", "b", "1"), "Z")
 
 
 class TestInvariants:
     def test_round_trip_all_small_lattices(self):
         for lat in enumerate_lower_dismantlable(10):
-            expr = adjunct_representation(lat)
+            expr = adjunct_representation(tree_of_lattice(lat))
             assert elaborate(expr) == lat
 
     def test_pair_multiset_matches_lower_cover_counts(self):
         for lat in enumerate_lower_dismantlable(10):
-            expr = adjunct_representation(lat)
+            expr = adjunct_representation(tree_of_lattice(lat))
             from collections import Counter
 
             got = Counter(adj.pair for adj in expr.adjunctions)

@@ -12,13 +12,18 @@ from dislat import (
     brute_lattice_iso,
     canonical_code,
     enumerate_rooted_trees,
-    non_ancestor_graph,
     zero_divisor_graph,
 )
 from dislat.lattice import relabel
-from dislat.oracle import brute_lattice_iso_all, enumerate_lower_dismantlable, rooted_tree_codes
+from dislat.oracle import brute_lattice_iso_all, rooted_tree_codes
 from tests.reference import brute_lattice_iso_all as reference_brute_lattice_iso_all
-from tests.reference import brute_graph_iso, brute_graph_iso_all, chain_lattice
+from tests.reference import (
+    brute_graph_iso,
+    brute_graph_iso_all,
+    chain_lattice,
+    enumerate_lower_dismantlable,
+    non_ancestor_graph,
+)
 
 # number of rooted-tree isomorphism classes by node count, OEIS A000081
 TREE_COUNTS = [None, 1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842, 4766]
@@ -124,7 +129,6 @@ class TestBruteLatticeIso:
         assert w is not None
 
     def test_agrees_with_cover_graph_iso(self):
-        from dislat.oracle import enumerate_lower_dismantlable
 
         lats = list(enumerate_lower_dismantlable(6))
         for l1, l2 in itertools.combinations_with_replacement(lats, 2):

@@ -15,15 +15,15 @@ from dislat import (
     connectivity_report,
     elaborate,
     lattice_of_tree,
-    non_ancestor_graph,
     parse,
+    peel_order,
     recognize,
     serialize,
     tree_of_lattice,
     zero_divisor_graph,
 )
 from dislat.treeiso import RootedTree
-from tests.reference import comparable, relabeled_tree
+from tests.reference import comparable, non_ancestor_graph, parent_map, relabeled_tree
 
 
 @st.composite
@@ -56,7 +56,7 @@ def adjunct_exprs(draw):
 @settings(max_examples=120, deadline=None)
 def test_tree_lattice_round_trip(tree):
     lat = lattice_of_tree(tree)
-    assert tree_of_lattice(lat).parent_map() == tree.parent_map()
+    assert parent_map(tree_of_lattice(lat)) == parent_map(tree)
 
 
 @given(rooted_trees(), st.randoms())
@@ -88,7 +88,40 @@ def test_parse_serialize_identity(expr):
 @settings(max_examples=60, deadline=None)
 def test_representation_round_trip(expr):
     lat = elaborate(expr)
-    assert elaborate(adjunct_representation(lat)) == lat
+    assert elaborate(adjunct_representation(tree_of_lattice(lat))) == lat
+
+
+@st.composite
+def trees_in_two_index_orders(draw, max_nodes: int = 16) -> tuple[RootedTree, RootedTree]:
+    """One labelled tree on nodes n0, n1, ... (node k's parent is drawn
+    among n0..n(k-1)), built twice: in label order, where n10 comes before
+    n2, and in a drawn index order."""
+    n = draw(st.integers(min_value=1, max_value=max_nodes))
+    parents: dict[str, str | None] = {"n0": None}
+    for k in range(1, n):
+        parents[f"n{k}"] = f"n{draw(st.integers(min_value=0, max_value=k - 1))}"
+    order = draw(st.permutations(list(parents)))
+    index = {lab: i for i, lab in enumerate(order)}
+    shuffled = RootedTree(
+        labels=tuple(order),
+        parent=tuple(index[parents[lab] or lab] for lab in order),
+        root=index["n0"],
+    )
+    return RootedTree.from_parents(parents), shuffled
+
+
+@given(trees_in_two_index_orders())
+@settings(max_examples=150, deadline=None)
+def test_peel_readers_ignore_index_order(trees):
+    """The adjunct representation and the peeled classes are functions of
+    the labelled tree, whatever its index order, and the representation
+    elaborates to the covers of the tree's lattice."""
+    tree, shuffled = trees
+    expr = adjunct_representation(shuffled)
+    assert expr == adjunct_representation(tree)
+    assert peel_order(shuffled) == peel_order(tree)
+    covers = lattice_of_tree(shuffled).cover_pairs()
+    assert elaborate(expr).cover_pairs() == covers == lattice_of_tree(tree).cover_pairs()
 
 
 @given(adjunct_exprs())

@@ -32,8 +32,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dislat import LabeledGraph, cli, elaborate, explore_deletion_orders, lattice, oracle, parse, treeiso, zdg
-from dislat.treeiso import non_ancestor_graph, tree_of_lattice
+from dislat.treeiso import tree_of_lattice
 from tests.test_fuzz_cli import FUZZ, random_graph, tree_graph
+from tests.reference import non_ancestor_graph
 
 
 def read_back(text: str):

@@ -1,8 +1,8 @@
 """The index readers of a lattice against their label-level references.
 
-`is_lower_dismantlable`, `classify`, `tree_of_lattice`, the chain order of
-`lift_to_lattice_iso` and the parent map of `adjunct_representation` read
-the cover lists and down-set masks of `Lattice` by index, and so does
+`is_lower_dismantlable`, `classify`, `tree_of_lattice` and the chain order
+of `lift_to_lattice_iso` read the cover lists and down-set masks of
+`Lattice` by index, and so does
 `adjunct_vertices` of the alignment lemma in `tests.reference`, which also
 keeps the readers that go through `lower_covers`, `upper_covers`,
 `down_set` and `RootedTree.from_parents`.
@@ -32,12 +32,12 @@ from dislat import (
     tree_of_lattice,
     zero_divisor_graph,
 )
-from dislat.oracle import enumerate_lower_dismantlable
 from tests.conftest import load, random_dismantlable, shuffled_copy
 from tests.reference import (
     adjunct_vertices,
     align_adjuncts,
     down_set_lift,
+    enumerate_lower_dismantlable,
     label_classify,
     label_is_lower_dismantlable,
     label_tree_of_lattice,
@@ -174,10 +174,10 @@ def test_lift_outside_the_class_raises_the_same(ex2):
 
 def test_adjunct_representation():
     """The representation read off `tree_of_lattice`'s tree elaborates back
-    to the lattice; outside the class the error is unchanged."""
+    to the lattice and is that of the label-level tree.  A lattice outside
+    the class has no tree (`test_tree_of_lattice_outside_the_class_raises_the_same`),
+    so it never reaches the representation."""
     for lat in [*SMALL, *RANDOM]:
-        assert elaborate(adjunct_representation(lat)) == lat
-    for lat in [*OUTSIDE, ONE_ELEMENT]:
-        assert error_of(adjunct_representation, lat) == (
-            NotLowerDismantlable, "adjunct representation needs a lower dismantlable lattice"
-        )
+        expr = adjunct_representation(tree_of_lattice(lat))
+        assert elaborate(expr) == lat
+        assert expr == adjunct_representation(label_tree_of_lattice(lat))

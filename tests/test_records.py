@@ -18,7 +18,6 @@ import pytest
 from dislat import (
     AdjunctExpr,
     Adjunction,
-    ClassPartition,
     ElementClassification,
     IsoWitness,
     RootedTree,
@@ -52,14 +51,6 @@ def vertex_class():
     return VertexClass(members=("a", "b"), has_adjunct=True, adjunct_member="b")
 
 
-def class_partition():
-    return ClassPartition(
-        classes=(vertex_class(), VertexClass(members=("c",), has_adjunct=False, adjunct_member=None)),
-        peel_order=(1, 0),
-        peel_rounds=(0, 0),
-    )
-
-
 def rooted_tree():
     return RootedTree(labels=("a", "b", "r"), parent=(2, 2, 2), root=2)
 
@@ -89,13 +80,6 @@ RECORDS = {
         vertex_class,
         ("members", "has_adjunct", "adjunct_member"),
         "VertexClass(members=('a', 'b'), has_adjunct=True, adjunct_member='b')",
-    ),
-    "ClassPartition": (
-        class_partition,
-        ("classes", "peel_order", "peel_rounds"),
-        "ClassPartition(classes=(VertexClass(members=('a', 'b'), has_adjunct=True, adjunct_member='b'), "
-        "VertexClass(members=('c',), has_adjunct=False, adjunct_member=None)), peel_order=(1, 0), "
-        "peel_rounds=(0, 0))",
     ),
     "RootedTree": (rooted_tree, ("labels", "parent", "root"), "RootedTree(labels=('a', 'b', 'r'), parent=(2, 2, 2), root=2)"),
     "IsoWitness": (iso_witness, ("kind", "mapping"), "IsoWitness(kind='graph-iso', mapping={'a': 'b', 'b': 'a'})"),

@@ -23,13 +23,12 @@ from dislat import (
     lattice_from_complete_multipartite,
     lattice_of_tree,
     lift_to_lattice_iso,
-    non_ancestor_graph,
     recognize,
     tree_of_lattice,
     zero_divisor_graph,
 )
 from dislat.lattice import relabel
-from dislat.oracle import brute_lattice_iso, enumerate_lower_dismantlable, enumerate_rooted_trees
+from dislat.oracle import brute_lattice_iso, enumerate_rooted_trees
 from dislat.treeiso import FRESH_ROOT, _canonical, check_lattice_iso, tree_from_code, tree_match_iso
 from tests.conftest import random_dismantlable, shuffled_copy
 from tests.reference import (
@@ -42,10 +41,13 @@ from tests.reference import (
     children,
     comparable,
     edge_walking_recognize,
+    enumerate_lower_dismantlable,
     is_ancestor,
+    lattice_arrays,
     leaves,
     lower_covers,
-    lattice_arrays,
+    non_ancestor_graph,
+    parent_map,
     preorder_intervals,
     reference_lattice_of_tree,
     reference_lift,
@@ -80,7 +82,7 @@ def cycle(n: int) -> LabeledGraph:
 class TestTreeOfLattice:
     def test_ex2_shape(self, ex2):
         tree = tree_of_lattice(ex2)
-        assert tree.parent_map() == {
+        assert parent_map(tree) == {
             "one": None,
             "a8": "one",
             "a5": "a8",
@@ -99,7 +101,7 @@ class TestTreeOfLattice:
 
     def test_chain_path(self):
         tree = tree_of_lattice(chain_lattice(["0", "c", "1"]))
-        assert tree.parent_map() == {"1": None, "c": "1"}
+        assert parent_map(tree) == {"1": None, "c": "1"}
 
     def test_non_lower_dismantlable_rejected(self):
         from tests.test_lattice import boolean_cube
@@ -128,7 +130,7 @@ class TestLatticeOfTree:
         for tree in enumerate_rooted_trees(6):
             lat = lattice_of_tree(tree)
             back = tree_of_lattice(lat)
-            assert back.parent_map() == tree.parent_map()
+            assert parent_map(back) == parent_map(tree)
 
     def test_matches_validated_build(self):
         """Every array equals that of the build through `build_from_covers`,
@@ -308,7 +310,7 @@ def tree_of_parents(parents: list[int], prefix: str) -> RootedTree:
 
 def walk_ancestors(tree: RootedTree, v: str) -> set[str]:
     """The proper ancestors of v, by following the parent links."""
-    parent, out = tree.parent_map(), set()
+    parent, out = parent_map(tree), set()
     while parent[v] is not None:
         v = parent[v]
         out.add(v)
@@ -617,7 +619,7 @@ class TestTreeMatcherAgainstNetworkx:
         for t in (t1, t2):
             g = nx.Graph()
             g.add_nodes_from(t.labels)
-            g.add_edges_from((c, p) for c, p in t.parent_map().items() if p is not None)
+            g.add_edges_from((c, p) for c, p in parent_map(t).items() if p is not None)
             graphs.append(g)
         return bool(rooted_tree_isomorphism(graphs[0], t1.root_label, graphs[1], t2.root_label))
 
@@ -644,9 +646,9 @@ class TestTreeMatcherAgainstNetworkx:
             assert (f is not None) == self.nx_isomorphic(nx, t1, other)
             if f is not None:  # a bijection that maps parents to parents
                 assert sorted(f.values()) == sorted(other.labels)
-                image_parents = other.parent_map()
+                image_parents = parent_map(other)
                 assert all(
-                    image_parents[f[c]] == (None if p is None else f[p]) for c, p in t1.parent_map().items()
+                    image_parents[f[c]] == (None if p is None else f[p]) for c, p in parent_map(t1).items()
                 )
         assert self.match(t1, copy) is not None
 

@@ -17,11 +17,17 @@ from dislat import (
     lattice_from_complete_multipartite,
     zero_divisor_graph,
 )
-from dislat.oracle import enumerate_lower_dismantlable
 from dislat.errors import DislatError, NoSuchElement
 from dislat.zdg import complement_clique_parts, neighborhood_partition
 from tests.conftest import leq_meet
-from tests.reference import SetGraph, adjunct, chain_lattice, comparable, neighborhood_classes
+from tests.reference import (
+    SetGraph,
+    adjunct,
+    chain_lattice,
+    comparable,
+    enumerate_lower_dismantlable,
+    neighborhood_classes,
+)
 
 
 def k(n: int) -> LabeledGraph:
