@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from bisect import insort
 
-from .errors import HypothesisViolated
+from .errors import HypothesisViolated, NotLowerDismantlable
 from .lattice import Lattice, _bits, _cover_masks, _init, _Record, build_from_covers, classify, is_lower_dismantlable
 from .treeiso import RootedTree, _peel
 from .zdg import LabeledGraph, neighborhood_partition
@@ -124,18 +124,18 @@ def explore_deletion_orders(lat: Lattice) -> set[frozenset[str]]:
 
 
 def is_ssc(lat: Lattice) -> bool:
-    """Definition-true check: for every a not below b there must be a nonzero
-    c <= a with b meet c = bottom.
+    """Whether the lower dismantlable `lat` is section semi-complemented: for
+    every a not below b, some nonzero c <= a has b meet c = bottom.
 
-    With Z(b) the mask of the nonzero c whose down-sets meet that of b only
-    in the bottom, the witness c exists exactly when down(a) & Z(b) != 0."""
-    zero = 1 << lat.bottom
-    down, up = lat._down, lat._up
-    for b, down_b in enumerate(down):
-        z = sum(1 << c for c, down_c in enumerate(down) if down_b & down_c == zero) & ~zero
-        if any(down_a & z == 0 and not up[a] >> b & 1 for a, down_a in enumerate(down)):
-            return False
-    return True
+    *Lemma:* iff every nonzero element with one lower cover is an atom (no
+    tree node has one child).  *Proof:* nonzero x, y meet in the bottom iff
+    incomparable (`lemma400`), so c = a works unless 0 < b < a.  Then all of
+    a's subtree is comparable with b iff each node from a down to b's parent
+    has one child: a node v with one child b fails at (v, b), and with no
+    such node a witness exists.  NotLowerDismantlable outside the class."""
+    if not is_lower_dismantlable(lat):
+        raise NotLowerDismantlable("only lower dismantlable lattices correspond to rooted trees")
+    return all(len(low) != 1 or low[0] == lat.bottom for low in lat._lowers)
 
 
 def ssc_equivalence_report(lat: Lattice, block: Lattice, graph: LabeledGraph) -> dict:

@@ -33,17 +33,17 @@ CanonicalCode = str
 class RootedTree(_Record):
     """Parent-array rooted tree; the root is its own parent.
 
-    Construction walks the tree once from the root, which rejects parent
-    links with a cycle, and indexes it: labels to indices, child lists in
-    index order, and the preorder.  Equality, hashing and repr read
-    (labels, parent, root) only.
+    Construction rejects a repeated label (LabelClash), walks the tree once
+    from the root, which rejects parent links with a cycle, and indexes it:
+    labels to indices, child lists in index order, and the preorder.
+    Equality, hashing and repr read (labels, parent, root) only.
     """
 
     _fields = ("labels", "parent", "root")
     __slots__ = (*_fields, "_index", "_children", "_preorder")
 
     def __init__(self, labels: tuple[str, ...], parent: tuple[int, ...], root: int):
-        _init(self, "labels", labels)
+        _init(self, "labels", _distinct(labels))
         _init(self, "parent", parent)
         _init(self, "root", root)
         n = len(labels)
@@ -157,8 +157,7 @@ def lattice_of_tree(tree: RootedTree) -> Lattice:
     from the parent array in O(n) (`Lattice._of_tree`)."""
     if "0" in tree.labels:
         raise LabelClash("bottom label '0' already names a tree node")
-    labels = _distinct(("0", *tree.labels))
-    return Lattice._of_tree(labels, (0, *(p + 1 for p in tree.parent)), 0, tree.root + 1)
+    return Lattice._of_tree(("0", *tree.labels), (0, *(p + 1 for p in tree.parent)), 0, tree.root + 1)
 
 
 # -- branch peeling and the adjunct representation ------------------------------

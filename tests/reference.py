@@ -37,6 +37,9 @@ independent references:
   adjacency and induced subgraphs;
 - `rescan_basic_block`: the basic block found by testing every survivor
   again after each deletion;
+- `definition_is_ssc`: section semi-complementation checked on the
+  definition, with Θ(n²) operations on down-set masks, for any lattice,
+  next to the package's test of the lower covers in the class;
 - `lt`, `comparable`, `covered_by`, `upper_covers`, `lower_covers` and
   `down_set`: a lattice read by label, over `cover_pairs()` and `leq`
   only, so they stay independent of the index arrays the package reads;
@@ -924,6 +927,24 @@ def rescan_basic_block(lat: Lattice) -> Lattice:
         [labels[x] for x in _bits(survivors)],
         [(labels[u], labels[v]) for u in _bits(survivors) for v in _bits(uppers[u])],
     )
+
+
+# -- section semi-complementation by its definition ------------------------------------
+
+
+def definition_is_ssc(lat: Lattice) -> bool:
+    """Definition-true check: for every a not below b there must be a nonzero
+    c <= a with b meet c = bottom.
+
+    With Z(b) the mask of the nonzero c whose down-sets meet that of b only
+    in the bottom, the witness c exists exactly when down(a) & Z(b) != 0."""
+    zero = 1 << lat.bottom
+    down, up = lat._down, lat._up
+    for b, down_b in enumerate(down):
+        z = sum(1 << c for c, down_c in enumerate(down) if down_b & down_c == zero) & ~zero
+        if any(down_a & z == 0 and not up[a] >> b & 1 for a, down_a in enumerate(down)):
+            return False
+    return True
 
 
 # -- readers that no command calls ------------------------------------------------------

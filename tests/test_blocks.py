@@ -9,6 +9,7 @@ import pytest
 from dislat import (
     HypothesisViolated,
     NoSuchElement,
+    NotLowerDismantlable,
     basic_block,
     build_from_covers,
     classify,
@@ -19,16 +20,19 @@ from dislat import (
     tree_of_lattice,
     zero_divisor_graph,
 )
-from dislat.blocks import annotate_classes
+from dislat.blocks import _deletable, annotate_classes
+from dislat.lattice import _cover_masks, is_lower_dismantlable
+from dislat.oracle import enumerate_rooted_trees
 from dislat.treeiso import RootedTree, _peel
 from dislat.zdg import neighborhood_partition
 from dislat.treeiso import lattice_of_tree
-from tests.conftest import DATA, leq_meet
+from tests.conftest import DATA, leq_meet, load
 from tests.reference import (
     ClassHasAdjunct,
     children,
     class_has_adjunct,
     comparable,
+    definition_is_ssc,
     enumerate_lower_dismantlable,
     induced_sublattice,
     is_structurally_deletable,
@@ -202,7 +206,7 @@ class TestSsc:
                 for b in lat.labels
             )
 
-        verdicts = [is_ssc(lat) for lat in sample_lattices]
+        verdicts = [definition_is_ssc(lat) for lat in sample_lattices]
         assert verdicts == [reference_is_ssc(lat) for lat in sample_lattices]
         assert 0 < sum(verdicts) < len(verdicts)
 
@@ -210,6 +214,67 @@ class TestSsc:
         for lat in enumerate_lower_dismantlable(9, root_min_children=2):
             report = ssc_equivalence_report(lat, basic_block(lat), zero_divisor_graph(lat))
             assert len(set(report.values())) == 1, report
+
+
+def unary_nodes(tree):
+    """The nodes with exactly one child, read by label."""
+    return {v for v in tree.labels if len(children(tree, v)) == 1}
+
+
+def complete_binary_tree(nodes):
+    """e1..e<nodes>, with e(2i) and e(2i+1) the children of ei."""
+    return RootedTree.from_parents({f"e{k}": f"e{k // 2}" if k > 1 else None for k in range(1, nodes + 1)})
+
+
+class TestSscReadOffCovers:
+    """`is_ssc` reads the lemma off the lower covers (no node has exactly one
+    child); `definition_is_ssc` checks the definition on down-set masks."""
+
+    def test_every_lattice_of_at_most_12_elements(self):
+        lattices = list(enumerate_lower_dismantlable(12))
+        assert len(lattices) == 3047
+        verdicts = [is_ssc(lat) for lat in lattices]
+        assert verdicts == [definition_is_ssc(lat) for lat in lattices]
+        assert verdicts == [not unary_nodes(tree_of_lattice(lat)) for lat in lattices]
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    @pytest.mark.parametrize("nodes", [255, 1023])
+    def test_complete_binary_tree_with_and_without_a_leaf(self, nodes):
+        """The last leaf's removal leaves its parent with one child."""
+        full = complete_binary_tree(nodes)
+        pruned = RootedTree.from_parents({v: p for v, p in parent_map(full).items() if v != f"e{nodes}"})
+        for tree, want in ((full, True), (pruned, False)):
+            lat = lattice_of_tree(tree)
+            assert is_ssc(lat) is want and definition_is_ssc(lat) is want
+
+    def test_outside_the_class_raises(self):
+        general = load("general.adl")
+        assert not is_lower_dismantlable(general)
+        with pytest.raises(NotLowerDismantlable):
+            is_ssc(general)
+
+
+class TestDeletableReadOffTree:
+    """x is structurally deletable iff x is not the top and has exactly one
+    child, or is a leaf whose parent has exactly one child; with a
+    join-reducible top, the block is the lattice itself iff no node is
+    unary (README, "Basic blocks and peeling")."""
+
+    def test_tree_rule_on_every_tree_of_at_most_11_nodes(self):
+        checked = 0
+        for tree in enumerate_rooted_trees(11):
+            lat = lattice_of_tree(tree)
+            parent, unary = parent_map(tree), unary_nodes(tree)
+            want = {
+                v for v, p in parent.items()
+                if p is not None and (v in unary or not children(tree, v) and p in unary)
+            }
+            got = {lat.labels[x] for x in _deletable(lat, *_cover_masks(lat), (1 << lat.n) - 1)}
+            assert got == want
+            if len(children(tree, tree.root_label)) >= 2:
+                assert (basic_block(lat) is lat) == (not unary) == is_ssc(lat)
+            checked += 1
+        assert checked == 3047
 
 
 class TestNeighborhoodClasses:
@@ -300,8 +365,6 @@ class TestPeelOrder:
         assert member_sets(peel_order(tree)) == {frozenset({"p1", "p2", "p3"})}
 
     def test_classes_match_neighborhood_partition(self):
-        from dislat.oracle import enumerate_rooted_trees
-
         for tree in enumerate_rooted_trees(7):
             peeled = peel_order(tree)
             assert member_sets(peeled) == neighborhood_classes(non_ancestor_graph(tree))
@@ -332,8 +395,6 @@ class TestPeelAgainstLabelDict:
 
     @staticmethod
     def trees():
-        from dislat.oracle import enumerate_rooted_trees
-
         rng = random.Random(18)
         for tree in enumerate_rooted_trees(10):
             yield tree

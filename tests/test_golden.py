@@ -70,6 +70,13 @@ that validates through `build_from_covers`:
     dislat --json zdg general.adl            > general.zdg.json
     dislat --json analyze general.adl        > general.analyze.json
 
+cbt255.adl is the 256-element lattice of the complete binary tree on
+e1..e255 (as for cbt15), which is SSC, so its `analyze` pins the SSC report
+and the classes at a few hundred elements.  It was written while `is_ssc`
+still checked the definition pair by pair:
+
+    dislat --json analyze cbt255.adl         > cbt255.analyze.json
+
 The one-element lattice one.adl is outside the class, and `analyze` says
 so like `build` (written when `basic_block` stopped refusing it):
 
@@ -126,6 +133,7 @@ COMMANDS["general.build.txt"] = ["build", DATA / "general.adl"]
 COMMANDS["general.zdg.json"] = ["--json", "zdg", DATA / "general.adl"]
 COMMANDS["general.analyze.json"] = ["--json", "analyze", DATA / "general.adl"]
 COMMANDS["one.analyze.json"] = ["--json", "analyze", DATA / "one.adl"]
+COMMANDS["cbt255.analyze.json"] = ["--json", "analyze", DATA / "cbt255.adl"]
 for name in ("cbt15", "cbt15_shuffled", "swap7", "swap7_shuffled", "fig2_shuffled", "m2", "m3", "negssc", "chain4"):
     COMMANDS[f"{name}.build.json"] = ["--json", "build", DATA / f"{name}.adl"]
 EXIT_CODES = {}

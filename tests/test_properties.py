@@ -14,6 +14,7 @@ from dislat import (
     classify,
     connectivity_report,
     elaborate,
+    is_ssc,
     lattice_of_tree,
     parse,
     peel_order,
@@ -23,7 +24,7 @@ from dislat import (
     zero_divisor_graph,
 )
 from dislat.treeiso import RootedTree
-from tests.reference import comparable, non_ancestor_graph, parent_map, relabeled_tree
+from tests.reference import comparable, definition_is_ssc, non_ancestor_graph, parent_map, relabeled_tree
 
 
 @st.composite
@@ -67,6 +68,13 @@ def test_canonical_code_relabel_invariant(tree, rng):
     rng.shuffle(shuffled)
     relabeled = relabeled_tree(tree, dict(zip(labels, shuffled)))
     assert canonical_code(relabeled) == canonical_code(tree)
+
+
+@given(rooted_trees(max_nodes=40))
+@settings(max_examples=150, deadline=None)
+def test_ssc_read_off_the_covers_is_the_definition(tree):
+    lat = lattice_of_tree(tree)
+    assert is_ssc(lat) == definition_is_ssc(lat)
 
 
 @given(rooted_trees())

@@ -109,7 +109,7 @@ class TestRecord:
         make, fields, _ = RECORDS[name]
         record = make()
         values = [getattr(record, f) for f in fields]
-        values[0] = ("changed",) * len(values[0])  # a tree keeps as many labels as parents
+        values[0] = tuple(f"changed{k}" for k in range(len(values[0])))  # a tree keeps as many distinct labels as parents
         assert type(record)(*values) != record
 
     def test_repr_is_dataclass_text(self, name):

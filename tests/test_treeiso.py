@@ -150,16 +150,25 @@ class TestLatticeOfTree:
             assert lattice_arrays(lattice_of_tree(tree)) == lattice_arrays(reference_lattice_of_tree(tree))
 
     @pytest.mark.parametrize(
-        "tree",
-        [RootedTree.from_parents({"r": None, "0": "r"}), RootedTree(labels=("a", "b", "a"), parent=(0, 0, 1), root=0)],
+        "make",
+        [
+            lambda: RootedTree.from_parents({"r": None, "0": "r"}),
+            lambda: RootedTree(labels=("a", "b", "a"), parent=(0, 0, 1), root=0),
+        ],
         ids=["zero-label", "repeated-label"],
     )
-    def test_label_clash_as_validated_build(self, tree):
+    def test_label_clash_as_validated_build(self, make):
+        """A repeated label is refused when the tree is built, with the
+        message the validated build gives."""
         with pytest.raises(LabelClash) as got:
-            lattice_of_tree(tree)
+            lattice_of_tree(make())
         with pytest.raises(LabelClash) as want:
-            reference_lattice_of_tree(tree)
+            reference_lattice_of_tree(make())
         assert str(got.value) == str(want.value)
+
+    def test_repeated_label_refused_by_the_tree(self):
+        with pytest.raises(LabelClash, match="duplicate label 'a'"):
+            RootedTree(labels=("r", "a", "a"), parent=(0, 0, 0), root=0)
 
 
 class TestNonAncestorGraph:
