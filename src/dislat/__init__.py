@@ -33,10 +33,9 @@ from .errors import (
 from .lattice import (
     Adjunction,
     AdjunctExpr,
-    ElementClassification,
     Lattice,
+    adjunct_elements,
     build_from_covers,
-    classify,
     is_lower_dismantlable,
     relabel,
 )

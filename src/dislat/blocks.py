@@ -6,7 +6,7 @@ from __future__ import annotations
 from bisect import insort
 
 from .errors import HypothesisViolated, NotLowerDismantlable
-from .lattice import Lattice, _bits, _cover_masks, _init, _Record, build_from_covers, classify, is_lower_dismantlable
+from .lattice import Lattice, _bits, _cover_masks, _init, _Record, adjunct_elements, build_from_covers, is_lower_dismantlable
 from .treeiso import RootedTree, _peel
 from .zdg import LabeledGraph, neighborhood_partition
 
@@ -161,7 +161,7 @@ def ssc_equivalence_report(lat: Lattice, block: Lattice, graph: LabeledGraph) ->
 
 def annotate_classes(lat: Lattice, graph: LabeledGraph) -> tuple[VertexClass, ...]:
     """Neighborhood classes of `graph` with lattice-side adjunct flags."""
-    adjuncts = classify(lat).adjunct_elements
+    adjuncts = adjunct_elements(lat)
     out = []
     for block in neighborhood_partition(graph):
         inside = sorted(set(block) & adjuncts)

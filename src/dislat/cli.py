@@ -28,7 +28,7 @@ from .errors import (
     InternalInconsistency,
     NotInClass,
 )
-from .lattice import Lattice, _bits, classify, is_lower_dismantlable, relabel
+from .lattice import Lattice, _bits, adjunct_elements, is_lower_dismantlable, relabel
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -60,15 +60,14 @@ def _emit(payload: dict, args, text: str | None = None) -> None:
 
 def cmd_build(args) -> int:
     lat = _load_lattice(args.file)
-    cls = classify(lat)
     lower = is_lower_dismantlable(lat)
     payload = {
         "command": "build",
         "n": lat.n,
         "bottom": lat.bottom_label,
         "top": lat.top_label,
-        "atoms": sorted(cls.atoms),
-        "adjunct_elements": sorted(cls.adjunct_elements),
+        "atoms": sorted(lat.labels[x] for x in lat._uppers[lat.bottom]),
+        "adjunct_elements": sorted(adjunct_elements(lat)),
         "lower_dismantlable": lower,
         "top_join_reducible": len(lat._lowers[lat.top]) >= 2,
     }
@@ -293,7 +292,7 @@ class _Thm704(_Suite):
 
     def add(self, item: _Item) -> None:
         # forward direction: top-only adjunct element implies complete multipartite
-        if not item.join_reducible_top or classify(item.lat).adjunct_elements != {item.lat.top_label}:
+        if not item.join_reducible_top or adjunct_elements(item.lat) != {item.lat.top_label}:
             return
         self.checked += 1
         if zdg.complete_multipartite_parts(item.graph) is None:
@@ -502,7 +501,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build", parents=[common],
-                       help="parse + elaborate an .adl file and classify the lattice")
+                       help="parse + elaborate an .adl file: size, atoms, adjunct elements, class flags")
     p.add_argument("file")
     p.set_defaults(fn=cmd_build)
 

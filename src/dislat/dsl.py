@@ -9,7 +9,9 @@ Grammar::
 ``#`` starts a comment running to end of line.  IDENT is
 ``[A-Za-z_][A-Za-z0-9_]*`` or the reserved root symbol ``⊤``; the token ``0``
 names the bottom and is permitted only as the first element of the chain
-statement and as the first component of a pair.  The keywords ``lattice``,
+statement and as the first component of a pair, and ``⊤`` names the top and
+is declared only as the last element of the chain statement (a pair may
+name it after that).  The keywords ``lattice``,
 ``chain`` and ``adjoin`` are reserved and cannot name elements.  Files are
 UTF-8 and newline-insensitive.
 """
@@ -86,11 +88,13 @@ class _Parser:
         if tok != want:
             self.fail(DslSyntaxError, f"expected {what}, found {tok or 'end of input'!r}")
 
-    def element(self, defined: set[str], declare: bool, allow_zero: bool) -> str:
+    def element(self, defined: set[str], declare: bool, allow_zero: bool, allow_top: bool = False) -> str:
         tok = self.next()
         if tok == "0":
             if not allow_zero:
                 self.fail(DslSyntaxError, "'0' is only allowed as the bottom of the chain or first in a pair")
+        elif tok == "⊤" and declare and not (allow_top and (not self.peek() or self.peek() in _PUNCT)):
+            self.fail(DslSyntaxError, "'⊤' names the top and is only allowed last in the chain statement")
         elif tok in _KEYWORDS:
             self.fail(DslSyntaxError, f"{tok!r} is a reserved word")
         elif not tok or tok in _PUNCT:
@@ -103,11 +107,12 @@ class _Parser:
             self.fail(UnknownElement, f"unknown element {tok!r} in pair")
         return tok
 
-    def elements(self, defined: set[str], first_may_be_zero: bool) -> tuple[str, ...]:
-        """One element or more, up to the next punctuation or the end."""
-        out = [self.element(defined, declare=True, allow_zero=first_may_be_zero)]
+    def elements(self, defined: set[str], base: bool) -> tuple[str, ...]:
+        """One element or more, up to the next punctuation or the end.  Only
+        the base chain may start with '0' and end with '⊤'."""
+        out = [self.element(defined, declare=True, allow_zero=base, allow_top=base)]
         while self.peek() and self.peek() not in _PUNCT:
-            out.append(self.element(defined, declare=True, allow_zero=False))
+            out.append(self.element(defined, declare=True, allow_zero=False, allow_top=base))
         return tuple(out)
 
     def document(self) -> AdjunctExpr:
@@ -121,7 +126,7 @@ class _Parser:
 
         defined: set[str] = set()
         self.expect("chain", "'chain'")
-        base = self.elements(defined, first_may_be_zero=True)
+        base = self.elements(defined, base=True)
         self.expect(";", "';'")
 
         adjunctions: list[Adjunction] = []
@@ -133,7 +138,7 @@ class _Parser:
             b = self.element(defined, declare=False, allow_zero=False)
             self.expect(")", "')'")
             self.expect(":", "':'")
-            chain = self.elements(defined, first_may_be_zero=False)
+            chain = self.elements(defined, base=False)
             self.expect(";", "';'")
             adjunctions.append(Adjunction(pair=(a, b), chain=chain))
 

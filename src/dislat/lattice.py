@@ -1,5 +1,5 @@
 """Finite bounded lattices: construction, the order and its operations,
-classification, and recognition of lower dismantlable lattices.  Their
+adjunct elements, and recognition of lower dismantlable lattices.  Their
 decomposition into adjunctions is read off the tree (`dislat.treeiso`).
 
 Two constructors fill a `Lattice`.  `build_from_covers` validates any cover
@@ -221,43 +221,6 @@ class _Record:
 _init = object.__setattr__  # sets a field of a frozen record
 
 
-class ElementClassification(_Record):
-    """Irreducibility census of a lattice, plus per-element cover counts.
-
-    ``adjunct_elements`` lists the elements with at least two lower covers;
-    for a lower dismantlable lattice these are exactly the b with (0, b) an
-    adjunct pair, with multiplicity (#lower covers - 1).
-    """
-
-    _fields = __slots__ = (
-        "join_irreducible",
-        "meet_irreducible",
-        "doubly_irreducible",
-        "atoms",
-        "adjunct_elements",
-        "upper_cover_count",
-        "lower_cover_count",
-    )
-
-    def __init__(
-        self,
-        join_irreducible: frozenset[str],
-        meet_irreducible: frozenset[str],
-        doubly_irreducible: frozenset[str],
-        atoms: frozenset[str],
-        adjunct_elements: frozenset[str],
-        upper_cover_count: Mapping[str, int],
-        lower_cover_count: Mapping[str, int],
-    ):
-        _init(self, "join_irreducible", join_irreducible)
-        _init(self, "meet_irreducible", meet_irreducible)
-        _init(self, "doubly_irreducible", doubly_irreducible)
-        _init(self, "atoms", atoms)
-        _init(self, "adjunct_elements", adjunct_elements)
-        _init(self, "upper_cover_count", upper_cover_count)
-        _init(self, "lower_cover_count", lower_cover_count)
-
-
 class Adjunction(_Record):
     """One `adjoin (a, b): chain` record; chain is listed bottom-to-top."""
 
@@ -414,35 +377,15 @@ def _cover_masks(lat: Lattice) -> tuple[list[int], list[int]]:
     return uppers, lowers
 
 
-# -- classification -------------------------------------------------------------
+# -- adjunct elements and the class ---------------------------------------------
 
 
-def classify(lat: Lattice) -> ElementClassification:
-    """Compute the irreducibility sets and adjunct elements of a lattice.
-
-    In a finite lattice, x is join-reducible iff it has >= 2 lower covers and
-    meet-reducible iff it has >= 2 upper covers; doubly irreducible means
-    exactly one of each (the extremes never qualify).  The cover counts are
-    the lengths of the index lists ``_lowers`` and ``_uppers``, and the atoms
-    are the upper covers of the bottom.
+def adjunct_elements(lat: Lattice) -> frozenset[str]:
+    """The labels of the elements with at least two lower covers, read off
+    ``_lowers``.  For a lower dismantlable lattice these are exactly the b
+    with (0, b) an adjunct pair, with multiplicity (#lower covers - 1).
     """
-    labels = lat.labels
-    lower_count = {x: len(low) for x, low in zip(labels, lat._lowers)}
-    upper_count = {x: len(up) for x, up in zip(labels, lat._uppers)}
-    join_irr = frozenset(x for x in labels if lower_count[x] <= 1)
-    meet_irr = frozenset(x for x in labels if upper_count[x] <= 1)
-    doubly = frozenset(x for x in labels if lower_count[x] == 1 and upper_count[x] == 1)
-    atoms = frozenset(labels[i] for i in lat._uppers[lat.bottom])
-    adjuncts = frozenset(x for x in labels if lower_count[x] >= 2)
-    return ElementClassification(
-        join_irreducible=join_irr,
-        meet_irreducible=meet_irr,
-        doubly_irreducible=doubly,
-        atoms=atoms,
-        adjunct_elements=adjuncts,
-        upper_cover_count=upper_count,
-        lower_cover_count=lower_count,
-    )
+    return frozenset(lat.labels[x] for x, low in enumerate(lat._lowers) if len(low) >= 2)
 
 
 def is_lower_dismantlable(lat: Lattice) -> bool:

@@ -89,12 +89,6 @@ class RootedTree(_Record):
     def root_label(self) -> str:
         return self.labels[self.root]
 
-    def index(self, x: str) -> int:
-        try:
-            return self._index[x]
-        except KeyError:
-            raise NoSuchElement(f"no node {x!r}") from None
-
 
 class IsoWitness(_Record):
     """A checked bijection; graph-iso preserves adjacency, lattice-iso

@@ -39,7 +39,7 @@ class LabeledGraph:
     masks on first use.
     """
 
-    __slots__ = ("vertices", "masks", "_index", "_edges")
+    __slots__ = ("vertices", "masks", "_edges")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str]]):
         labels = tuple(sorted(set(vertices)))
@@ -55,20 +55,19 @@ class LabeledGraph:
                 raise NoSuchElement(f"edge endpoint {missing!r} is not a vertex") from None
             masks[i] |= 1 << j
             masks[j] |= 1 << i
-        self._fill(labels, masks, index)
+        self._fill(labels, masks)
 
     @classmethod
     def _of_masks(cls, vertices: tuple[str, ...], masks: Sequence[int]) -> "LabeledGraph":
         """The graph on the sorted, distinct `vertices` with neighbour masks
         `masks`, which are trusted to be symmetric and free of loops."""
         graph = cls.__new__(cls)
-        graph._fill(vertices, masks, {v: i for i, v in enumerate(vertices)})
+        graph._fill(vertices, masks)
         return graph
 
-    def _fill(self, vertices: tuple[str, ...], masks: Sequence[int], index: dict[str, int]) -> None:
+    def _fill(self, vertices: tuple[str, ...], masks: Sequence[int]) -> None:
         self.vertices: tuple[str, ...] = vertices
         self.masks: tuple[int, ...] = tuple(masks)
-        self._index = index
         self._edges: tuple[tuple[str, str], ...] | None = None
 
     @property
@@ -88,12 +87,6 @@ class LabeledGraph:
             rows = (zip(repeat(u), _members(vs[i + 1 :], masks[i] >> i + 1)) for i, u in enumerate(vs))
             self._edges = tuple(chain.from_iterable(rows))
         return self._edges
-
-    def index(self, v: str) -> int:
-        try:
-            return self._index[v]
-        except KeyError:
-            raise NoSuchElement(f"no vertex {v!r}") from None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LabeledGraph):
@@ -162,7 +155,7 @@ def zero_divisor_graph(lat: Lattice) -> LabeledGraph:
     neighbours of x are the vertices outside the second.
     """
     bottom, down, labels = lat.bottom, lat._down, lat.labels
-    atoms = sum(1 << x for x in range(lat.n) if lat._lowers[x] == (bottom,))
+    atoms = sum(1 << x for x in lat._uppers[bottom])
     vertices = sorted(
         (x for x in range(lat.n) if x != bottom and down[x] & atoms != atoms), key=labels.__getitem__
     )

@@ -46,15 +46,15 @@ independent references:
   `children`, `leaves` and `member_sets`: a tree and a tuple of classes
   read by label;
 - `label_is_lower_dismantlable`, `label_classify`, `label_tree_of_lattice`
-  and `down_set_lift`: the class test, the census, the tree and the
-  one-pass lift read through those label-level readers and
+  and `down_set_lift`: the class test, the adjunct elements, the tree and
+  the one-pass lift read through those label-level readers and
   `RootedTree.from_parents`, next to the package's readers of the index
   lists; and `relabeled_tree`, a tree with its labels replaced;
 - `reference_peel`: the branch peel over a label -> label parent dict,
   which rebuilds the child lists and a breadth-first order from it, next
   to the package's peel over the tree's index arrays;
 - `adjunct_pair_multiset`, `preorder_intervals` and `is_ancestor`: the
-  adjunct pairs of a census, and the preorder intervals of a tree with
+  adjunct pairs of a lattice, and the preorder intervals of a tree with
   the ancestor test they give, which only the tests read;
 - `parent_map`, `non_ancestor_graph`, `is_structurally_deletable` and
   `enumerate_lower_dismantlable`: readers that no command calls, kept for
@@ -73,12 +73,11 @@ from dislat import (
     Adjunction,
     AdjunctExpr,
     DislatError,
-    ElementClassification,
     IsoWitness,
     Lattice,
     VertexClass,
+    adjunct_elements,
     build_from_covers,
-    classify,
     is_lower_dismantlable,
 )
 from dislat.blocks import _deletable, _delete
@@ -190,17 +189,27 @@ class _Parser:
             raise DslSyntaxError(f"expected {what}, found {tok.text or 'end of input'!r}", tok.line, tok.col)
         return tok
 
+    def ends_base(self) -> bool:
+        """Whether the token after the next one is no element, so that the
+        next one is the last of the chain statement."""
+        after = self.tokens[self.pos + 1 : self.pos + 2]  # empty when the next one is the end
+        return not after or after[0].kind not in ("IDENT", "ZERO")
+
     def keyword(self, word: str) -> None:
         tok = self.next()
         if tok.kind != "IDENT" or tok.text != word:
             raise DslSyntaxError(f"expected {word!r}, found {tok.text or 'end of input'!r}", tok.line, tok.col)
 
-    def element(self, defined: dict[str, _Token], declare: bool, allow_zero: bool) -> str:
+    def element(self, defined: dict[str, _Token], declare: bool, allow_zero: bool, last_of_base: bool = False) -> str:
         tok = self.next()
         if tok.kind == "ZERO":
             if not allow_zero:
                 raise DslSyntaxError("'0' is only allowed as the bottom of the chain or first in a pair", tok.line, tok.col)
             name = "0"
+        elif tok.kind == "IDENT" and tok.text == "⊤" and declare and not last_of_base:
+            raise DslSyntaxError(
+                "'⊤' names the top and is only allowed last in the chain statement", tok.line, tok.col
+            )
         elif tok.kind == "IDENT":
             if tok.text in _KEYWORDS:
                 raise DslSyntaxError(f"{tok.text!r} is a reserved word", tok.line, tok.col)
@@ -225,9 +234,9 @@ class _Parser:
 
         defined: dict[str, _Token] = {}
         self.keyword("chain")
-        base = [self.element(defined, declare=True, allow_zero=True)]
+        base = [self.element(defined, declare=True, allow_zero=True, last_of_base=self.ends_base())]
         while self.peek().kind in ("IDENT", "ZERO"):
-            base.append(self.element(defined, declare=True, allow_zero=False))
+            base.append(self.element(defined, declare=True, allow_zero=False, last_of_base=self.ends_base()))
         self.expect("SEMI", "';'")
 
         adjunctions: list[Adjunction] = []
@@ -402,7 +411,7 @@ def peel_decomposition(lat: Lattice, x: str) -> PeelStep:
     vertex_set = set(graph.vertices)
     ax = [
         b
-        for b in classify(lat).adjunct_elements
+        for b in adjunct_elements(lat)
         if b != x and (b not in vertex_set or b not in nx)
     ]
     for i, b1 in enumerate(ax):
@@ -455,7 +464,7 @@ def align_adjuncts(
         if not misaligned:
             break
         x1 = misaligned[0]
-        nbr = g1.masks[g1.index(x1)]
+        nbr = g1.masks[g1.vertices.index(x1)]
         mates = [y for y, mask in zip(g1.vertices, g1.masks) if mask == nbr]
         swap_with = next((y for y in mates if phi[y] in adj2), None)
         if swap_with is None:
@@ -480,7 +489,7 @@ def reference_lift(l1: Lattice, l2: Lattice, phi: dict[str, str]) -> dict[str, s
     """
     zg1 = zero_divisor_graph(l1)
     g1 = SetGraph(zg1.vertices, zg1.edges)
-    adj1 = set(classify(l1).adjunct_elements) & set(g1.vertices)
+    adj1 = adjunct_elements(l1) & set(g1.vertices)
     if not adj1:
         parts = complement_clique_parts(zg1)
         if parts is None:
@@ -575,20 +584,10 @@ def label_is_lower_dismantlable(lat: Lattice) -> bool:
     return lat.n > 1 and all(len(upper_covers(lat, x)) == 1 for x in lat.labels if x not in extremes)
 
 
-def label_classify(lat: Lattice) -> ElementClassification:
-    """`classify` through the label readers: one `lower_covers` and one
-    `upper_covers` tuple per element."""
-    lower_count = {x: len(lower_covers(lat, x)) for x in lat.labels}
-    upper_count = {x: len(upper_covers(lat, x)) for x in lat.labels}
-    return ElementClassification(
-        join_irreducible=frozenset(x for x in lat.labels if lower_count[x] <= 1),
-        meet_irreducible=frozenset(x for x in lat.labels if upper_count[x] <= 1),
-        doubly_irreducible=frozenset(x for x in lat.labels if lower_count[x] == 1 and upper_count[x] == 1),
-        atoms=frozenset(upper_covers(lat, lat.bottom_label)),
-        adjunct_elements=frozenset(x for x in lat.labels if lower_count[x] >= 2),
-        upper_cover_count=upper_count,
-        lower_cover_count=lower_count,
-    )
+def label_classify(lat: Lattice) -> frozenset[str]:
+    """`adjunct_elements` through the label readers: the elements whose
+    `lower_covers` tuple has two entries or more."""
+    return frozenset(x for x in lat.labels if len(lower_covers(lat, x)) >= 2)
 
 
 def label_tree_of_lattice(lat: Lattice) -> RootedTree:
@@ -625,9 +624,10 @@ def relabeled_tree(tree: RootedTree, mapping: dict[str, str]) -> RootedTree:
     )
 
 
-def adjunct_pair_multiset(census: ElementClassification, bottom: str) -> dict[tuple[str, str], int]:
-    """Multiset {(bottom, b): multiplicity} of adjunct pairs."""
-    return {(bottom, b): census.lower_cover_count[b] - 1 for b in sorted(census.adjunct_elements)}
+def adjunct_pair_multiset(lat: Lattice) -> dict[tuple[str, str], int]:
+    """Multiset {(bottom, b): multiplicity} of the adjunct pairs of a lower
+    dismantlable lattice: one pair fewer than b has lower covers."""
+    return {(lat.bottom_label, b): len(lower_covers(lat, b)) - 1 for b in sorted(label_classify(lat))}
 
 
 def preorder_intervals(tree: RootedTree) -> tuple[list[int], list[int]]:
@@ -645,7 +645,10 @@ def preorder_intervals(tree: RootedTree) -> tuple[list[int], list[int]]:
 
 def is_ancestor(tree: RootedTree, u: str, v: str) -> bool:
     """True when u lies on the root path of v (proper ancestor)."""
-    ui, vi = tree.index(u), tree.index(v)
+    try:
+        ui, vi = tree._index[u], tree._index[v]
+    except KeyError as exc:
+        raise NoSuchElement(f"no node {exc.args[0]!r}") from None
     tin, tout = preorder_intervals(tree)
     return tin[ui] < tin[vi] < tout[ui]
 
@@ -724,7 +727,8 @@ def check_graph_iso(g1: LabeledGraph, g2: LabeledGraph, mapping: Mapping[str, st
         return False
     if len(set(mapping.values())) != len(mapping):
         return False
-    source = {w: g1.index(v) for v, w in mapping.items()}
+    position = {v: i for i, v in enumerate(g1.vertices)}
+    source = {w: position[v] for v, w in mapping.items()}
     return _select_bits(g1.masks, [source[w] for w in g2.vertices], g1.n) == list(g2.masks)
 
 

@@ -10,9 +10,9 @@ import time
 from pathlib import Path
 
 from dislat import (
+    adjunct_elements,
     basic_block,
     canonical_code,
-    classify,
     complete_multipartite_parts,
     connectivity_report,
     explore_deletion_orders,
@@ -51,7 +51,7 @@ def _report(num: int, desc: str, ok: bool, extra: str = "") -> None:
 def test_criterion_01_figure3_golden():
     start = time.perf_counter()
     lat = elaborate(parse_file(str(DATA / "ex2.adl")))
-    adjuncts = classify(lat).adjunct_elements
+    adjuncts = adjunct_elements(lat)
     tree_classes = neighborhood_classes(non_ancestor_graph(tree_of_lattice(lat)))
     zdg_vertices = set(zero_divisor_graph(lat).vertices)
     elapsed = time.perf_counter() - start
@@ -187,8 +187,8 @@ def test_criterion_09_align_and_lift():
     failures = iso_count = 0
     for lat in _population_le9():
         graph = zero_divisor_graph(lat)
-        adjunct_vertices = set(classify(lat).adjunct_elements) & set(graph.vertices)
-        x_set = set(classify(lat).adjunct_elements) - {lat.top_label}
+        adjunct_vertices = adjunct_elements(lat) & set(graph.vertices)
+        x_set = adjunct_elements(lat) - {lat.top_label}
         for mapping in brute_graph_iso_all(graph, graph):
             iso_count += 1
             f = IsoWitness("graph-iso", mapping)

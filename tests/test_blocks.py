@@ -10,9 +10,9 @@ from dislat import (
     HypothesisViolated,
     NoSuchElement,
     NotLowerDismantlable,
+    adjunct_elements,
     basic_block,
     build_from_covers,
-    classify,
     explore_deletion_orders,
     is_ssc,
     peel_order,
@@ -332,7 +332,7 @@ class TestClassHasAdjunct:
     def test_agrees_with_lattice_side(self):
         for lat in enumerate_lower_dismantlable(9):
             g = zero_divisor_graph(lat)
-            adjuncts = set(classify(lat).adjunct_elements)
+            adjuncts = adjunct_elements(lat)
             for cls in neighborhood_classes(g):
                 assert class_has_adjunct(g, min(cls)) == bool(cls & adjuncts)
 
@@ -421,7 +421,7 @@ class TestClassChainLemmas:
     def test_classes_are_chains_with_minimal_adjunct(self):
         for lat in enumerate_lower_dismantlable(9):
             g = zero_divisor_graph(lat)
-            adjuncts = set(classify(lat).adjunct_elements)
+            adjuncts = adjunct_elements(lat)
             for cls in annotate_classes(lat, g):
                 for x, y in itertools.combinations(cls.members, 2):
                     assert comparable(lat, x, y)  # each class is a chain
@@ -435,7 +435,7 @@ class TestClassChainLemmas:
     def test_class_has_adjunct_iff_no_atom(self):
         for lat in enumerate_lower_dismantlable(9):
             g = zero_divisor_graph(lat)
-            atoms = set(classify(lat).atoms)
+            atoms = set(upper_covers(lat, lat.bottom_label))
             tree = tree_of_lattice(lat)
             pendants = set(leaves(tree))
             for cls in annotate_classes(lat, g):

@@ -119,6 +119,23 @@ class TestParse:
         expr = parse("lattice t { chain 0 x ⊤; adjoin (0, ⊤): y; }")
         assert expr.base == ("0", "x", "⊤")
 
+    @pytest.mark.parametrize(
+        "text, col",
+        [
+            ("lattice L { chain 0 ⊤ b; adjoin (0, b): c; }", 21),  # inside the chain
+            ("lattice L { chain ⊤ a; }", 19),  # where the bottom goes
+            ("lattice L { chain 0 a b; adjoin (0, b): ⊤; }", 41),  # an adjoined chain
+            ("lattice L { chain 0 a b; adjoin (0, b): c ⊤; }", 43),  # the top of an adjoined chain
+            ("lattice L { chain 0 a ⊤; adjoin (0, ⊤): c ⊤; }", 43),  # declared twice
+            ("lattice L { chain 0 ⊤ adjoin; }", 21),  # followed by a keyword
+        ],
+    )
+    def test_root_symbol_declared_only_as_the_top(self, text, col):
+        """'⊤' names the top: only the last element of the chain statement
+        may declare it, and anywhere else it is a syntax error at the token."""
+        want = (DslSyntaxError, "'⊤' names the top and is only allowed last in the chain statement", 1, col)
+        assert parse_outcome(parse, text) == parse_outcome(reference_parse, text) == want
+
     def test_unexpected_character(self):
         with pytest.raises(DslSyntaxError) as err:
             parse("lattice bad { chain 0 a$; }")

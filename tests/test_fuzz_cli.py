@@ -3,7 +3,10 @@
 Whatever a `.adl` file holds, `build`, `zdg`, `analyze` and `iso --witness`
 exit 0, 1, 2 or 3, print no traceback, and under `--json` print exactly one
 document that validates against schemas/cli_output.schema.json.  So does
-`recognize`, whatever its graph file holds.
+`recognize`, whatever its graph file holds.  And whatever `.adl` `zdg`
+accepts, `recognize` answers the graph it prints with exit 0 or 1: the
+inputs are the `.adl` of random trees with one label replaced by `⊤`, and
+edited texts that use `⊤`.
 
 The inputs are the small `.adl` files of tests/data, and one lattice outside
 the class, after a few random edits: a span deleted, duplicated, or replaced
@@ -31,7 +34,8 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from dislat.cli import main
-from dislat.treeiso import RootedTree
+from dislat.dsl import serialize
+from dislat.treeiso import RootedTree, adjunct_representation
 from tests.reference import non_ancestor_graph
 
 jsonschema = pytest.importorskip("jsonschema")
@@ -61,12 +65,12 @@ def element_count(text: str) -> int:
 
 
 @st.composite
-def edited_adl(draw) -> str:
-    text = draw(st.sampled_from(SEEDS))
+def edited_adl(draw, seeds: list[str] = SEEDS, tokens: list[str] = TOKENS) -> str:
+    text = draw(st.sampled_from(seeds))
     for _ in range(draw(st.integers(min_value=1, max_value=4))):
         i = draw(st.integers(min_value=0, max_value=len(text)))
         j = draw(st.integers(min_value=i, max_value=min(len(text), i + 12)))
-        piece = draw(st.one_of(st.sampled_from(TOKENS), st.text(max_size=3)))
+        piece = draw(st.one_of(st.sampled_from(tokens), st.text(max_size=3)))
         edit = draw(st.sampled_from(["delete", "duplicate", "replace", "insert"]))
         if edit == "delete":
             text = text[:i] + text[j:]
@@ -140,6 +144,41 @@ def test_seeds_are_small_and_varied():
             codes.add(run_json(["build", str(path)]))
             codes.add(run_json(["iso", str(path), str(DATA / "k22.adl"), "--witness"]))
     assert codes == {0, 1, 2}
+
+
+@st.composite
+def adl_naming_top(draw) -> str:
+    """The `.adl` of a random tree on at most 11 nodes, with the label of
+    one node, the root or another, replaced by '⊤'."""
+    n = draw(st.integers(min_value=1, max_value=11))
+    parent = [0] + [draw(st.integers(min_value=0, max_value=i - 1)) for i in range(1, n)]
+    tree = RootedTree(labels=tuple(f"e{i}" for i in range(n)), parent=tuple(parent), root=0)
+    renamed = draw(st.sampled_from(["e0", *tree.labels]))  # the root, e0, twice as often
+    return re.sub(rf"\b{renamed}\b", "⊤", serialize(adjunct_representation(tree)))
+
+
+TOP_SEEDS = [
+    "lattice t { chain 0 x ⊤; adjoin (0, ⊤): y z; adjoin (0, z): w; }",
+    "lattice L { chain 0 a b; adjoin (0, b): c; }",
+    "lattice g { chain 0 a b ⊤; adjoin (a, ⊤): c; }",
+]
+
+
+@given(st.one_of(adl_naming_top(), edited_adl(TOP_SEEDS, [*TOKENS, "⊤", "⊤", "⊤"])))
+@FUZZ
+def test_recognize_answers_the_graph_of_every_adl(text):
+    """For every `.adl` that `zdg` accepts, `recognize` on the printed graph
+    exits 0 or 1, never 2: every vertex is an element name, since '0' can
+    only name the bottom and '⊤' only the top, and neither is a vertex."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path, graph = Path(tmp) / "input.adl", Path(tmp) / "graph.json"
+        path.write_text(text, encoding="utf-8")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["--json", "zdg", str(path)])
+        assume(code == 0)
+        graph.write_text(out.getvalue(), encoding="utf-8")
+        assert run_json(["recognize", str(graph)]) in (0, 1), text
 
 
 NAMES = st.sampled_from([*"abcdefghijkl", "x1", "one", "_"])

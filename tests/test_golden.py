@@ -70,6 +70,13 @@ that validates through `build_from_covers`:
     dislat --json zdg general.adl            > general.zdg.json
     dislat --json analyze general.adl        > general.analyze.json
 
+The DOT text of the zero-divisor graphs was written before graphs lost
+their label -> position index:
+
+    dislat zdg F.adl --dot                   > F.zdg.dot
+
+for F in fig2 and general.
+
 cbt255.adl is the 256-element lattice of the complete binary tree on
 e1..e255 (as for cbt15), which is SSC, so its `analyze` pins the SSC report
 and the classes at a few hundred elements.  It was written while `is_ssc`
@@ -93,6 +100,7 @@ where ';' is expected, which is reported at the comment's '#'.
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
@@ -132,6 +140,8 @@ COMMANDS["general.build.json"] = ["--json", "build", DATA / "general.adl"]
 COMMANDS["general.build.txt"] = ["build", DATA / "general.adl"]
 COMMANDS["general.zdg.json"] = ["--json", "zdg", DATA / "general.adl"]
 COMMANDS["general.analyze.json"] = ["--json", "analyze", DATA / "general.adl"]
+for name in ("fig2", "general"):
+    COMMANDS[f"{name}.zdg.dot"] = ["zdg", DATA / f"{name}.adl", "--dot"]
 COMMANDS["one.analyze.json"] = ["--json", "analyze", DATA / "one.adl"]
 COMMANDS["cbt255.analyze.json"] = ["--json", "analyze", DATA / "cbt255.adl"]
 for name in ("cbt15", "cbt15_shuffled", "swap7", "swap7_shuffled", "fig2_shuffled", "m2", "m3", "negssc", "chain4"):
@@ -148,3 +158,17 @@ def test_output_bytes(capsys, golden):
     out = capsys.readouterr().out
     assert code == EXIT_CODES.get(golden, 0)
     assert out.encode("utf-8") == (GOLDEN / golden).read_bytes()
+
+
+JSON_OUTPUTS = [
+    *(GOLDEN / name for name, argv in sorted(COMMANDS.items()) if "--json" in argv),
+    *(DATA / f"verify_all_{run}.json" for run in ("9", "10_seed1", "11_seed2")),
+]
+
+
+@pytest.mark.parametrize("path", JSON_OUTPUTS, ids=lambda path: path.name)
+def test_json_output_matches_schema(path):
+    """Every committed `--json` output is a document of the CLI schema."""
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = json.loads((DATA.parent.parent / "schemas" / "cli_output.schema.json").read_text(encoding="utf-8"))
+    jsonschema.validate(json.loads(path.read_text(encoding="utf-8")), schema)

@@ -13,9 +13,9 @@ from dislat import (
     NotLowerDismantlable,
     NotReduced,
     PairNotAdjunctable,
+    adjunct_elements,
     adjunct_representation,
     build_from_covers,
-    classify,
     elaborate,
     is_lower_dismantlable,
     parse,
@@ -34,6 +34,7 @@ from tests.reference import (
     lower_covers,
     lt,
     reference_relabel,
+    upper_covers,
 )
 
 M2_COVERS = [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")]
@@ -217,25 +218,27 @@ class TestMeetJoin:
 
 
 class TestClassify:
+    """The element classes the commands report: the atoms, which are the
+    upper covers of the bottom, and the adjunct elements."""
+
     def test_m2(self, m2):
-        cls = classify(m2)
-        assert cls.adjunct_elements == {"one"}
-        assert cls.atoms == {"a", "b"}
-        assert cls.doubly_irreducible == {"a", "b"}
+        assert adjunct_elements(m2) == {"one"}
+        assert set(upper_covers(m2, m2.bottom_label)) == {"a", "b"}
 
     def test_ex2_adjunct_elements(self, ex2):
-        assert classify(ex2).adjunct_elements == {"a5", "a6", "a8"}
+        assert adjunct_elements(ex2) == {"a5", "a6", "a8"}
 
     def test_chain_interior_doubly_irreducible(self):
+        """A chain has no adjunct element, and each element between its
+        extremes has one lower and one upper cover."""
         lat = chain_lattice(["0", "a", "b", "c", "1"])
-        cls = classify(lat)
-        assert cls.adjunct_elements == frozenset()
-        assert cls.doubly_irreducible == {"a", "b", "c"}
-        assert "0" in cls.join_irreducible
-        assert "1" in cls.meet_irreducible
+        assert adjunct_elements(lat) == frozenset()
+        assert [(lower_covers(lat, x), upper_covers(lat, x)) for x in "abc"] == [
+            (("0",), ("b",)), (("a",), ("c",)), (("b",), ("1",))
+        ]
 
     def test_pair_multiset(self, ex2):
-        ms = adjunct_pair_multiset(classify(ex2), "0")
+        ms = adjunct_pair_multiset(ex2)
         assert ms == {("0", "a5"): 1, ("0", "a6"): 1, ("0", "a8"): 1}
 
 
@@ -291,8 +294,7 @@ class TestLowerDismantlable:
         cube = boolean_cube()
         assert not is_lower_dismantlable(cube)
         # the witness: a nonzero meet-reducible element exists
-        cls = classify(cube)
-        assert any(x != "0" and cls.upper_cover_count[x] >= 2 for x in cube.labels)
+        assert any(x != "0" and len(upper_covers(cube, x)) >= 2 for x in cube.labels)
 
 
 class TestAdjunctRepresentation:
@@ -340,7 +342,7 @@ class TestInvariants:
             got = Counter(adj.pair for adj in expr.adjunctions)
             want = {
                 (lat.bottom_label, b): mult
-                for (_, b), mult in adjunct_pair_multiset(classify(lat), lat.bottom_label).items()
+                for (_, b), mult in adjunct_pair_multiset(lat).items()
                 if mult > 0
             }
             assert dict(got) == want
@@ -384,10 +386,7 @@ class TestInvariants:
 
     def test_no_nonzero_meet_reducible(self):
         for lat in enumerate_lower_dismantlable(9):
-            cls = classify(lat)
-            assert all(
-                cls.upper_cover_count[x] <= 1 for x in lat.labels if x != lat.bottom_label
-            )
+            assert all(len(upper_covers(lat, x)) <= 1 for x in lat.labels if x != lat.bottom_label)
 
     def test_meet_zero_iff_incomparable(self):
         for lat in enumerate_lower_dismantlable(8):
@@ -398,11 +397,9 @@ class TestInvariants:
 
     def test_adjunct_elements_have_two_atoms_below(self):
         for lat in enumerate_lower_dismantlable(9):
-            cls = classify(lat)
-            if not cls.adjunct_elements:
-                continue  # chains
-            for b in cls.adjunct_elements:
-                atoms_below = [p for p in cls.atoms if lat.leq(p, b)]
+            atoms = upper_covers(lat, lat.bottom_label)
+            for b in adjunct_elements(lat):  # none in a chain
+                atoms_below = [p for p in atoms if lat.leq(p, b)]
                 assert len(atoms_below) >= 2
 
     def test_lattice_axioms_after_random_adjuncts(self):

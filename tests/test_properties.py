@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dislat import (
+    adjunct_elements,
     adjunct_representation,
     canonical_code,
-    classify,
     connectivity_report,
     elaborate,
     is_ssc,
@@ -24,7 +24,14 @@ from dislat import (
     zero_divisor_graph,
 )
 from dislat.treeiso import RootedTree
-from tests.reference import comparable, definition_is_ssc, non_ancestor_graph, parent_map, relabeled_tree
+from tests.reference import (
+    comparable,
+    definition_is_ssc,
+    non_ancestor_graph,
+    parent_map,
+    relabeled_tree,
+    upper_covers,
+)
 
 
 @st.composite
@@ -157,6 +164,6 @@ def test_meet_zero_iff_incomparable(expr):
 @settings(max_examples=60, deadline=None)
 def test_adjunct_elements_sit_above_two_atoms(expr):
     lat = elaborate(expr)
-    cls = classify(lat)
-    for b in cls.adjunct_elements:
-        assert sum(1 for p in cls.atoms if lat.leq(p, b)) >= 2
+    atoms = upper_covers(lat, lat.bottom_label)
+    for b in adjunct_elements(lat):
+        assert sum(1 for p in atoms if lat.leq(p, b)) >= 2

@@ -18,25 +18,12 @@ import pytest
 from dislat import (
     AdjunctExpr,
     Adjunction,
-    ElementClassification,
     IsoWitness,
     RootedTree,
     VertexClass,
 )
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-
-
-def classification():
-    return ElementClassification(
-        join_irreducible=frozenset({"0"}),
-        meet_irreducible=frozenset({"1"}),
-        doubly_irreducible=frozenset({"a"}),
-        atoms=frozenset({"a"}),
-        adjunct_elements=frozenset(),
-        upper_cover_count={"0": 1, "a": 1, "1": 0},
-        lower_cover_count={"0": 0, "a": 1, "1": 1},
-    )
 
 
 def adjunction():
@@ -61,14 +48,6 @@ def iso_witness():
 
 # (maker, fields, repr text of the dataclass it replaces)
 RECORDS = {
-    "ElementClassification": (
-        classification,
-        ("join_irreducible", "meet_irreducible", "doubly_irreducible", "atoms", "adjunct_elements",
-         "upper_cover_count", "lower_cover_count"),
-        "ElementClassification(join_irreducible=frozenset({'0'}), meet_irreducible=frozenset({'1'}), "
-        "doubly_irreducible=frozenset({'a'}), atoms=frozenset({'a'}), adjunct_elements=frozenset(), "
-        "upper_cover_count={'0': 1, 'a': 1, '1': 0}, lower_cover_count={'0': 0, 'a': 1, '1': 1})",
-    ),
     "Adjunction": (adjunction, ("pair", "chain"), "Adjunction(pair=('0', 'one'), chain=('b', 'c'))"),
     "AdjunctExpr": (
         adjunct_expr,
@@ -85,7 +64,6 @@ RECORDS = {
     "IsoWitness": (iso_witness, ("kind", "mapping"), "IsoWitness(kind='graph-iso', mapping={'a': 'b', 'b': 'a'})"),
 }
 FROZEN = sorted(set(RECORDS) - {"IsoWitness"})
-HASHABLE = sorted(set(FROZEN) - {"ElementClassification"})  # its cover counts are dicts
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))
@@ -124,16 +102,11 @@ def test_copy_and_pickle_round_trip(name):
         assert clone == make() and repr(clone) == text
 
 
-@pytest.mark.parametrize("name", HASHABLE)
+@pytest.mark.parametrize("name", FROZEN)
 def test_equal_records_hash_equal(name):
     make, _, _ = RECORDS[name]
     assert hash(make()) == hash(make())
     assert len({make(), make()}) == 1
-
-
-def test_classification_with_dict_counts_is_unhashable():
-    with pytest.raises(TypeError):
-        hash(classification())
 
 
 @pytest.mark.parametrize("name", FROZEN)

@@ -17,8 +17,8 @@ from dislat import (
     NoSuchElement,
     NotLowerDismantlable,
     RootedTree,
+    adjunct_elements,
     canonical_code,
-    classify,
     graph_iso,
     lattice_from_complete_multipartite,
     lattice_of_tree,
@@ -33,6 +33,7 @@ from dislat.treeiso import FRESH_ROOT, _canonical, check_lattice_iso, tree_from_
 from tests.conftest import random_dismantlable, shuffled_copy
 from tests.reference import (
     SetGraph,
+    adjunct_pair_multiset,
     align_adjuncts,
     brute_graph_iso,
     brute_graph_iso_all,
@@ -52,6 +53,7 @@ from tests.reference import (
     reference_lattice_of_tree,
     reference_lift,
     relabeled_tree,
+    upper_covers,
 )
 
 
@@ -69,7 +71,7 @@ def lift_ignoring_alignment(l1, l2, g1, g2, f: IsoWitness) -> IsoWitness:
     psi = lift_to_lattice_iso(l1, l2, g1, g2, f)
     phi = align_adjuncts(l1, l2, g1, g2, f)
     assert psi.mapping == lift_to_lattice_iso(l1, l2, g1, g2, phi).mapping
-    x_set = set(classify(l1).adjunct_elements) - {l1.top_label}
+    x_set = adjunct_elements(l1) - {l1.top_label}
     assert all(psi.mapping[x] == phi.mapping[x] for x in x_set)
     return psi
 
@@ -121,10 +123,9 @@ class TestLatticeOfTree:
     def test_star_gives_k_atoms(self):
         tree = RootedTree.from_parents({"r": None, "x": "r", "y": "r", "z": "r"})
         lat = lattice_of_tree(tree)
-        cls = classify(lat)
-        assert cls.atoms == {"x", "y", "z"}
-        assert cls.adjunct_elements == {"r"}
-        assert cls.lower_cover_count["r"] - 1 == 2  # (0,1) multiplicity
+        assert set(upper_covers(lat, lat.bottom_label)) == {"x", "y", "z"}
+        assert adjunct_elements(lat) == {"r"}
+        assert adjunct_pair_multiset(lat) == {("0", "r"): 2}  # (0,1) multiplicity
 
     def test_round_trips_both_ways(self):
         for tree in enumerate_rooted_trees(6):
@@ -701,7 +702,7 @@ class TestAlignAdjuncts:
         for lat in enumerate_lower_dismantlable(7, root_min_children=2):
             g = zero_divisor_graph(lat)
             by_label = SetGraph(g.vertices, g.edges)
-            adjunct_vertices = set(classify(lat).adjunct_elements) & set(g.vertices)
+            adjunct_vertices = adjunct_elements(lat) & set(g.vertices)
             for mapping in brute_graph_iso_all(g, g):
                 phi = align_adjuncts(lat, lat, g, g, IsoWitness("graph-iso", mapping))
                 assert {phi.mapping[x] for x in adjunct_vertices} == adjunct_vertices

@@ -11,13 +11,13 @@ from dislat import (
     BadPartition,
     EmptyGraph,
     LabeledGraph,
-    classify,
+    adjunct_elements,
     complete_multipartite_parts,
     connectivity_report,
     lattice_from_complete_multipartite,
     zero_divisor_graph,
 )
-from dislat.errors import DislatError, NoSuchElement
+from dislat.errors import DislatError
 from dislat.zdg import complement_clique_parts, neighborhood_partition
 from tests.conftest import leq_meet
 from tests.reference import (
@@ -175,7 +175,7 @@ class TestLatticeFromParts:
 
     def test_top_is_only_adjunct_element(self):
         lat = lattice_from_complete_multipartite([4, 2])
-        assert classify(lat).adjunct_elements == {lat.top_label}
+        assert adjunct_elements(lat) == {lat.top_label}
 
     def test_bad_partition(self):
         with pytest.raises(BadPartition):
@@ -215,7 +215,7 @@ class TestTheoremSuites:
     def test_forward_multipartite_when_top_only_adjunct(self):
         seen = 0
         for lat in enumerate_lower_dismantlable(9, root_min_children=2):
-            if classify(lat).adjunct_elements != {lat.top_label}:
+            if adjunct_elements(lat) != {lat.top_label}:
                 continue
             seen += 1
             assert complete_multipartite_parts(zero_divisor_graph(lat)) is not None
@@ -302,11 +302,6 @@ class TestMasksAgainstSets:
             same = LabeledGraph(reversed(vertices), [e[::-1] for e in edges])
             assert same == got and hash(same) == hash(got)
         assert failures > 50 and graphs > 300
-
-    def test_unknown_vertex(self):
-        g = LabeledGraph(["a", "b"], [("a", "b")])
-        with pytest.raises(NoSuchElement, match="no vertex 'c'"):
-            g.index("c")
 
 
 class TestConnectivityAgainstNetworkx:
