@@ -57,7 +57,6 @@ from .blocks import (
 )
 from .treeiso import (
     CanonicalCode,
-    IsoWitness,
     RootedTree,
     adjunct_representation,
     canonical_code,

@@ -28,7 +28,7 @@ from .errors import (
     InternalInconsistency,
     NotInClass,
 )
-from .lattice import Lattice, _bits, adjunct_elements, is_lower_dismantlable, relabel
+from .lattice import Lattice, adjunct_elements, is_lower_dismantlable, relabel
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -156,7 +156,7 @@ def cmd_iso(args) -> int:
         else:
             psi = treeiso.tree_match_iso(lat1, lat2, order1, order2)
             payload["witness_route"] = "tree-match"
-        payload["witness"] = psi.to_json_obj()
+        payload["witness"] = {"kind": "lattice-iso", "map": {k: psi[k] for k in sorted(psi)}}
         payload["witness_verified"] = True
     text = "isomorphic\n" if isomorphic else "not isomorphic\n"
     text += "zero-divisor graphs " + ("isomorphic\n" if zdg_isomorphic else "not isomorphic\n")
@@ -320,10 +320,10 @@ class _T1(_Suite):
 
     Brute force runs only within a bucket of `oracle.lattice_iso_key`, which
     holds the size, so a pair across buckets whose codes differ agrees by
-    construction: it is counted, not visited.  Only this size's trees and
-    lattices are kept, and of earlier sizes only the codes.  The first
-    counterexample is that of the least pair (i, j), printed from the trees
-    of lattice i and of the relabelled copy."""
+    construction: it is counted, not visited.  Only this size's trees are
+    kept, and of earlier sizes only the codes.  The first counterexample is
+    that of the least pair (i, j), printed from the trees of lattice i and
+    of the relabelled copy."""
 
     def __init__(self, seed: int, root_min: int, dump_dir: str | None):
         super().__init__(seed, root_min, dump_dir)
@@ -331,8 +331,8 @@ class _T1(_Suite):
         self.root_min = max(root_min, 2)
         self.numbers = itertools.count()  # numbers the lattices
         self.numbers_of_code: dict[str, list[int]] = {}
-        # this size's trees and lattices by the lattices' key
-        self.buckets: dict[tuple, dict[int, tuple[treeiso.RootedTree, Lattice]]] = {}
+        # this size's trees by their lattices' key
+        self.buckets: dict[tuple, dict[int, treeiso.RootedTree]] = {}
         self.first_pair: tuple[int, int] | None = None
 
     def add(self, item: _Item) -> None:
@@ -347,16 +347,15 @@ class _T1(_Suite):
         key = oracle.lattice_iso_key(lat)
         if next(iter(self.buckets), key)[0] != key[0]:  # a new size
             self.buckets = {}
-        self.buckets.setdefault(key, {})[j] = (item.tree, lat)
+        self.buckets.setdefault(key, {})[j] = item.tree
         self.numbers_of_code.setdefault(treeiso.canonical_code(treeiso.recognize(item.graph)), []).append(j)
         code = treeiso.canonical_code(treeiso.recognize(zdg.zero_divisor_graph(relab)))
         equal = self.numbers_of_code.get(code, [])  # the i whose code is that of relabeled lattice j
         bucket = self.buckets[key]  # relab shares lat's index arrays, so its key is key
         # a violation has fast != slow: equal codes outside the bucket, or brute force disagreeing within it
         bad = [i for i in equal if i not in bucket]
-        bad += [
-            i for i, (_, lat_i) in bucket.items() if (i in equal) == (oracle.brute_lattice_iso(lat_i, relab) is None)
-        ]
+        lats = ((i, treeiso.lattice_of_tree(tree)) for i, tree in bucket.items())  # rebuilt in O(n), one at a time
+        bad += [i for i, lat_i in lats if (i in equal) == (oracle.brute_lattice_iso(lat_i, relab) is None)]
         if not bad:
             return
         self.violations += len(bad)
@@ -365,7 +364,7 @@ class _T1(_Suite):
             return
         self.first_pair = (i, j)
         if i in bucket:
-            first = bucket[i][0]
+            first = bucket[i]
         else:  # outside the bucket: only a counterexample pays to enumerate it again
             first = next(itertools.islice(oracle.enumerate_rooted_trees(lat.n - 1, self.root_min), i, None))
         fast = i in equal
@@ -373,21 +372,20 @@ class _T1(_Suite):
         self.first = {"first": _adl(first), "second": _adl(second), "codes_equal": fast, "brute": not fast}
 
 
-def _fixed_point_code(lat: Lattice, fixed_point: frozenset[str]) -> str:
-    """The canonical code of the tree of the sublattice that the lower
-    dismantlable `lat` induces on `fixed_point`, read off the survivors: the
-    parent of each is its nearest surviving strict ancestor, the lowest
-    element of the chain that survives above it."""
-    nodes = [lat.index(x) for x in fixed_point if x != lat.bottom_label]
-    survivors = sum(1 << x for x in nodes)
-    position = {x: k for k, x in enumerate(nodes)}
-    parent = []
-    for x in nodes:
-        above = lat._up[x] & survivors & ~(1 << x)
-        lowest = next((a for a in _bits(above) if lat._up[a] & above == above), x)  # the top is its own parent
-        parent.append(position[lowest])
-    tree = treeiso.RootedTree(labels=tuple(lat.labels[x] for x in nodes), parent=tuple(parent), root=position[lat.top])
-    return treeiso.canonical_code(tree)
+def _fixed_point_code(tree: treeiso.RootedTree, fixed_point: frozenset[str]) -> str:
+    """The canonical code of the tree of the sublattice that the lattice of
+    `tree` induces on `fixed_point`, read off the tree: the parent of each
+    surviving node is its nearest surviving strict ancestor, carried down
+    the preorder.  The root, the top, always survives."""
+    nearest = list(range(tree.n))  # the nearest survivor at or above each node
+    survivors = [v for v in tree._preorder if tree.labels[v] in fixed_point]  # the root first
+    for v in tree._preorder:
+        if tree.labels[v] not in fixed_point:
+            nearest[v] = nearest[tree.parent[v]]
+    position = {v: k for k, v in enumerate(survivors)}
+    parent = tuple(position[nearest[tree.parent[v]]] for v in survivors)  # the root's parent is itself
+    labels = tuple(tree.labels[v] for v in survivors)
+    return treeiso.canonical_code(treeiso.RootedTree(labels=labels, parent=parent, root=0))
 
 
 class _BlockConfluence(_Suite):
@@ -405,7 +403,7 @@ class _BlockConfluence(_Suite):
             self.label_confluent += 1
             self.iso_confluent += 1
             return
-        codes = {_fixed_point_code(lat, fp) for fp in fixed_points}
+        codes = {_fixed_point_code(item.tree, fp) for fp in fixed_points}
         if len(codes) == 1:
             self.iso_confluent += 1
         if self.first is None:
@@ -443,8 +441,8 @@ _SUITES = {
 def _run_suites(names: list[str], max_nodes: int, seed: int, root_min: int, dump_dir: str | None) -> dict:
     """The named suites over lattices of at most `max_nodes` elements, from
     one walk of the tree enumeration in ascending size.  Each lattice is
-    handed to every suite in turn; only t1 keeps one past that, to the end
-    of its size."""
+    handed to every suite in turn; only t1 keeps its tree past that, to the
+    end of its size."""
     suites = {name: _SUITES[name](seed, root_min, dump_dir) for name in names}
     for item in map(_Item, oracle.enumerate_rooted_trees(max_nodes - 1, root_min)):
         for suite in suites.values():

@@ -9,7 +9,7 @@ from typing import Iterator
 
 from .errors import BudgetExceeded
 from .lattice import Lattice, _bits, _cover_masks
-from .treeiso import IsoWitness, RootedTree, tree_from_code
+from .treeiso import RootedTree, tree_from_code
 
 DEFAULT_BUDGET = 2_000_000
 
@@ -130,7 +130,5 @@ def brute_lattice_iso_all(
     yield from extend(0, mapping, 1 << l1.bottom | 1 << l1.top, 1 << l2.bottom | 1 << l2.top)
 
 
-def brute_lattice_iso(l1: Lattice, l2: Lattice, budget: int = DEFAULT_BUDGET) -> IsoWitness | None:
-    for mapping in brute_lattice_iso_all(l1, l2, budget):
-        return IsoWitness(kind="lattice-iso", mapping=mapping)
-    return None
+def brute_lattice_iso(l1: Lattice, l2: Lattice, budget: int = DEFAULT_BUDGET) -> dict[str, str] | None:
+    return next(brute_lattice_iso_all(l1, l2, budget), None)

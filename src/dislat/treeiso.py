@@ -6,7 +6,9 @@ neighborhood class at a time, to a full lattice isomorphism, and only the
 lifted map is checked: it is an order isomorphism exactly when the graph
 map is a graph isomorphism (lemma in `lift_to_lattice_iso`).
 Without the hypothesis of a join-reducible top, a lattice isomorphism is
-read off the two lattices' trees instead."""
+read off the two lattices' trees instead.  Every isomorphism, of graphs or
+of lattices, is a plain dict from labels to labels; `check_lattice_iso` is
+what makes a lattice map trustworthy."""
 
 from __future__ import annotations
 
@@ -88,24 +90,6 @@ class RootedTree(_Record):
     @property
     def root_label(self) -> str:
         return self.labels[self.root]
-
-
-class IsoWitness(_Record):
-    """A checked bijection; graph-iso preserves adjacency, lattice-iso
-    preserves order, both ways.  Unlike the other records it is mutable,
-    and so unhashable."""
-
-    _fields = __slots__ = ("kind", "mapping")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None  # type: ignore[assignment]
-
-    def __init__(self, kind: str, mapping: dict[str, str] | None = None):
-        self.kind = kind  # "graph-iso" | "lattice-iso"
-        self.mapping = {} if mapping is None else mapping
-
-    def to_json_obj(self) -> dict:
-        return {"kind": self.kind, "map": {k: self.mapping[k] for k in sorted(self.mapping)}}
 
 
 def check_lattice_iso(l1: Lattice, l2: Lattice, mapping: Mapping[str, str]) -> bool:
@@ -331,7 +315,7 @@ def recognize(graph: LabeledGraph) -> RootedTree | None:
     return RootedTree(labels=(*vs[:at], root, *vs[at:]), parent=tuple(parent), root=at)
 
 
-def graph_iso(g1: LabeledGraph, g2: LabeledGraph) -> IsoWitness | None:
+def graph_iso(g1: LabeledGraph, g2: LabeledGraph) -> dict[str, str] | None:
     """An isomorphism between two non-ancestor graphs, or None when there is
     none: the matching of the reconstructed trees' canonical preorders,
     restricted to the graph vertices (the fresh roots come first and match
@@ -345,7 +329,7 @@ def graph_iso(g1: LabeledGraph, g2: LabeledGraph) -> IsoWitness | None:
     (code1, order1), (code2, order2) = _canonical(t1), _canonical(t2)
     if code1 != code2:
         return None
-    return IsoWitness(kind="graph-iso", mapping=dict(zip(order1[1:], order2[1:])))
+    return dict(zip(order1[1:], order2[1:]))
 
 
 # -- lifting -----------------------------------------------------------------------
@@ -359,8 +343,8 @@ def _require_top_adjunct(lat: Lattice, side: str) -> None:
 
 
 def lift_to_lattice_iso(
-    l1: Lattice, l2: Lattice, g1: LabeledGraph, g2: LabeledGraph, phi: IsoWitness
-) -> IsoWitness:
+    l1: Lattice, l2: Lattice, g1: LabeledGraph, g2: LabeledGraph, phi: Mapping[str, str]
+) -> dict[str, str]:
     """Lift an isomorphism phi from the zero-divisor graph g1 of l1 to the
     zero-divisor graph g2 of l2 to a lattice isomorphism.
 
@@ -395,25 +379,22 @@ def lift_to_lattice_iso(
     classes only; class-mates have equal neighborhoods, so pi is an
     automorphism of g1 and phi a graph isomorphism.
     """
-    if phi.kind != "graph-iso":
-        raise HypothesisViolated("lift needs a graph isomorphism witness")
     _require_top_adjunct(l1, "first")
     _require_top_adjunct(l2, "second")
-    mapping = phi.mapping
-    if set(mapping) != set(g1.vertices) or set(mapping.values()) != set(g2.vertices):
+    if set(phi) != set(g1.vertices) or set(phi.values()) != set(g2.vertices):
         raise InternalInconsistency("phi does not map the vertices of the first graph onto those of the second")
 
     psi = {l1.bottom_label: l2.bottom_label, l1.top_label: l2.top_label}
     for block in neighborhood_partition(g1):
         chain1 = sorted(block, key=lambda v: l1._down[l1.index(v)].bit_count())
-        chain2 = sorted((mapping[v] for v in block), key=lambda v: l2._down[l2.index(v)].bit_count())
+        chain2 = sorted((phi[v] for v in block), key=lambda v: l2._down[l2.index(v)].bit_count())
         psi.update(zip(chain1, chain2))
     if not check_lattice_iso(l1, l2, psi):
         raise InternalInconsistency("lifted map is not an order isomorphism")
-    return IsoWitness(kind="lattice-iso", mapping=psi)
+    return psi
 
 
-def tree_match_iso(l1: Lattice, l2: Lattice, order1: Sequence[str], order2: Sequence[str]) -> IsoWitness:
+def tree_match_iso(l1: Lattice, l2: Lattice, order1: Sequence[str], order2: Sequence[str]) -> dict[str, str]:
     """The lattice isomorphism read off the trees of two lower dismantlable
     lattices with equal canonical codes: bottom to bottom, and the canonical
     preorders `order1` and `order2` of their `tree_of_lattice` trees (from
@@ -422,4 +403,4 @@ def tree_match_iso(l1: Lattice, l2: Lattice, order1: Sequence[str], order2: Sequ
     psi = {l1.bottom_label: l2.bottom_label, **dict(zip(order1, order2))}
     if not check_lattice_iso(l1, l2, psi):
         raise InternalInconsistency("matched trees do not give an order isomorphism")
-    return IsoWitness(kind="lattice-iso", mapping=psi)
+    return psi

@@ -73,7 +73,6 @@ from dislat import (
     Adjunction,
     AdjunctExpr,
     DislatError,
-    IsoWitness,
     Lattice,
     VertexClass,
     adjunct_elements,
@@ -86,7 +85,6 @@ from dislat.errors import (
     BudgetExceeded,
     DslSyntaxError,
     DuplicateElement,
-    HypothesisViolated,
     InternalInconsistency,
     LabelClash,
     NoSuchElement,
@@ -437,8 +435,8 @@ def adjunct_vertices(lat: Lattice, graph: LabeledGraph) -> set[str]:
 
 
 def align_adjuncts(
-    l1: Lattice, l2: Lattice, g1: LabeledGraph, g2: LabeledGraph, f: IsoWitness
-) -> IsoWitness:
+    l1: Lattice, l2: Lattice, g1: LabeledGraph, g2: LabeledGraph, f: Mapping[str, str]
+) -> dict[str, str]:
     """Turn an isomorphism f from the zero-divisor graph g1 of l1 to the
     zero-divisor graph g2 of l2 into one that maps adjunct elements to
     adjunct elements, by swapping images of class-mates.
@@ -446,11 +444,9 @@ def align_adjuncts(
     The count of misaligned adjunct elements drops by one per swap; class
     structure is untouched (the result maps every class exactly as f does).
     """
-    if f.kind != "graph-iso":
-        raise HypothesisViolated("align_adjuncts needs a graph isomorphism witness")
     _require_top_adjunct(l1, "first")
     _require_top_adjunct(l2, "second")
-    phi = dict(f.mapping)
+    phi = dict(f)
     if not check_graph_iso(g1, g2, phi):
         raise InternalInconsistency("f is not an isomorphism of the zero-divisor graphs")
 
@@ -472,7 +468,7 @@ def align_adjuncts(
                 f"class of {x1!r} maps to a class without an adjunct element"
             )
         phi[x1], phi[swap_with] = phi[swap_with], phi[x1]
-    return IsoWitness(kind="graph-iso", mapping=phi)
+    return phi
 
 
 # -- the recursive lift ------------------------------------------------------------
@@ -774,10 +770,8 @@ def brute_graph_iso_all(
     yield from extend(0, {}, set())
 
 
-def brute_graph_iso(g1: LabeledGraph, g2: LabeledGraph, budget: int = DEFAULT_BUDGET) -> IsoWitness | None:
-    for mapping in brute_graph_iso_all(g1, g2, budget):
-        return IsoWitness(kind="graph-iso", mapping=mapping)
-    return None
+def brute_graph_iso(g1: LabeledGraph, g2: LabeledGraph, budget: int = DEFAULT_BUDGET) -> dict[str, str] | None:
+    return next(brute_graph_iso_all(g1, g2, budget), None)
 
 
 # -- the label-level lattice-isomorphism search -------------------------------------

@@ -577,7 +577,7 @@ class TestClosedFormBlocks:
             assert block == kept | {lat.bottom_label, lat.top_label} | {max(path) for path in leaf_paths}
 
     def test_fixed_point_code_read_off_the_survivors(self, lattices):
-        """block-confluence reads each fixed point's tree off its survivors;
+        """block-confluence reads each fixed point's tree off the enumerated tree;
         the reference builds the sublattice and takes its tree."""
         from dislat import canonical_code
         from dislat.cli import _fixed_point_code
@@ -585,7 +585,7 @@ class TestClosedFormBlocks:
         for lat in lattices:
             for fp in explore_deletion_orders(lat):
                 want = canonical_code(tree_of_lattice(induced_sublattice(lat, fp)))
-                assert _fixed_point_code(lat, fp) == want
+                assert _fixed_point_code(tree_of_lattice(lat), fp) == want
 
 
 class TestBlockAgainstRescan:

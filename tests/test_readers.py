@@ -152,7 +152,7 @@ def test_lift_orders_chains_as_down_set_lengths(sample):
         g1, g2 = zero_divisor_graph(lat), zero_divisor_graph(other)
         f = graph_iso(g1, g2)
         psi = lift_ignoring_alignment(lat, other, g1, g2, f)
-        assert psi.mapping == down_set_lift(lat, other, g1, f.mapping)
+        assert psi == down_set_lift(lat, other, g1, f)
 
 
 def test_lift_outside_the_class_raises_the_same(ex2):

@@ -10,7 +10,6 @@ from dislat import (
     CycleDetected,
     DislatError,
     HypothesisViolated,
-    IsoWitness,
     LabelClash,
     LabeledGraph,
     NotInClass,
@@ -30,7 +29,7 @@ from dislat import (
 from dislat.lattice import relabel
 from dislat.oracle import brute_lattice_iso, enumerate_rooted_trees
 from dislat.treeiso import FRESH_ROOT, _canonical, check_lattice_iso, tree_from_code, tree_match_iso
-from tests.conftest import random_dismantlable, shuffled_copy
+from tests.conftest import DATA, random_dismantlable, shuffled_copy
 from tests.reference import (
     SetGraph,
     adjunct_pair_multiset,
@@ -64,15 +63,15 @@ def relabel_graph(g: LabeledGraph, mapping) -> LabeledGraph:
     )
 
 
-def lift_ignoring_alignment(l1, l2, g1, g2, f: IsoWitness) -> IsoWitness:
+def lift_ignoring_alignment(l1, l2, g1, g2, f: dict[str, str]) -> dict[str, str]:
     """Lift the graph isomorphism f, and check that the result is the lift
     of f after the paper's alignment, and that it agrees with the aligned
     map on the adjunct elements below the top."""
     psi = lift_to_lattice_iso(l1, l2, g1, g2, f)
     phi = align_adjuncts(l1, l2, g1, g2, f)
-    assert psi.mapping == lift_to_lattice_iso(l1, l2, g1, g2, phi).mapping
+    assert psi == lift_to_lattice_iso(l1, l2, g1, g2, phi)
     x_set = adjunct_elements(l1) - {l1.top_label}
-    assert all(psi.mapping[x] == phi.mapping[x] for x in x_set)
+    assert all(psi[x] == phi[x] for x in x_set)
     return psi
 
 
@@ -303,8 +302,7 @@ class TestIsoDecide:
             f = graph_iso(g1, g2)
             assert (f is not None) == want
             if f is not None:
-                assert f.kind == "graph-iso"
-                assert check_graph_iso(g1, g2, f.mapping)
+                assert check_graph_iso(g1, g2, f)
 
 
 def random_parents(rng, n: int) -> list[int]:
@@ -669,23 +667,23 @@ class TestAlignAdjuncts:
 
     def test_already_aligned_is_identity(self, k22):
         g = zero_divisor_graph(k22)
-        f = IsoWitness("graph-iso", {v: v for v in g.vertices})
-        assert align_adjuncts(k22, k22, g, g, f).mapping == f.mapping
+        f = {v: v for v in g.vertices}
+        assert align_adjuncts(k22, k22, g, g, f) == f
 
     def test_single_swap_restores_alignment(self):
         from dislat.dsl import elaborate, parse
 
         lat = elaborate(parse("lattice t { chain 0 p a z one; adjoin (0, a): q; adjoin (0, one): r; }"))
-        f = IsoWitness("graph-iso", {"a": "z", "z": "a", "p": "p", "q": "q", "r": "r"})
+        f = {"a": "z", "z": "a", "p": "p", "q": "q", "r": "r"}
         g = zero_divisor_graph(lat)
         phi = align_adjuncts(lat, lat, g, g, f)
         adjunct_vertices = {"a"}
-        assert {phi.mapping[x] for x in adjunct_vertices} == adjunct_vertices
+        assert {phi[x] for x in adjunct_vertices} == adjunct_vertices
         # class behavior is f's: classes map setwise identically
-        assert phi.mapping["p"] == "p" and phi.mapping["r"] == "r"
+        assert phi["p"] == "p" and phi["r"] == "r"
 
     def test_hypothesis_checked(self, ex2):
-        f = IsoWitness("graph-iso", {})
+        f = {}
         g = zero_divisor_graph(ex2)
         with pytest.raises(HypothesisViolated):
             align_adjuncts(ex2, ex2, g, g, f)  # join-irreducible top
@@ -694,7 +692,7 @@ class TestAlignAdjuncts:
         from dislat import InternalInconsistency
 
         g = zero_divisor_graph(k22)
-        not_an_iso = IsoWitness("graph-iso", {"v": "v", "w": "x", "x": "w", "y": "y"})
+        not_an_iso = {"v": "v", "w": "x", "x": "w", "y": "y"}
         with pytest.raises(InternalInconsistency):
             align_adjuncts(k22, k22, g, g, not_an_iso)
 
@@ -704,35 +702,34 @@ class TestAlignAdjuncts:
             by_label = SetGraph(g.vertices, g.edges)
             adjunct_vertices = adjunct_elements(lat) & set(g.vertices)
             for mapping in brute_graph_iso_all(g, g):
-                phi = align_adjuncts(lat, lat, g, g, IsoWitness("graph-iso", mapping))
-                assert {phi.mapping[x] for x in adjunct_vertices} == adjunct_vertices
+                phi = align_adjuncts(lat, lat, g, g, mapping)
+                assert {phi[x] for x in adjunct_vertices} == adjunct_vertices
                 # class behavior preserved: phi([x]) == f([x]) setwise
                 for v in g.vertices:
                     cls = {w for w in g.vertices if by_label.neighbors(w) == by_label.neighbors(v)}
-                    assert {phi.mapping[w] for w in cls} == {mapping[w] for w in cls}
+                    assert {phi[w] for w in cls} == {mapping[w] for w in cls}
 
 
 class TestLiftToLatticeIso:
     def test_m3_atom_permutations(self, m3):
         g = zero_divisor_graph(m3)
         for perm in itertools.permutations(["a", "b", "c"]):
-            f = IsoWitness("graph-iso", dict(zip(["a", "b", "c"], perm)))
+            f = dict(zip(["a", "b", "c"], perm))
             psi = lift_to_lattice_iso(m3, m3, g, g, f)
-            assert psi.kind == "lattice-iso"
-            assert psi.mapping["0"] == "0" and psi.mapping["one"] == "one"
-            assert all(psi.mapping[x] == f.mapping[x] for x in "abc")
-            assert check_lattice_iso(m3, m3, psi.mapping)
+            assert psi["0"] == "0" and psi["one"] == "one"
+            assert all(psi[x] == f[x] for x in "abc")
+            assert check_lattice_iso(m3, m3, psi)
 
     def test_k22_relabeled(self, k22):
         other = relabel(k22, {"0": "0", "v": "m", "w": "n", "x": "s", "y": "t", "one": "one"})
         g1, g2 = zero_divisor_graph(k22), zero_divisor_graph(other)
         f = brute_graph_iso(g1, g2)
         psi = lift_ignoring_alignment(k22, other, g1, g2, f)
-        assert check_lattice_iso(k22, other, psi.mapping)
+        assert check_lattice_iso(k22, other, psi)
         # brute-force oracle confirms psi is one of the valid isomorphisms
         from dislat.oracle import brute_lattice_iso_all
 
-        assert psi.mapping in list(brute_lattice_iso_all(k22, other))
+        assert psi in list(brute_lattice_iso_all(k22, other))
 
     def test_misaligned_phi_lifts(self):
         """An automorphism that swaps the adjunct element a with its
@@ -741,11 +738,11 @@ class TestLiftToLatticeIso:
         from dislat.dsl import elaborate, parse
 
         lat = elaborate(parse("lattice t { chain 0 p a z one; adjoin (0, a): q; adjoin (0, one): r; }"))
-        f = IsoWitness("graph-iso", {"a": "z", "z": "a", "p": "p", "q": "q", "r": "r"})
+        f = {"a": "z", "z": "a", "p": "p", "q": "q", "r": "r"}
         g = zero_divisor_graph(lat)
         psi = lift_ignoring_alignment(lat, lat, g, g, f)
-        assert psi.mapping == {x: x for x in lat.labels}
-        assert check_lattice_iso(lat, lat, psi.mapping)
+        assert psi == {x: x for x in lat.labels}
+        assert check_lattice_iso(lat, lat, psi)
 
     def test_exhaustive_align_then_lift(self):
         """Every automorphism of every zero-divisor graph of at most 8
@@ -755,11 +752,11 @@ class TestLiftToLatticeIso:
             g = zero_divisor_graph(lat)
             by_label = SetGraph(g.vertices, g.edges)
             for mapping in brute_graph_iso_all(g, g):
-                psi = lift_ignoring_alignment(lat, lat, g, g, IsoWitness("graph-iso", mapping))
-                assert check_lattice_iso(lat, lat, psi.mapping)
+                psi = lift_ignoring_alignment(lat, lat, g, g, mapping)
+                assert check_lattice_iso(lat, lat, psi)
                 for v in g.vertices:
                     cls = {w for w in g.vertices if by_label.neighbors(w) == by_label.neighbors(v)}
-                    assert {psi.mapping[w] for w in cls} == {mapping[w] for w in cls}
+                    assert {psi[w] for w in cls} == {mapping[w] for w in cls}
 
     def test_lift_across_relabeled_copies(self):
         """Non-diagonal pairs: every graph isomorphism onto a shuffled copy
@@ -773,8 +770,8 @@ class TestLiftToLatticeIso:
             other = relabel(lat, dict(zip(lat.labels, perm)))
             g1, g2 = zero_divisor_graph(lat), zero_divisor_graph(other)
             for mapping in brute_graph_iso_all(g1, g2):
-                psi = lift_ignoring_alignment(lat, other, g1, g2, IsoWitness("graph-iso", mapping))
-                assert check_lattice_iso(lat, other, psi.mapping)
+                psi = lift_ignoring_alignment(lat, other, g1, g2, mapping)
+                assert check_lattice_iso(lat, other, psi)
 
     def test_one_pass_lift_is_the_recursive_peel(self):
         """The one-pass lift of `graph_iso`'s map returns the map that
@@ -787,7 +784,7 @@ class TestLiftToLatticeIso:
             g1, g2 = zero_divisor_graph(lat), zero_divisor_graph(other)
             f = graph_iso(g1, g2)
             psi = lift_ignoring_alignment(lat, other, g1, g2, f)
-            assert psi.mapping == reference_lift(lat, other, align_adjuncts(lat, other, g1, g2, f).mapping)
+            assert psi == reference_lift(lat, other, align_adjuncts(lat, other, g1, g2, f))
 
 
 class TestLiftLemma:
@@ -808,11 +805,11 @@ class TestLiftLemma:
             mapping = dict(zip(g1.vertices, image))
             want = check_graph_iso(g1, g2, mapping)
             try:
-                psi = lift_to_lattice_iso(l1, l2, g1, g2, IsoWitness("graph-iso", mapping))
+                psi = lift_to_lattice_iso(l1, l2, g1, g2, mapping)
             except InternalInconsistency as exc:
                 assert not want and str(exc) == "lifted map is not an order isomorphism"
             else:
-                assert want and check_lattice_iso(l1, l2, psi.mapping)
+                assert want and check_lattice_iso(l1, l2, psi)
             isomorphisms += want
         return isomorphisms
 
@@ -841,7 +838,7 @@ class TestLiftLemma:
 
         other = relabel(k22, {"0": "0", "v": "m", "w": "n", "x": "s", "y": "t", "one": "one"})
         g1, g2 = zero_divisor_graph(k22), zero_divisor_graph(other)
-        mapping = dict(graph_iso(g1, g2).mapping)
+        mapping = dict(graph_iso(g1, g2))
         if change == "missing":
             del mapping["v"]
         elif change == "foreign value":
@@ -849,7 +846,21 @@ class TestLiftLemma:
         else:
             mapping["m"] = mapping.pop("v")  # a vertex of the second graph
         with pytest.raises(InternalInconsistency) as info:
-            lift_to_lattice_iso(k22, other, g1, g2, IsoWitness("graph-iso", mapping))
+            lift_to_lattice_iso(k22, other, g1, g2, mapping)
+        assert str(info.value) == "phi does not map the vertices of the first graph onto those of the second"
+
+    def test_a_lattice_map_is_refused_by_the_vertex_sets(self, k22):
+        """A lattice isomorphism maps the bottom and the top too, and with
+        join-reducible tops neither is a vertex: the lift refuses it as a
+        map off the vertex sets."""
+        from dislat import InternalInconsistency
+
+        other = relabel(k22, {"0": "0", "v": "m", "w": "n", "x": "s", "y": "t", "one": "one"})
+        g1, g2 = zero_divisor_graph(k22), zero_divisor_graph(other)
+        psi = brute_lattice_iso(k22, other)
+        assert {k22.bottom_label, k22.top_label} <= set(psi)
+        with pytest.raises(InternalInconsistency) as info:
+            lift_to_lattice_iso(k22, other, g1, g2, psi)
         assert str(info.value) == "phi does not map the vertices of the first graph onto those of the second"
 
 class TestTreeMatchIso:
@@ -862,8 +873,7 @@ class TestTreeMatchIso:
             (code1, order1), (code2, order2) = (_canonical(tree_of_lattice(x)) for x in (lat, other))
             assert code1 == code2
             psi = tree_match_iso(lat, other, order1, order2)
-            assert psi.kind == "lattice-iso"
-            assert check_lattice_iso(lat, other, psi.mapping)
+            assert check_lattice_iso(lat, other, psi)
 
     def test_unequal_codes_rejected(self, m2, chain4):
         from dislat import InternalInconsistency
@@ -882,10 +892,16 @@ class TestMainTheorem:
             slow = brute_lattice_iso(lats[i], lats[j]) is not None
             assert fast == slow
 
-    def test_witness_json_shape(self, m3):
-        g = zero_divisor_graph(m3)
-        f = IsoWitness("graph-iso", {v: v for v in g.vertices})
-        psi = lift_to_lattice_iso(m3, m3, g, g, f)
-        obj = psi.to_json_obj()
+    def test_witness_json_shape(self, capsys):
+        """`iso --witness` prints the lifted label map under "map", keys
+        sorted, with the kind of a lattice isomorphism."""
+        import json
+
+        from dislat.cli import main
+
+        m3 = str(DATA / "m3.adl")
+        assert main(["--json", "iso", m3, m3, "--witness"]) == 0
+        obj = json.loads(capsys.readouterr().out)["witness"]
         assert obj["kind"] == "lattice-iso"
-        assert obj["map"]["0"] == "0"
+        assert list(obj["map"]) == sorted(obj["map"])
+        assert obj["map"] == {x: x for x in ("0", "a", "b", "c", "one")}
