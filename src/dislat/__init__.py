@@ -48,7 +48,6 @@ from .zdg import (
     zero_divisor_graph,
 )
 from .blocks import (
-    VertexClass,
     basic_block,
     explore_deletion_orders,
     is_ssc,

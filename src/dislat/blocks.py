@@ -4,26 +4,12 @@ equivalence classes, and branch peeling of lower dismantlable lattices."""
 from __future__ import annotations
 
 from bisect import insort
+from typing import Sequence
 
 from .errors import HypothesisViolated, NotLowerDismantlable
-from .lattice import Lattice, _bits, _cover_masks, _init, _Record, adjunct_elements, build_from_covers, is_lower_dismantlable
+from .lattice import Lattice, _bits, _cover_masks, adjunct_elements, build_from_covers, is_lower_dismantlable
 from .treeiso import RootedTree, _peel
 from .zdg import LabeledGraph, neighborhood_partition
-
-
-class VertexClass(_Record):
-    """One neighborhood-equivalence class and the adjunct element it holds,
-    if any."""
-
-    _fields = __slots__ = ("members", "has_adjunct", "adjunct_member")
-
-    def __init__(self, members: tuple[str, ...], has_adjunct: bool, adjunct_member: str | None):
-        _init(self, "members", members)
-        _init(self, "has_adjunct", has_adjunct)
-        _init(self, "adjunct_member", adjunct_member)
-
-    def to_json_obj(self) -> dict:
-        return {"members": list(self.members), "has_adjunct": self.has_adjunct, "adjunct_member": self.adjunct_member}
 
 
 # -- structural deletion -------------------------------------------------------
@@ -159,41 +145,31 @@ def ssc_equivalence_report(lat: Lattice, block: Lattice, graph: LabeledGraph) ->
 # -- neighborhood classes ----------------------------------------------------------
 
 
-def annotate_classes(lat: Lattice, graph: LabeledGraph) -> tuple[VertexClass, ...]:
-    """Neighborhood classes of `graph` with lattice-side adjunct flags."""
+def _class(members: Sequence[str], adjunct: str | None) -> dict:
+    """The class document `analyze` prints: the members, and the adjunct
+    element among them, if any."""
+    return {"members": list(members), "has_adjunct": adjunct is not None, "adjunct_member": adjunct}
+
+
+def annotate_classes(lat: Lattice, graph: LabeledGraph) -> list[dict]:
+    """Neighborhood classes of `graph` as class documents: each class's
+    sorted members, and its smallest adjunct element of `lat`, if any."""
     adjuncts = adjunct_elements(lat)
-    out = []
-    for block in neighborhood_partition(graph):
-        inside = sorted(set(block) & adjuncts)
-        out.append(
-            VertexClass(
-                members=block,
-                has_adjunct=bool(inside),
-                adjunct_member=inside[0] if inside else None,
-            )
-        )
-    return tuple(out)
+    return [_class(block, min(adjuncts.intersection(block), default=None)) for block in neighborhood_partition(graph)]
 
 
 # -- branch peeling -------------------------------------------------------------
 
 
-def peel_order(tree: RootedTree) -> tuple[VertexClass, ...]:
+def peel_order(tree: RootedTree) -> list[dict]:
     """Equivalence classes of the non-ancestor graph via branch peeling, in
-    peel order.
+    peel order, as class documents with sorted members.
 
     Round by round: every branching node none of whose proper descendants
     branches sheds each of its pendant-path branches as one class; when no
     branching node remains, each residual leg below the root is one class.
-    A class holds an adjunct element exactly when its lowest node branches.
-    `treeiso._peel` gives each class's round.
+    A class holds an adjunct element, its lowest node, exactly when that
+    node branches.  `treeiso._peel` gives each class's round.
     """
     has_children = {lab for lab, kids in zip(tree.labels, tree._children) if kids}
-    return tuple(
-        VertexClass(
-            members=tuple(sorted(path)),
-            has_adjunct=path[-1] in has_children,
-            adjunct_member=path[-1] if path[-1] in has_children else None,
-        )
-        for _, path in _peel(tree)
-    )
+    return [_class(sorted(path), path[-1] if path[-1] in has_children else None) for _, path in _peel(tree)]

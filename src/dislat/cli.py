@@ -114,9 +114,9 @@ def cmd_analyze(args) -> int:
     except HypothesisViolated as exc:
         payload["ssc"] = None
         payload["ssc_hypothesis_violated"] = str(exc)
-    payload["zdg_classes"] = [c.to_json_obj() for c in blocks.annotate_classes(lat, graph)]
+    payload["zdg_classes"] = blocks.annotate_classes(lat, graph)
     if payload["lower_dismantlable"]:
-        classes = [c.to_json_obj() for c in blocks.peel_order(treeiso.tree_of_lattice(lat))]
+        classes = blocks.peel_order(treeiso.tree_of_lattice(lat))
         payload["tree_classes"] = {"classes": classes, "peel_order": list(range(len(classes)))}
     else:
         payload["tree_classes"] = None

@@ -74,7 +74,6 @@ from dislat import (
     AdjunctExpr,
     DislatError,
     Lattice,
-    VertexClass,
     adjunct_elements,
     build_from_covers,
     is_lower_dismantlable,
@@ -568,8 +567,8 @@ def leaves(tree: RootedTree) -> tuple[str, ...]:
     return tuple(v for v in tree.labels if v not in parents)
 
 
-def member_sets(classes: Iterable[VertexClass]) -> set[frozenset[str]]:
-    return {frozenset(c.members) for c in classes}
+def member_sets(classes: Iterable[dict]) -> set[frozenset[str]]:
+    return {frozenset(c["members"]) for c in classes}
 
 
 def label_is_lower_dismantlable(lat: Lattice) -> bool:

@@ -310,12 +310,25 @@ class TestNeighborhoodClasses:
             g = zero_divisor_graph(lat)
             assert {frozenset(b) for b in neighborhood_partition(g)} == neighborhood_classes(g)
 
-    def test_flags_are_set(self, ex2):
-        g = zero_divisor_graph(ex2)
-        for classes in (annotate_classes(ex2, g), peel_order(tree_of_lattice(ex2))):
-            for c in classes:
-                assert isinstance(c.has_adjunct, bool)
-                assert (c.adjunct_member is not None) == c.has_adjunct
+    def test_flags_are_set(self):
+        """Both class readers, on every lattice of at most 10 elements: each
+        class has sorted members and a flag that agrees with its adjunct; with
+        a join-reducible top, the two readers give the same classes and the
+        same adjuncts."""
+        documents = agreeing = 0
+        for lat in enumerate_lower_dismantlable(10):
+            zdg_classes = annotate_classes(lat, zero_divisor_graph(lat))
+            tree_classes = peel_order(tree_of_lattice(lat))
+            for c in (*zdg_classes, *tree_classes):
+                assert c["members"] and c["members"] == sorted(c["members"])
+                assert c["has_adjunct"] is (c["adjunct_member"] is not None)
+                documents += 1
+            if len(lat._lowers[lat.top]) >= 2:
+                zdg_map, tree_map = ({frozenset(c["members"]): c["adjunct_member"] for c in classes}
+                                     for classes in (zdg_classes, tree_classes))
+                assert zdg_map == tree_map
+                agreeing += 1
+        assert agreeing == 285 and documents == 4816
 
 
 class TestClassHasAdjunct:
@@ -349,7 +362,7 @@ class TestPeelOrder:
         }
 
     def test_ex2_flags(self, ex2):
-        flagged = {c.members: (c.has_adjunct, c.adjunct_member) for c in peel_order(tree_of_lattice(ex2))}
+        flagged = {tuple(c["members"]): (c["has_adjunct"], c["adjunct_member"]) for c in peel_order(tree_of_lattice(ex2))}
         assert flagged[("a5",)] == (True, "a5")
         assert flagged[("a6",)] == (True, "a6")
         assert flagged[("a8",)] == (True, "a8")
@@ -375,9 +388,7 @@ class TestPeelOrder:
         golden = json.loads((DATA / "golden" / "ex2.analyze.json").read_text(encoding="utf-8"))
         classes = peel_order(tree_of_lattice(ex2))
         assert len(classes) == 7
-        assert golden["tree_classes"] == {
-            "classes": [c.to_json_obj() for c in classes], "peel_order": list(range(len(classes)))
-        }
+        assert golden["tree_classes"] == {"classes": classes, "peel_order": list(range(len(classes)))}
 
 
 def shuffled_labels(tree, rng):
@@ -410,7 +421,7 @@ class TestPeelAgainstLabelDict:
             want = reference_peel(parent)
             assert _peel(tree) == want
             has_children = set(parent.values())
-            assert [c.adjunct_member for c in peel_order(tree)] == [
+            assert [c["adjunct_member"] for c in peel_order(tree)] == [
                 path[-1] if path[-1] in has_children else None for _, path in want
             ]
             checked += 1
@@ -423,14 +434,14 @@ class TestClassChainLemmas:
             g = zero_divisor_graph(lat)
             adjuncts = adjunct_elements(lat)
             for cls in annotate_classes(lat, g):
-                for x, y in itertools.combinations(cls.members, 2):
+                for x, y in itertools.combinations(cls["members"], 2):
                     assert comparable(lat, x, y)  # each class is a chain
-                inside = set(cls.members) & adjuncts
+                inside = set(cls["members"]) & adjuncts
                 assert len(inside) <= 1
                 if inside:
                     a = next(iter(inside))
-                    assert cls.adjunct_member == a
-                    assert all(lat.leq(a, x) for x in cls.members)
+                    assert cls["adjunct_member"] == a
+                    assert all(lat.leq(a, x) for x in cls["members"])
 
     def test_class_has_adjunct_iff_no_atom(self):
         for lat in enumerate_lower_dismantlable(9):
@@ -439,9 +450,9 @@ class TestClassChainLemmas:
             tree = tree_of_lattice(lat)
             pendants = set(leaves(tree))
             for cls in annotate_classes(lat, g):
-                members = set(cls.members)
-                assert cls.has_adjunct == (not members & atoms)
-                assert cls.has_adjunct == (not members & pendants)
+                members = set(cls["members"])
+                assert cls["has_adjunct"] == (not members & atoms)
+                assert cls["has_adjunct"] == (not members & pendants)
 
 
 class TestPeelDecomposition:

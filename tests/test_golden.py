@@ -93,6 +93,13 @@ and `dislat --json build F.adl > F.build.json` pins the lattices of the
 other fixtures, for F in cbt15, cbt15_shuffled, swap7, swap7_shuffled,
 fig2_shuffled, m2, m3, negssc and chain4.  These were written while every
 `.adl` was still elaborated through `build_from_covers`.
+The text renderings of `analyze`'s class lines and of `iso`'s witness line
+were written while each class was still a record with its own flag fields:
+
+    dislat analyze ex2.adl                   > ex2.analyze.txt
+    dislat analyze general.adl               > general.analyze.txt
+    dislat iso ex2.adl ex2.adl --witness     > ex2.iso_witness.txt
+
 Two `--json build` outputs pin DSL diagnostics and exit 2: bad_char.adl has
 a character no token starts with, and trailing_comment.adl ends in a comment
 where ';' is expected, which is reported at the comment's '#'.
@@ -109,6 +116,7 @@ from dislat.cli import main
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
+SCHEMA = DATA.parent.parent / "schemas" / "cli_output.schema.json"
 
 COMMANDS = {
     f"{name}.{kind}": argv
@@ -146,6 +154,9 @@ COMMANDS["one.analyze.json"] = ["--json", "analyze", DATA / "one.adl"]
 COMMANDS["cbt255.analyze.json"] = ["--json", "analyze", DATA / "cbt255.adl"]
 for name in ("cbt15", "cbt15_shuffled", "swap7", "swap7_shuffled", "fig2_shuffled", "m2", "m3", "negssc", "chain4"):
     COMMANDS[f"{name}.build.json"] = ["--json", "build", DATA / f"{name}.adl"]
+for name in ("ex2", "general"):
+    COMMANDS[f"{name}.analyze.txt"] = ["analyze", DATA / f"{name}.adl"]
+COMMANDS["ex2.iso_witness.txt"] = ["iso", DATA / "ex2.adl", DATA / "ex2.adl", "--witness"]
 EXIT_CODES = {}
 for name in ("bad_char", "trailing_comment"):
     COMMANDS[f"{name}.build.json"] = ["--json", "build", DATA / f"{name}.adl"]
@@ -170,5 +181,22 @@ JSON_OUTPUTS = [
 def test_json_output_matches_schema(path):
     """Every committed `--json` output is a document of the CLI schema."""
     jsonschema = pytest.importorskip("jsonschema")
-    schema = json.loads((DATA.parent.parent / "schemas" / "cli_output.schema.json").read_text(encoding="utf-8"))
+    schema = json.loads(SCHEMA.read_text(encoding="utf-8"))
     jsonschema.validate(json.loads(path.read_text(encoding="utf-8")), schema)
+
+
+@pytest.mark.parametrize("change", ["flip_flag", "empty_members", "null_peel_order"])
+def test_schema_refuses_a_broken_class_document(change):
+    """The schema holds each class document's flag to its adjunct, its
+    members to a non-empty list, and the peel order to a list."""
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = json.loads(SCHEMA.read_text(encoding="utf-8"))
+    doc = json.loads((GOLDEN / "ex2.analyze.json").read_text(encoding="utf-8"))
+    if change == "flip_flag":
+        doc["tree_classes"]["classes"][0]["has_adjunct"] ^= True
+    elif change == "empty_members":
+        doc["zdg_classes"][0]["members"] = []
+    else:
+        doc["tree_classes"]["peel_order"] = None
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(doc, schema)

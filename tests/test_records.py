@@ -19,7 +19,6 @@ from dislat import (
     AdjunctExpr,
     Adjunction,
     RootedTree,
-    VertexClass,
 )
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -31,10 +30,6 @@ def adjunction():
 
 def adjunct_expr():
     return AdjunctExpr(base=("0", "a", "one"), adjunctions=(adjunction(),), name="E")
-
-
-def vertex_class():
-    return VertexClass(members=("a", "b"), has_adjunct=True, adjunct_member="b")
 
 
 def rooted_tree():
@@ -49,11 +44,6 @@ RECORDS = {
         ("base", "adjunctions", "name"),
         "AdjunctExpr(base=('0', 'a', 'one'), adjunctions=(Adjunction(pair=('0', 'one'), chain=('b', 'c')),), "
         "name='E')",
-    ),
-    "VertexClass": (
-        vertex_class,
-        ("members", "has_adjunct", "adjunct_member"),
-        "VertexClass(members=('a', 'b'), has_adjunct=True, adjunct_member='b')",
     ),
     "RootedTree": (rooted_tree, ("labels", "parent", "root"), "RootedTree(labels=('a', 'b', 'r'), parent=(2, 2, 2), root=2)"),
 }
