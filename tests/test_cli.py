@@ -474,6 +474,14 @@ class TestVerify:
         assert code == 1
         assert out.encode("utf-8") == (DATA / "verify_all_11_seed2.json").read_bytes()
 
+    def test_all_suites_at_12_seed_3_match_golden(self, capsys):
+        """The bytes that `dislat --json --seed 3 verify --suite all
+        --max-nodes 12` printed when block-confluence searched every
+        deletion order."""
+        code, out = run(capsys, "--json", "--seed", "3", "verify", "--suite", "all", "--max-nodes", "12")
+        assert code == 1
+        assert out.encode("utf-8") == (DATA / "verify_all_12_seed3.json").read_bytes()
+
     @pytest.mark.parametrize("root_min", ["0", "3"])
     @pytest.mark.parametrize("seed", ["0", "1"])
     def test_each_suite_alone_prints_its_part_of_all(self, capsys, seed, root_min):

@@ -173,7 +173,7 @@ def test_output_bytes(capsys, golden):
 
 JSON_OUTPUTS = [
     *(GOLDEN / name for name, argv in sorted(COMMANDS.items()) if "--json" in argv),
-    *(DATA / f"verify_all_{run}.json" for run in ("9", "10_seed1", "11_seed2")),
+    *(DATA / f"verify_all_{run}.json" for run in ("9", "10_seed1", "11_seed2", "12_seed3")),
 ]
 
 
