@@ -49,7 +49,7 @@ from .zdg import (
 )
 from .blocks import (
     basic_block,
-    explore_deletion_orders,
+    fixed_point_form,
     is_ssc,
     peel_order,
     ssc_equivalence_report,

@@ -44,8 +44,9 @@ def basic_block(lat: Lattice) -> Lattice:
     """Fixed point of repeatedly deleting structurally deletable elements.
 
     The extremes are never deleted (so chains stop at the 2-element lattice);
-    deletion order is smallest-label-first, and order independence is a tested
-    conjecture, not an assumption.  Each deletion updates two cover masks, and
+    deletion order is smallest-label-first, so of the fixed points that
+    `fixed_point_form` describes this keeps the largest label of each
+    leaf-ending class.  Each deletion updates two cover masks, and
     the block is built once, from the survivors and their covers; it is `lat`
     itself when nothing is deletable.
 
@@ -80,30 +81,6 @@ def basic_block(lat: Lattice) -> Lattice:
         [labels[x] for x in _bits(survivors)],
         [(labels[u], labels[v]) for u in _bits(survivors) for v in _bits(uppers[u])],
     )
-
-
-def explore_deletion_orders(lat: Lattice) -> set[frozenset[str]]:
-    """All fixed points reachable by any deletion order, as label sets.
-
-    Exhaustive over orders with memoization on the survivor mask, whose
-    cover masks travel with it; used to test the confluence conjecture.
-    """
-    memo: dict[int, set[int]] = {}
-
-    def reach(survivors: int, uppers: list[int], lowers: list[int]) -> set[int]:
-        fixed: set[int] = set()
-        for x in _deletable(lat, uppers, lowers, survivors):
-            after = survivors & ~(1 << x)
-            if after not in memo:
-                uppers_after, lowers_after = uppers[:], lowers[:]
-                _delete(uppers_after, lowers_after, x)
-                reach(after, uppers_after, lowers_after)
-            fixed |= memo[after]
-        memo[survivors] = fixed or {survivors}
-        return memo[survivors]
-
-    labels = lat.labels
-    return {frozenset(labels[x] for x in _bits(fp)) for fp in reach((1 << lat.n) - 1, *_cover_masks(lat))}
 
 
 # -- section semi-complementation ------------------------------------------------
@@ -173,3 +150,16 @@ def peel_order(tree: RootedTree) -> list[dict]:
     """
     has_children = {lab for lab, kids in zip(tree.labels, tree._children) if kids}
     return [_class(sorted(path), path[-1] if path[-1] in has_children else None) for _, path in _peel(tree)]
+
+
+def fixed_point_form(tree: RootedTree) -> tuple[list[str], list[list[str]]]:
+    """The fixed points of deletion on the lattice of `tree`, in closed form
+    (README, "Basic blocks and peeling"): each keeps the extremes, the
+    branching nodes `kept`, and any one member of each of `leaf_classes`,
+    the leaf-ending classes of the branch peel.  A tree with at most one
+    class is a path, whose lattice keeps only its extremes."""
+    classes = peel_order(tree)
+    if len(classes) <= 1:
+        return [], []
+    kept = [c["adjunct_member"] for c in classes if c["has_adjunct"]]
+    return kept, [c["members"] for c in classes if not c["has_adjunct"]]

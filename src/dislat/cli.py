@@ -210,8 +210,9 @@ def cmd_recognize(args) -> int:
 
 
 class _Item:
-    """One enumerated tree.  Its lattice and the lattice's zero-divisor graph
-    are built on first use, once, and shared by every suite."""
+    """One enumerated tree.  Its lattice, the lattice's zero-divisor graph
+    and its basic block are built on first use, once, and shared by every
+    suite."""
 
     def __init__(self, tree: treeiso.RootedTree):
         self.tree = tree
@@ -224,6 +225,10 @@ class _Item:
     @functools.cached_property
     def graph(self) -> zdg.LabeledGraph:
         return zdg.zero_divisor_graph(self.lat)
+
+    @functools.cached_property
+    def block(self) -> Lattice:
+        return blocks.basic_block(self.lat)
 
 
 def _adl(tree: treeiso.RootedTree, name: str = "L") -> str:
@@ -306,7 +311,7 @@ class _Ssc(_Suite):
             return
         lat = item.lat
         self.checked += 1
-        report = blocks.ssc_equivalence_report(lat, blocks.basic_block(lat), item.graph)
+        report = blocks.ssc_equivalence_report(lat, item.block, item.graph)
         if len(set(report.values())) != 1:
             self.violations += 1
             self.first = self.first or {"lattice": _adl(item.tree), "report": report}
@@ -372,46 +377,33 @@ class _T1(_Suite):
         self.first = {"first": _adl(first), "second": _adl(second), "codes_equal": fast, "brute": not fast}
 
 
-def _fixed_point_code(tree: treeiso.RootedTree, fixed_point: frozenset[str]) -> str:
-    """The canonical code of the tree of the sublattice that the lattice of
-    `tree` induces on `fixed_point`, read off the tree: the parent of each
-    surviving node is its nearest surviving strict ancestor, carried down
-    the preorder.  The root, the top, always survives."""
-    nearest = list(range(tree.n))  # the nearest survivor at or above each node
-    survivors = [v for v in tree._preorder if tree.labels[v] in fixed_point]  # the root first
-    for v in tree._preorder:
-        if tree.labels[v] not in fixed_point:
-            nearest[v] = nearest[tree.parent[v]]
-    position = {v: k for k, v in enumerate(survivors)}
-    parent = tuple(position[nearest[tree.parent[v]]] for v in survivors)  # the root's parent is itself
-    labels = tuple(tree.labels[v] for v in survivors)
-    return treeiso.canonical_code(treeiso.RootedTree(labels=labels, parent=parent, root=0))
-
-
 class _BlockConfluence(_Suite):
+    """`basic_block` against the closed form of the fixed points of deletion
+    (`blocks.fixed_point_form`), which the README proves.  All fixed points
+    are isomorphic, so only label-level confluence can fail: the fixed point
+    is unique iff each leaf-ending class has one member."""
+
     def __init__(self, seed: int, root_min: int, dump_dir: str | None):
         super().__init__(seed, root_min, dump_dir)
         self.dump_dir = dump_dir
         self.dump_path: str | None = None
-        self.label_confluent = self.iso_confluent = 0
+        self.label_confluent = 0
 
     def add(self, item: _Item) -> None:
-        lat = item.lat
+        kept, leaf_classes = blocks.fixed_point_form(item.tree)
+        base = [item.lat.bottom_label, item.lat.top_label, *kept]
+        got, want = sorted(item.block.labels), sorted(base + [max(c) for c in leaf_classes])
+        if got != want:
+            raise InternalInconsistency(f"basic_block keeps {got}; the closed form of the fixed points says {want}")
         self.checked += 1
-        fixed_points = blocks.explore_deletion_orders(lat)
-        if len(fixed_points) == 1:
+        if all(len(c) == 1 for c in leaf_classes):
             self.label_confluent += 1
-            self.iso_confluent += 1
-            return
-        codes = {_fixed_point_code(item.tree, fp) for fp in fixed_points}
-        if len(codes) == 1:
-            self.iso_confluent += 1
-        if self.first is None:
+        elif self.first is None:
             adl = _adl(item.tree, name="counterexample")
             self.first = {
                 "lattice": adl,
-                "fixed_points": sorted(sorted(fp) for fp in fixed_points),
-                "isomorphic_fixed_points": len(codes) == 1,
+                "fixed_points": sorted(sorted(base + list(pick)) for pick in itertools.product(*leaf_classes)),
+                "isomorphic_fixed_points": True,
             }
             if self.dump_dir is not None:
                 self.dump_path = str(Path(self.dump_dir) / "block_confluence_counterexample.adl")
@@ -422,7 +414,7 @@ class _BlockConfluence(_Suite):
             "checked": self.checked,
             "violations": self.checked - self.label_confluent,
             "label_confluent": self.label_confluent,
-            "iso_confluent": self.iso_confluent,
+            "iso_confluent": self.checked,
             "first_counterexample": self.first,
             "counterexample_file": self.dump_path,
         }

@@ -36,7 +36,9 @@ independent references:
   every reference here reads a graph by label: neighbours, degree,
   adjacency and induced subgraphs;
 - `rescan_basic_block`: the basic block found by testing every survivor
-  again after each deletion;
+  again after each deletion, and `explore_deletion_orders`: every fixed
+  point that some deletion order reaches, by exhaustive search, next to
+  the package's closed form of them (`fixed_point_form`);
 - `definition_is_ssc`: section semi-complementation checked on the
   definition, with Θ(n²) operations on down-set masks, for any lattice,
   next to the package's test of the lower covers in the class;
@@ -905,7 +907,7 @@ def edge_walking_recognize(graph) -> RootedTree | None:
     return tree
 
 
-# -- the basic block by full rescans ---------------------------------------------------
+# -- the basic block by full rescans, and every deletion order ---------------------------
 
 
 def rescan_basic_block(lat: Lattice) -> Lattice:
@@ -924,6 +926,30 @@ def rescan_basic_block(lat: Lattice) -> Lattice:
         [labels[x] for x in _bits(survivors)],
         [(labels[u], labels[v]) for u in _bits(survivors) for v in _bits(uppers[u])],
     )
+
+
+def explore_deletion_orders(lat: Lattice) -> set[frozenset[str]]:
+    """All fixed points reachable by any deletion order, as label sets.
+
+    Exhaustive over orders with memoization on the survivor mask, whose
+    cover masks travel with it; used to test the confluence conjecture.
+    """
+    memo: dict[int, set[int]] = {}
+
+    def reach(survivors: int, uppers: list[int], lowers: list[int]) -> set[int]:
+        fixed: set[int] = set()
+        for x in _deletable(lat, uppers, lowers, survivors):
+            after = survivors & ~(1 << x)
+            if after not in memo:
+                uppers_after, lowers_after = uppers[:], lowers[:]
+                _delete(uppers_after, lowers_after, x)
+                reach(after, uppers_after, lowers_after)
+            fixed |= memo[after]
+        memo[survivors] = fixed or {survivors}
+        return memo[survivors]
+
+    labels = lat.labels
+    return {frozenset(labels[x] for x in _bits(fp)) for fp in reach((1 << lat.n) - 1, *_cover_masks(lat))}
 
 
 # -- section semi-complementation by its definition ------------------------------------

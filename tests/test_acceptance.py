@@ -15,7 +15,6 @@ from dislat import (
     canonical_code,
     complete_multipartite_parts,
     connectivity_report,
-    explore_deletion_orders,
     lattice_from_complete_multipartite,
     recognize,
     ssc_equivalence_report,
@@ -31,6 +30,7 @@ from tests.reference import (
     brute_graph_iso_all,
     comparable,
     enumerate_lower_dismantlable,
+    explore_deletion_orders,
     induced_sublattice,
     lower_covers,
     neighborhood_classes,

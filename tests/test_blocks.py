@@ -13,7 +13,8 @@ from dislat import (
     adjunct_elements,
     basic_block,
     build_from_covers,
-    explore_deletion_orders,
+    canonical_code,
+    fixed_point_form,
     is_ssc,
     peel_order,
     ssc_equivalence_report,
@@ -34,6 +35,7 @@ from tests.reference import (
     comparable,
     definition_is_ssc,
     enumerate_lower_dismantlable,
+    explore_deletion_orders,
     induced_sublattice,
     is_structurally_deletable,
     leaves,
@@ -530,28 +532,13 @@ class TestAgainstRebuild:
 # -- closed form: basic blocks read off the maximal unary paths ----------------------
 
 
-def unary_paths(lat):
-    """The tree's maximal unary paths (`_peel`), split into the members that
-    every fixed point keeps and the paths that end in a leaf.  Empty when the
-    lattice is a chain."""
-    tree = tree_of_lattice(lat)
-    if all(len(children(tree, v)) <= 1 for v in tree.labels):
-        return set(), []
-    kept, leaf_paths = set(), []
-    for _, path in _peel(tree):
-        if children(tree, path[-1]):  # the path ends in a branching node
-            kept.add(path[-1])
-        else:
-            leaf_paths.append(path)
-    return kept, leaf_paths
-
-
-def predicted_fixed_points(lat):
-    """A path ending in a branching node keeps only that node, one ending in a
-    leaf keeps any one member, and a chain keeps only its extremes."""
-    kept, leaf_paths = unary_paths(lat)
-    kept |= {lat.bottom_label, lat.top_label}
-    return {frozenset(kept.union(pick)) for pick in itertools.product(*leaf_paths)}
+def closed_form(lat):
+    """The fixed points that `fixed_point_form` describes, as label sets: the
+    extremes, the kept branching nodes and one member of each leaf-ending
+    class, in every combination."""
+    kept, leaf_classes = fixed_point_form(tree_of_lattice(lat))
+    base = {lat.bottom_label, lat.top_label, *kept}
+    return {frozenset(base.union(pick)) for pick in itertools.product(*leaf_classes)}
 
 
 def random_tree_lattices(count, max_nodes, seed):
@@ -567,36 +554,42 @@ def random_tree_lattices(count, max_nodes, seed):
 
 
 class TestClosedFormBlocks:
-    """Fixed points predicted from the unary paths, with no deletion stepped."""
+    """Fixed points read off the branch peel, with no deletion stepped,
+    against the exhaustive search over deletion orders."""
 
     @pytest.fixture(scope="class")
     def lattices(self):
         return [*enumerate_lower_dismantlable(10), *random_tree_lattices(50, 20, seed=9)]
 
-    def test_counts(self, lattices):
-        assert len(lattices) == 486 + 50
-        assert sum(len(predicted_fixed_points(lat)) > 1 for lat in lattices) > 100
+    @pytest.fixture(scope="class")
+    def searched(self):
+        """Every lattice of at most 12 elements, with the fixed points that
+        the search over deletion orders finds."""
+        return [(lat, explore_deletion_orders(lat)) for lat in enumerate_lower_dismantlable(12)]
 
-    def test_deletion_orders(self, lattices):
-        for lat in lattices:
-            assert explore_deletion_orders(lat) == predicted_fixed_points(lat)
+    def test_counts(self, lattices, searched):
+        assert len(lattices) == 486 + 50
+        assert len(searched) == 3047
+        assert sum(len(closed_form(lat)) > 1 for lat in lattices) > 100
+
+    def test_deletion_orders(self, lattices, searched):
+        for lat, fixed_points in searched:
+            assert fixed_points == closed_form(lat)
+        for lat in lattices[486:]:
+            assert explore_deletion_orders(lat) == closed_form(lat)
+
+    def test_fixed_points_isomorphic(self, searched):
+        """Every fixed point the search finds has one tree, so verify's
+        block-confluence counts every lattice as iso-confluent."""
+        for lat, fixed_points in searched:
+            codes = {canonical_code(tree_of_lattice(induced_sublattice(lat, fp))) for fp in fixed_points}
+            assert len(codes) == 1
 
     def test_basic_block_keeps_largest_label_of_each_leaf_path(self, lattices):
         for lat in lattices:
-            kept, leaf_paths = unary_paths(lat)
+            kept, leaf_classes = fixed_point_form(tree_of_lattice(lat))
             block = set(basic_block(lat).labels)
-            assert block == kept | {lat.bottom_label, lat.top_label} | {max(path) for path in leaf_paths}
-
-    def test_fixed_point_code_read_off_the_survivors(self, lattices):
-        """block-confluence reads each fixed point's tree off the enumerated tree;
-        the reference builds the sublattice and takes its tree."""
-        from dislat import canonical_code
-        from dislat.cli import _fixed_point_code
-
-        for lat in lattices:
-            for fp in explore_deletion_orders(lat):
-                want = canonical_code(tree_of_lattice(induced_sublattice(lat, fp)))
-                assert _fixed_point_code(tree_of_lattice(lat), fp) == want
+            assert block == {lat.bottom_label, lat.top_label, *kept} | {max(c) for c in leaf_classes}
 
 
 class TestBlockAgainstRescan:

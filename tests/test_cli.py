@@ -393,6 +393,18 @@ class TestVerify:
 
         assert elaborate(parse(dumped.read_text())).n == 5
 
+    def test_block_confluence_checks_basic_block_against_closed_form(self, capsys, monkeypatch):
+        """A basic block that deletes nothing is not the closed form's fixed
+        point: the suite stops with exit 3 and one error document."""
+        from dislat import blocks
+
+        monkeypatch.setattr(blocks, "basic_block", lambda lat: lat)
+        code, payload = run_json(capsys, "verify", "--suite", "block-confluence", "--max-nodes", "5")
+        assert code == 3
+        assert list(payload) == ["error"]
+        assert payload["error"]["type"] == "InternalInconsistency"
+        assert "closed form" in payload["error"]["message"]
+
     def test_root_filter_restricts_population(self, capsys):
         _, unfiltered = run_json(capsys, "verify", "--suite", "lemma400", "--max-nodes", "6")
         _, filtered = run_json(

@@ -31,10 +31,10 @@ from unittest import mock
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dislat import LabeledGraph, cli, elaborate, explore_deletion_orders, lattice, oracle, parse, treeiso, zdg
+from dislat import LabeledGraph, cli, elaborate, lattice, oracle, parse, treeiso, zdg
 from dislat.treeiso import tree_of_lattice
 from tests.test_fuzz_cli import FUZZ, random_graph, tree_graph
-from tests.reference import non_ancestor_graph
+from tests.reference import explore_deletion_orders, non_ancestor_graph
 
 
 def read_back(text: str):
@@ -191,19 +191,15 @@ def test_verify_t1_pair_reads_back(mode, max_nodes, seed, root_min, k):
 @given(max_nodes=VERIFY["max_nodes"], seed=VERIFY["seed"], root_min=VERIFY["root_min"])
 @FUZZ
 def test_block_confluence_counterexample_and_dump_read_back(max_nodes, seed, root_min):
-    seen = []
-
-    def explore(lat):
-        seen.append((lat, explore_deletion_orders(lat)))
-        return seen[-1][1]
-
-    with mock.patch("dislat.blocks.explore_deletion_orders", explore), tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp:
         argv = ["--json", "--seed", str(seed), "verify", "--suite", "block-confluence",
                 "--max-nodes", str(max_nodes), "--root-min-children", str(root_min), "--dump-dir", tmp]
         result = json.loads(run_output(argv))["suites"]["block-confluence"]
         dumped = Path(tmp, "block_confluence_counterexample.adl")
         dumped_text = dumped.read_text(encoding="utf-8") if dumped.exists() else None
-    counterexample = next((lat for lat, fixed in seen if len(fixed) > 1), None)
+    # the first lattice of the same walk with two fixed points, by the search over deletion orders
+    lattices = map(treeiso.lattice_of_tree, oracle.enumerate_rooted_trees(max_nodes - 1, root_min))
+    counterexample = next((lat for lat in lattices if len(explore_deletion_orders(lat)) > 1), None)
     if counterexample is None:
         assert result["first_counterexample"] is None and dumped_text is None
         return
