@@ -7,7 +7,9 @@ from bisect import insort
 from typing import Sequence
 
 from .errors import HypothesisViolated, NotLowerDismantlable
-from .lattice import Lattice, _bits, _cover_masks, adjunct_elements, build_from_covers, is_lower_dismantlable
+from .lattice import (
+    Lattice, _bits, _cover_masks, adjunct_elements, build_from_covers, is_lower_dismantlable, top_join_reducible
+)
 from .treeiso import RootedTree, _peel
 from .zdg import LabeledGraph, neighborhood_partition
 
@@ -110,7 +112,7 @@ def ssc_equivalence_report(lat: Lattice, block: Lattice, graph: LabeledGraph) ->
     """
     if not is_lower_dismantlable(lat):
         raise HypothesisViolated("not lower dismantlable")
-    if len(lat._lowers[lat.top]) < 2:
+    if not top_join_reducible(lat):
         raise HypothesisViolated("top is join-irreducible")
     return {
         "basic_block_is_self": block == lat,

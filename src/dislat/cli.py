@@ -28,7 +28,7 @@ from .errors import (
     InternalInconsistency,
     NotInClass,
 )
-from .lattice import Lattice, adjunct_elements, is_lower_dismantlable, relabel
+from .lattice import Lattice, adjunct_elements, is_lower_dismantlable, relabel, top_join_reducible
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -69,7 +69,7 @@ def cmd_build(args) -> int:
         "atoms": sorted(lat.labels[x] for x in lat._uppers[lat.bottom]),
         "adjunct_elements": sorted(adjunct_elements(lat)),
         "lower_dismantlable": lower,
-        "top_join_reducible": len(lat._lowers[lat.top]) >= 2,
+        "top_join_reducible": top_join_reducible(lat),
     }
     lines = [
         f"n = {lat.n} (bottom {lat.bottom_label}, top {lat.top_label})",
@@ -143,7 +143,7 @@ def cmd_iso(args) -> int:
     f = treeiso.graph_iso(g1, g2)
     zdg_isomorphic = f is not None
     # The main theorem: with join-reducible tops the two verdicts coincide.
-    tops_join_reducible = all(len(lat._lowers[lat.top]) >= 2 for lat in (lat1, lat2))
+    tops_join_reducible = top_join_reducible(lat1) and top_join_reducible(lat2)
     if tops_join_reducible and isomorphic != zdg_isomorphic:
         raise InternalInconsistency(
             "join-reducible tops, but lattice and zero-divisor-graph isomorphism disagree"
@@ -258,12 +258,12 @@ class _Diam(_Suite):
 def _meet_mismatch(lat: Lattice) -> str | None:
     """The first pair (x, y) of nonzero elements, x < y by label, in index
     order, whose meet is the bottom exactly when they are comparable."""
-    labels, up, bottom = lat.labels, lat._up, lat.bottom
+    labels, down, bottom = lat.labels, lat._down, lat.bottom
     for x in range(lat.n):
         for y in range(lat.n):
             if x == bottom or y == bottom or labels[x] >= labels[y]:
                 continue
-            incomparable = not (up[x] >> y & 1 or up[y] >> x & 1)
+            incomparable = not (down[y] >> x & 1 or down[x] >> y & 1)
             if (lat._meet_idx(x, y) == bottom) != incomparable:
                 return f"meet/incomparability mismatch at ({labels[x]}, {labels[y]})"
     return None
@@ -326,9 +326,10 @@ class _T1(_Suite):
     Brute force runs only within a bucket of `oracle.lattice_iso_key`, which
     holds the size, so a pair across buckets whose codes differ agrees by
     construction: it is counted, not visited.  Only this size's trees are
-    kept, and of earlier sizes only the codes.  The first counterexample is
-    that of the least pair (i, j), printed from the trees of lattice i and
-    of the relabelled copy."""
+    kept, as their canonical codes, and of earlier sizes only the codes of
+    their recognized graphs.  The first counterexample is that of the least
+    pair (i, j), printed from the trees of lattice i and of the relabelled
+    copy."""
 
     def __init__(self, seed: int, root_min: int, dump_dir: str | None):
         super().__init__(seed, root_min, dump_dir)
@@ -336,8 +337,8 @@ class _T1(_Suite):
         self.root_min = max(root_min, 2)
         self.numbers = itertools.count()  # numbers the lattices
         self.numbers_of_code: dict[str, list[int]] = {}
-        # this size's trees by their lattices' key
-        self.buckets: dict[tuple, dict[int, treeiso.RootedTree]] = {}
+        # the canonical codes of this size's trees by their lattices' key
+        self.buckets: dict[tuple, dict[int, str]] = {}
         self.first_pair: tuple[int, int] | None = None
 
     def add(self, item: _Item) -> None:
@@ -352,14 +353,14 @@ class _T1(_Suite):
         key = oracle.lattice_iso_key(lat)
         if next(iter(self.buckets), key)[0] != key[0]:  # a new size
             self.buckets = {}
-        self.buckets.setdefault(key, {})[j] = item.tree
+        self.buckets.setdefault(key, {})[j] = treeiso.canonical_code(item.tree)
         self.numbers_of_code.setdefault(treeiso.canonical_code(treeiso.recognize(item.graph)), []).append(j)
         code = treeiso.canonical_code(treeiso.recognize(zdg.zero_divisor_graph(relab)))
         equal = self.numbers_of_code.get(code, [])  # the i whose code is that of relabeled lattice j
         bucket = self.buckets[key]  # relab shares lat's index arrays, so its key is key
         # a violation has fast != slow: equal codes outside the bucket, or brute force disagreeing within it
         bad = [i for i in equal if i not in bucket]
-        lats = ((i, treeiso.lattice_of_tree(tree)) for i, tree in bucket.items())  # rebuilt in O(n), one at a time
+        lats = ((i, treeiso.lattice_of_tree(treeiso.tree_from_code(c))) for i, c in bucket.items())  # one at a time
         bad += [i for i, lat_i in lats if (i in equal) == (oracle.brute_lattice_iso(lat_i, relab) is None)]
         if not bad:
             return
@@ -369,7 +370,7 @@ class _T1(_Suite):
             return
         self.first_pair = (i, j)
         if i in bucket:
-            first = bucket[i]
+            first = treeiso.tree_from_code(bucket[i])
         else:  # outside the bucket: only a counterexample pays to enumerate it again
             first = next(itertools.islice(oracle.enumerate_rooted_trees(lat.n - 1, self.root_min), i, None))
         fast = i in equal
@@ -433,8 +434,8 @@ _SUITES = {
 def _run_suites(names: list[str], max_nodes: int, seed: int, root_min: int, dump_dir: str | None) -> dict:
     """The named suites over lattices of at most `max_nodes` elements, from
     one walk of the tree enumeration in ascending size.  Each lattice is
-    handed to every suite in turn; only t1 keeps its tree past that, to the
-    end of its size."""
+    handed to every suite in turn; only t1 keeps its tree's code past that,
+    to the end of its size."""
     suites = {name: _SUITES[name](seed, root_min, dump_dir) for name in names}
     for item in map(_Item, oracle.enumerate_rooted_trees(max_nodes - 1, root_min)):
         for suite in suites.values():

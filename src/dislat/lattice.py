@@ -9,14 +9,13 @@ under the top, with the bottom under the leaves, and trusts its caller.
 
 Elements are dense integer indices internally.  The label-level readers are
 `index`, `bottom_label`, `top_label`, `cover_pairs`, `leq`, `meet` and
-`join`; the rest of the package reads the index arrays.  The order relation
-is materialized at construction time as per-element bitmasks: ``_down[i]``
-holds the elements below i and ``_up[i]`` those above it, both including i.
-Comparability is one bit test.  The meet of x and y is the element whose
-down-set is ``_down[x] & _down[y]`` (it exists exactly when that
-intersection is principal), so meet and join are one AND and one dict
-lookup in an index of the principal down-sets (up-sets) by mask, which is
-built on the first meet or join.
+`join`; the rest of the package reads the index arrays.  The order is
+stored once, as per-element bitmasks: ``_down[i]`` holds the elements below
+i, i included, so x <= y is one bit test of ``_down[y]``.  The meet of x
+and y is the element whose down-set is ``_down[x] & _down[y]`` (it exists
+exactly when that intersection is principal): one AND and one dict lookup
+in an index of the principal down-sets by mask, built on the first meet.
+The join, which no command calls, scans for the least down-set holding both.
 """
 
 from __future__ import annotations
@@ -45,18 +44,14 @@ class Lattice:
     Build instances through :func:`build_from_covers`, which validates any
     cover relation, or through :meth:`_of_tree` for a lower dismantlable
     lattice given by its tree; the constructor trusts its arguments.  The
-    mask -> element indexes ``_down_index`` and ``_up_index`` are None until
-    the first meet or join (``_index_masks``).
+    mask -> element index ``_down_index`` is None until the first meet.
     """
 
-    __slots__ = (
-        "labels", "bottom", "top", "_index", "_up", "_down", "_up_index", "_down_index", "_uppers", "_lowers"
-    )
+    __slots__ = ("labels", "bottom", "top", "_index", "_down", "_down_index", "_uppers", "_lowers")
 
     def __init__(
         self,
         labels: tuple[str, ...],
-        up: tuple[int, ...],
         down: tuple[int, ...],
         bottom: int,
         top: int,
@@ -67,9 +62,7 @@ class Lattice:
         self.bottom = bottom
         self.top = top
         self._index = dict(zip(labels, range(len(labels))))
-        self._up = up
         self._down = down
-        self._up_index: dict[int, int] | None = None
         self._down_index: dict[int, int] | None = None
         self._uppers = uppers  # upper covers of each element, ascending
         self._lowers = lowers  # lower covers of each element, ascending
@@ -81,10 +74,10 @@ class Lattice:
 
         `parent[v]` is the parent of node v; it is read for every element
         but `bottom` and `top`, the root.  The nodes must form one tree under
-        `top` and the labels must be distinct: neither is checked.  Up-sets
-        are ORed down a breadth-first order from the top and down-sets up it;
-        the bottom lies below everything and is covered by the leaves.  The
-        result is a lattice by the tree-shape lemma of `build_from_covers`.
+        `top` and the labels must be distinct: neither is checked.  Down-sets
+        are ORed up a breadth-first order from the top; the bottom lies below
+        everything and is covered by the leaves.  The result is a lattice by
+        the tree-shape lemma of `build_from_covers`.
         """
         n = len(labels)
         children: list[list[int]] = [[] for _ in range(n)]
@@ -94,22 +87,16 @@ class Lattice:
         order = [top]  # breadth-first: every node after its parent
         for v in order:
             order.extend(children[v])
-        below = order[1:]
         leaves = tuple(v for v in range(n) if not children[v] and v != bottom)
-        up = [0] * n
-        up[top] = 1 << top
-        for v in below:
-            up[v] = up[parent[v]] | 1 << v
-        up[bottom] = (1 << n) - 1
         down = [1 << bottom | 1 << v for v in range(n)]
-        for v in reversed(below):
+        for v in reversed(order[1:]):
             down[parent[v]] |= down[v]
         uppers = [(parent[v],) for v in range(n)]
         uppers[top] = ()
         uppers[bottom] = leaves
         for v in leaves:
             children[v].append(bottom)
-        return cls(labels, tuple(up), tuple(down), bottom, top, tuple(uppers), tuple(map(tuple, children)))
+        return cls(labels, tuple(down), bottom, top, tuple(uppers), tuple(map(tuple, children)))
 
     # -- basic accessors ----------------------------------------------------
 
@@ -139,35 +126,26 @@ class Lattice:
     # -- order and operations -----------------------------------------------
 
     def leq(self, x: str, y: str) -> bool:
-        return bool(self._up[self.index(x)] >> self.index(y) & 1)
-
-    def _index_masks(self) -> None:
-        """Index the principal down-sets and up-sets by mask."""
-        self._down_index = {mask: i for i, mask in enumerate(self._down)}
-        self._up_index = {mask: i for i, mask in enumerate(self._up)}
+        xi = self.index(x)
+        return bool(self._down[self.index(y)] >> xi & 1)
 
     def _meet_idx(self, xi: int, yi: int) -> int:
         """The element whose down-set is the common down-set, if any."""
         if self._down_index is None:
-            self._index_masks()
+            self._down_index = {mask: i for i, mask in enumerate(self._down)}
         meet = self._down_index.get(self._down[xi] & self._down[yi])
         if meet is None:
             raise NotALattice(f"no meet for ({self.labels[xi]}, {self.labels[yi]})")
         return meet
 
-    def _join_idx(self, xi: int, yi: int) -> int:
-        if self._up_index is None:
-            self._index_masks()
-        join = self._up_index.get(self._up[xi] & self._up[yi])
-        if join is None:
-            raise NotALattice(f"no join for ({self.labels[xi]}, {self.labels[yi]})")
-        return join
-
     def meet(self, x: str, y: str) -> str:
         return self.labels[self._meet_idx(self.index(x), self.index(y))]
 
     def join(self, x: str, y: str) -> str:
-        return self.labels[self._join_idx(self.index(x), self.index(y))]
+        """The upper bound of x and y with the least down-set, in O(n)."""
+        both, down = 1 << self.index(x) | 1 << self.index(y), self._down
+        upper = [i for i in range(self.n) if down[i] & both == both]
+        return self.labels[min(upper, key=lambda i: down[i].bit_count())]
 
     # -- equality is label-level structure -----------------------------------
 
@@ -328,25 +306,23 @@ def build_from_covers(labels: Sequence[str], cover_pairs: Iterable[tuple[str, st
         raise NotALattice(f"{len(maximal)} maximal elements; need a unique top")
 
     bottom, top = minimal[0], maximal[0]
-    lat = Lattice(
-        labels, tuple(up), tuple(down), bottom, top,
-        tuple(tuple(sorted(s)) for s in uppers), tuple(tuple(sorted(s)) for s in lowers),
-    )
     # A tree under the top with a bottom below it (every lower dismantlable
     # lattice) is a lattice: each up-set is a chain to the top, so two meet
     # in the up-set of the least common ancestor, and the down-sets of two
     # incomparable elements share only the bottom.
-    if all(len(uppers[i]) == 1 for i in range(n) if i != bottom and i != top):
-        return lat
-    lat._index_masks()
-    meets, joins = lat._down_index, lat._up_index
-    for xi in range(n):
-        down_x, up_x = down[xi], up[xi]
-        for yi in range(xi + 1, n):
-            if down_x & down[yi] not in meets or up_x & up[yi] not in joins:
-                lat._meet_idx(xi, yi)  # raises NotALattice for the missing one
-                lat._join_idx(xi, yi)
-    return lat
+    if any(len(uppers[i]) != 1 for i in range(n) if i != bottom and i != top):
+        meets, joins = set(down), set(up)
+        for xi in range(n):
+            down_x, up_x = down[xi], up[xi]
+            for yi in range(xi + 1, n):
+                if down_x & down[yi] not in meets:
+                    raise NotALattice(f"no meet for ({labels[xi]}, {labels[yi]})")
+                if up_x & up[yi] not in joins:
+                    raise NotALattice(f"no join for ({labels[xi]}, {labels[yi]})")
+    return Lattice(
+        labels, tuple(down), bottom, top,
+        tuple(tuple(sorted(s)) for s in uppers), tuple(tuple(sorted(s)) for s in lowers),
+    )
 
 
 def relabel(lat: Lattice, mapping: Mapping[str, str]) -> Lattice:
@@ -354,7 +330,7 @@ def relabel(lat: Lattice, mapping: Mapping[str, str]) -> Lattice:
     arrays are shared, only the labels change.  Raises KeyError for a label
     the mapping lacks and LabelClash when two labels get the same image."""
     labels = _distinct(mapping[lab] for lab in lat.labels)
-    return Lattice(labels, lat._up, lat._down, lat.bottom, lat.top, lat._uppers, lat._lowers)
+    return Lattice(labels, lat._down, lat.bottom, lat.top, lat._uppers, lat._lowers)
 
 
 def _distinct(labels: Iterable[str]) -> tuple[str, ...]:
@@ -398,3 +374,9 @@ def is_lower_dismantlable(lat: Lattice) -> bool:
     so it is not lower dismantlable.
     """
     return sum(map(len, lat._lowers)) - len(lat._uppers[lat.bottom]) == lat.n - 2
+
+
+def top_join_reducible(lat: Lattice) -> bool:
+    """True iff the top has at least two lower covers: the hypothesis under
+    which the paper's theorems read the lattice off its zero-divisor graph."""
+    return len(lat._lowers[lat.top]) >= 2

@@ -58,10 +58,14 @@ def enumerate_rooted_trees(max_nodes: int, root_min_children: int = 0) -> Iterat
 
 def _cover_profile(lat: Lattice) -> list[tuple[int, int, int, int]]:
     """Per element, its numbers of lower and of upper covers and the sizes
-    of its down-set and of its up-set.  An isomorphism keeps all four."""
+    of its down-set and of its up-set, the up-sets counted off the
+    down-sets.  An isomorphism keeps all four."""
+    above = [0] * lat.n
+    for down in lat._down:
+        for x in _bits(down):
+            above[x] += 1
     return [
-        (len(lo), len(up), down.bit_count(), above.bit_count())
-        for lo, up, down, above in zip(lat._lowers, lat._uppers, lat._down, lat._up)
+        (len(lo), len(up), down.bit_count(), a) for lo, up, down, a in zip(lat._lowers, lat._uppers, lat._down, above)
     ]
 
 
@@ -95,7 +99,7 @@ def brute_lattice_iso_all(
     if _iso_key(l1, prof1) != _iso_key(l2, prof2):
         return
     (uppers1, lowers1), (uppers2, lowers2) = _cover_masks(l1), _cover_masks(l2)
-    up1, up2 = l1._up, l2._up
+    down1, down2 = l1._down, l2._down
     labels1, labels2 = l1.labels, l2.labels
     order = [i for i in sorted(range(l1.n), key=labels1.__getitem__) if i not in (l1.bottom, l1.top)]
     candidates = sorted(range(l2.n), key=labels2.__getitem__)
@@ -105,7 +109,7 @@ def brute_lattice_iso_all(
         nonlocal nodes_visited
         if i == len(order):
             if all(
-                (up1[x] >> y & 1) == (up2[fx] >> mapping[y] & 1)
+                (down1[x] >> y & 1) == (down2[fx] >> mapping[y] & 1)
                 for x, fx in mapping.items()
                 for y in mapping
             ):

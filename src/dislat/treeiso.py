@@ -24,7 +24,9 @@ from .errors import (
     NotInClass,
     NotLowerDismantlable,
 )
-from .lattice import Adjunction, AdjunctExpr, Lattice, _distinct, _init, _Record, is_lower_dismantlable
+from .lattice import (
+    Adjunction, AdjunctExpr, Lattice, _distinct, _init, _Record, is_lower_dismantlable, top_join_reducible
+)
 from .zdg import LabeledGraph, neighborhood_partition
 
 FRESH_ROOT = "⊤"
@@ -338,7 +340,7 @@ def graph_iso(g1: LabeledGraph, g2: LabeledGraph) -> dict[str, str] | None:
 def _require_top_adjunct(lat: Lattice, side: str) -> None:
     if not is_lower_dismantlable(lat):
         raise HypothesisViolated(f"{side} lattice is not lower dismantlable")
-    if len(lat._lowers[lat.top]) < 2:
+    if not top_join_reducible(lat):
         raise HypothesisViolated(f"{side} lattice's top is not an adjunct element")
 
 

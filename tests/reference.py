@@ -326,7 +326,17 @@ def reference_relabel(lat: Lattice, mapping: Mapping[str, str]) -> Lattice:
 
 def lattice_arrays(lat: Lattice) -> tuple:
     """Everything the package reads of a lattice, in its index order."""
-    return (lat.labels, lat._up, lat._down, lat._uppers, lat._lowers, lat.bottom, lat.top)
+    return (lat.labels, lat._down, lat._uppers, lat._lowers, lat.bottom, lat.top)
+
+
+def up_masks(lat: Lattice) -> list[int]:
+    """Per element, the mask of the elements above it, itself included: the
+    transpose of ``_down``."""
+    up = [0] * lat.n
+    for y, down in enumerate(lat._down):
+        for x in _bits(down):
+            up[x] |= 1 << y
+    return up
 
 
 # -- neighborhood classes and the peel ---------------------------------------------
@@ -366,9 +376,9 @@ def _induced_covers(lat: Lattice, keep: Iterable[str]) -> list[tuple[str, str]]:
     mask = 0
     for x in keep:
         mask |= 1 << lat.index(x)
-    out = []
+    out, up = [], up_masks(lat)
     for u in _bits(mask):
-        above = lat._up[u] & mask & ~(1 << u)
+        above = up[u] & mask & ~(1 << u)
         for v in _bits(above):
             if above & lat._down[v] == 1 << v:
                 out.append((lat.labels[u], lat.labels[v]))
@@ -962,7 +972,7 @@ def definition_is_ssc(lat: Lattice) -> bool:
     With Z(b) the mask of the nonzero c whose down-sets meet that of b only
     in the bottom, the witness c exists exactly when down(a) & Z(b) != 0."""
     zero = 1 << lat.bottom
-    down, up = lat._down, lat._up
+    down, up = lat._down, up_masks(lat)
     for b, down_b in enumerate(down):
         z = sum(1 << c for c, down_c in enumerate(down) if down_b & down_c == zero) & ~zero
         if any(down_a & z == 0 and not up[a] >> b & 1 for a, down_a in enumerate(down)):

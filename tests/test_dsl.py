@@ -32,6 +32,7 @@ from tests.reference import (
     lt,
     reference_elaborate,
     reference_parse,
+    up_masks,
 )
 from tests.test_treeiso import random_parents
 
@@ -219,11 +220,11 @@ def comparable_pairs_expr(rng):
     lat = chain_lattice(base)
     adjunctions = []
     for step in range(rng.randrange(3, 12)):
-        labels = lat.labels
+        labels, up = lat.labels, up_masks(lat)
         pairs = [
             (labels[x], labels[y])
             for x in range(lat.n)
-            for y in _bits(lat._up[x])
+            for y in _bits(up[x])
             if y != x and x not in lat._lowers[y]
         ]
         adj = Adjunction(pair=rng.choice(pairs), chain=tuple(f"d{step}_{k}" for k in range(rng.randrange(1, 4))))

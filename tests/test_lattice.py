@@ -34,6 +34,7 @@ from tests.reference import (
     lower_covers,
     lt,
     reference_relabel,
+    up_masks,
     upper_covers,
 )
 
@@ -199,16 +200,33 @@ class TestMeetJoin:
         assert ex2.join("a4", "a3") == "a5"
 
     def test_match_bit_scan(self, sample_lattices):
-        """The indexed meet and join against a scan of the common down-set
-        (up-set) for the element it lies under (over)."""
+        """The indexed meet against a scan of the common down-set for the
+        element it lies under, and the join against the same scan of the
+        common up-set (`up_masks`) for the element it lies over."""
 
         def scan(masks, common):
             return next(i for i, mask in enumerate(masks) if common >> i & 1 and common & ~mask == 0)
 
         for lat in sample_lattices:
+            up, labels = up_masks(lat), lat.labels
             for x, y in itertools.product(range(lat.n), repeat=2):
                 assert lat._meet_idx(x, y) == scan(lat._down, lat._down[x] & lat._down[y])
-                assert lat._join_idx(x, y) == scan(lat._up, lat._up[x] & lat._up[y])
+                assert lat.join(labels[x], labels[y]) == labels[scan(up, up[x] & up[y])]
+
+    def test_agree_with_order_closure(self, sample_lattices):
+        """leq, meet and join against the closure of the cover relation, on
+        the sample lattices and on 200 trees with a bottom under their
+        leaves: the meet is the common lower bound above every other one,
+        the join the common upper bound below every other one."""
+        rng = random.Random(13)
+        trees = [build_from_covers(*random_tree_poset(rng)) for _ in range(200)]
+        for lat in [*sample_lattices, *trees]:
+            below, above = order_closure(lat.labels, lat.cover_pairs())
+            for x, y in itertools.product(lat.labels, repeat=2):
+                assert lat.leq(x, y) == (x in below[y])
+                lower, upper = below[x] & below[y], above[x] & above[y]
+                assert lower <= below[lat.meet(x, y)] and lat.meet(x, y) in lower
+                assert upper <= above[lat.join(x, y)] and lat.join(x, y) in upper
 
     def test_totality_on_cube(self):
         cube = boolean_cube()
@@ -457,10 +475,10 @@ class TestRelabel:
 
 
 class TestMaskIndexes:
-    def test_built_on_first_meet_or_join(self):
-        for op in ("meet", "join"):
-            lat = elaborate(parse("lattice m3 { chain 0 a one; adjoin (0, one): b; adjoin (0, one): c; }"))
-            assert lat._down_index is None and lat._up_index is None
-            assert getattr(lat, op)("a", "b") == ("0" if op == "meet" else "one")
-            assert lat._down_index == {mask: i for i, mask in enumerate(lat._down)}
-            assert lat._up_index == {mask: i for i, mask in enumerate(lat._up)}
+    def test_built_on_first_meet_only(self):
+        lat = elaborate(parse("lattice m3 { chain 0 a one; adjoin (0, one): b; adjoin (0, one): c; }"))
+        assert lat._down_index is None
+        assert lat.join("a", "b") == "one" and lat.leq("a", "one")
+        assert lat._down_index is None
+        assert lat.meet("a", "b") == "0"
+        assert lat._down_index == {mask: i for i, mask in enumerate(lat._down)}

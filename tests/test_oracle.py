@@ -16,6 +16,7 @@ from dislat import (
 )
 from dislat.lattice import relabel
 from dislat.oracle import brute_lattice_iso_all, rooted_tree_codes
+from dislat.treeiso import tree_from_code
 from tests.conftest import shuffled_copy
 from tests.reference import brute_lattice_iso_all as reference_brute_lattice_iso_all
 from tests.reference import (
@@ -68,6 +69,12 @@ class TestEnumeration:
     def test_stream_is_size_ascending(self):
         sizes = [t.n for t in enumerate_rooted_trees(5)]
         assert sizes == sorted(sizes)
+
+    def test_tree_is_read_back_from_its_code(self):
+        """`verify`'s t1 keeps a tree's canonical code and rebuilds the tree
+        from it: the same tree, labels included."""
+        for tree in enumerate_rooted_trees(9):
+            assert tree_from_code(canonical_code(tree)) == tree
 
 
 class TestBruteGraphIso:
